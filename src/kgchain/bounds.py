@@ -71,10 +71,6 @@ class ConstantsRecord:
     r_max: int                       # largest order with r < mu_*/(2 mu)
     order_bound_ok: bool
 
-    def deformation_step(self, radius: float) -> float:
-        """Per-step shrinking delta_s = R / (3 r)."""
-        return radius / (3.0 * self.r)
-
     def to_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)
                 for k, v in self.__dict__.items()}

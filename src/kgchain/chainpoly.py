@@ -11,7 +11,6 @@ the cyclic machinery itself lives in :mod:`kgchain.cyclic`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import comb
@@ -98,7 +97,15 @@ def _mono_arc_start(exps: ExpKey, n: int | None) -> int:
     """First site of the minimal covering arc (ties: smallest site)."""
     if not exps:
         return 0
-    sites = sorted({s for s, _, _ in exps})
+    return _arc_start(sorted({s for s, _, _ in exps}), n)
+
+
+def _arc_start(sites: list[int], n: int | None) -> int:
+    """:func:`_mono_arc_start` on the sorted, distinct, non-empty sites.
+
+    The arc starts after the first largest circular gap, counted from the
+    smallest site; which of several equal gaps wins depends on the frame.
+    """
     if n is None or len(sites) == 1:
         return sites[0]
     best_gap, best_start = -1, sites[0]
@@ -331,12 +338,26 @@ def sum_polys(polys: Iterable[SeedPoly], kind: str | None = None,
 
 # -- Poisson bracket -----------------------------------------------------
 #
-# The bracket inner loop runs on bit-packed exponent keys: the exponents
-# of the two blocks at site s occupy 6-bit slots 2s and 2s+1 of a Python
-# int, so "multiply monomials and differentiate once in each block at
-# site l" is a single integer addition.  Both canonical pairings at a
-# common site produce the same packed key, with combined coefficient
+# Both bracket kernels run on packed words: the two block exponents of
+# slot i occupy the 6-bit fields 2i and 2i+1 of a Python int, a 12-bit
+# slot per site, so "multiply two monomials and differentiate once in each
+# block at site u" is the single integer sum kf + kg - xi_u - eta_u.  Both
+# canonical pairings at a common site give that word, with the combined
 # factor a1*b2 - b1*a2.
+#
+# poisson_bracket below numbers the sites its operands use as slots and
+# tests every f entry against every g term.  It is the plain reference
+# that the seed kernel is tested against.
+#
+# The seed kernel (kgchain.cyclic.seed_bracket) sums {f, tau^l g} over all
+# shifts l on words whose slot i is site i of the ring.  It is driven by
+# contacts: an f entry at site u meets a g entry at site s under the one
+# shift that moves g by r = u - s, which on words is the rotation
+#     rot(w, r) = ((w << 12r) | (w >> 12(n-r))) & (2^(12n) - 1),
+# taking every site x to x + r (mod n).  f is never moved, so the words
+# stay in f's frame until each is rotated to its left-aligned form.  The
+# frame matters: left_align breaks ties between equal largest gaps by it
+# (sites {0, 4} at N = 8), so it decides the key an orbit is stored under.
 
 _PACK_BITS = 6
 _PACK_MASK = (1 << _PACK_BITS) - 1
@@ -557,10 +578,6 @@ def support_info(f: SeedPoly) -> SupportInfo:
     return SupportInfo(tuple(sites), dist, sites[0] == 0)
 
 
-def monomial_distance(m: Monomial, n: int | None = None) -> int:
-    return _mono_distance(m.exps, n)
-
-
 def left_align(f: SeedPoly) -> SeedPoly:
     """Shift every monomial so its minimal covering arc starts at site 0.
 
@@ -663,11 +680,3 @@ def seed_from_dict(d: dict) -> SeedPoly:
         key = Monomial(zip(t["sites"], t["xexp"], t["yexp"])).exps
         acc[key] = acc.get(key, 0.0) + complex(t["re"], t["im"])
     return SeedPoly(d["kind"], d["n"], acc, _skip_clean=True)
-
-
-def seed_to_json(f: SeedPoly) -> str:
-    return json.dumps(seed_to_dict(f), sort_keys=True)
-
-
-def seed_from_json(s: str) -> SeedPoly:
-    return seed_from_dict(json.loads(s))

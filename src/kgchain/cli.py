@@ -366,7 +366,6 @@ def _verify_checks(cfg: dict, fault: str | None):
 
     # quadratic normalization at N=6
     nfres = lin.linear_normalize(0.05, 6)
-    nfres = nfres if fault != "quadratic-identity" else nfres
     ho = cy.realize(nfres.h_omega, 6)
     z0r = cy.realize(fault_bump("quadratic-identity", nfres.zeta0), 6)
     bmat = lin.circulant_power(nfres.circ, 0.5).dense()

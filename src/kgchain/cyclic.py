@@ -15,6 +15,7 @@ realization-based tests.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,18 @@ from .chainpoly import (
     ExpKey,
     Monomial,
     SeedPoly,
-    left_align,
-    poisson_bracket,
     poly_norm,
     sum_polys,
+    _PACK_BITS,
+    _PACK_MASK,
+    _arc_start,
+    _cleaned,
+    _max_exponent,
     _mono_arc_start,
     _mono_distance,
+    _pack,
+    _pair_cut,
+    _unpack,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -44,20 +51,6 @@ class CyclicFn:
     seed: SeedPoly
     n: int
     alignment: str = "left"
-
-
-def cyclic_fn_to_dict(f: CyclicFn) -> dict:
-    from .chainpoly import seed_to_dict
-    d = seed_to_dict(f.seed)
-    d["n"] = f.n
-    d["alignment"] = f.alignment
-    return d
-
-
-def cyclic_fn_from_dict(d: dict) -> CyclicFn:
-    from .chainpoly import seed_from_dict
-    seed = seed_from_dict({k: d[k] for k in ("kind", "n", "terms")})
-    return CyclicFn(seed, d["n"], d.get("alignment", "left"))
 
 
 def cyclic_shift(f: SeedPoly, l: int) -> SeedPoly:
@@ -106,13 +99,12 @@ def realize(f: SeedPoly | CyclicFn, n: int | None = None,
 
 
 def seed_bracket(f: SeedPoly, g: SeedPoly, n: int | None = None,
-                 prune_rel: float | None = None,
-                 align: bool = True) -> SeedPoly:
-    """A seed of {f^+, g^+}: the bracket {f, sum_l tau^l g}.
+                 prune_rel: float | None = None) -> SeedPoly:
+    """A left-aligned seed of {f^+, g^+}: the bracket {f, sum_l tau^l g}.
 
-    Only shifts l whose support overlaps S(f) contribute, so the cost is
-    independent of N for short-range seeds; the overlap set is computed
-    with mod-N arithmetic, which keeps small-N wrap-around exact.
+    Only shifts l that bring a site of tau^l g onto a site of f contribute,
+    so the cost is independent of N for short-range seeds; shifts are taken
+    mod N, which keeps small-N wrap-around exact.
     """
     if f.kind != g.kind:
         raise CoordinateError("coordinate-kind mismatch")
@@ -124,29 +116,31 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, n: int | None = None,
     gb = bind(g, n) if g.n is None else g
     if fb.n != n or gb.n != n:
         raise CoordinateError("chain-size mismatch")
-
-    out = _seed_bracket_accumulate(fb, gb, n, prune_rel)
-    return left_align(out) if align else out
+    return _seed_bracket_accumulate(fb, gb, n, prune_rel)
 
 
 def _seed_bracket_accumulate(fb: SeedPoly, gb: SeedPoly, n: int,
                              prune_rel: float | None) -> SeedPoly:
-    """Pair-driven sum over shifts: each term pair contributes only at the
-    shifts that bring its supports into contact.
+    """Contact-driven sum over shifts on packed words, left-aligned.
 
-    Runs on bit-packed exponent words (see :mod:`kgchain.chainpoly`);
-    packed shifted copies of the second factor's terms and the per-support
-    shift sets are cached across pairs.
+    Words are the packed keys of :mod:`kgchain.chainpoly` with site s in
+    slot s.  A contact is a site entry (u, a1, b1) of an f-term meeting a
+    site entry (s, a2, b2) of a g-term: the shift tau^(s-u) carries site s
+    of g onto site u, so the pair adds (a1 b2 - b1 a2) c_f c_g to the word
+    kf - xi_u - eta_u + rot(kg, u - s), where rot(w, r) moves every site x
+    of w to x + r (mod n).  Each (pair, shift, site) term of the shift sum
+    is one contact, so no shift set is built.  f's entries are grouped by
+    exponent pair, which fixes the factor for the whole group, and sorted
+    by descending |c_f|, so the pair cut ends a group at the first pair
+    with |c_f c_g| below it.
+
+    The words stay in f's frame.  left_align breaks ties between equal
+    largest gaps by the frame (sites {0, 4} at N = 8), so another frame
+    would store some orbits under other keys and move per-key pruning.
+    The raw words get the 1e-15 clean and the ``prune_rel`` prune, both
+    relative to the largest coefficient; then each is rotated so that its
+    covering arc starts at site 0, and each aligned word is unpacked once.
     """
-    from .chainpoly import (
-        _PACK_BITS,
-        _PACK_MASK,
-        _max_exponent,
-        _pair_cut,
-        _pack,
-        _unpack,
-    )
-
     fterms = sorted(fb._terms.items(), key=lambda kv: -abs(kv[1]))
     gterms = sorted(gb._terms.items(), key=lambda kv: -abs(kv[1]))
     if not fterms or not gterms:
@@ -154,59 +148,69 @@ def _seed_bracket_accumulate(fb: SeedPoly, gb: SeedPoly, n: int,
     if _max_exponent(fb) + _max_exponent(gb) >= _PACK_MASK:
         raise ValueError("exponent too large for the packed bracket")
     pair_cut = _pair_cut(fterms, gterms, prune_rel)
+    sites = list(range(n))          # slot of site s is s
+    slot = 2 * _PACK_BITS
+    width = slot * n
+    word_mask = (1 << width) - 1
+    # rot(w, r) = (w | w << width) >> rot_shift[r], masked
+    rot_shift = [width - slot * r for r in range(n)]
 
-    slot_of = {s: s for s in range(n)}
-    sites = list(range(n))
-    double_mask = (_PACK_MASK << _PACK_BITS) | _PACK_MASK
-
-    fp = []
+    by_pair: dict[tuple[int, int], list] = {}
     for k, c in fterms:
-        ents = [(s, a, b, _PACK_BITS * 2 * s) for s, a, b in k]
-        fp.append((_pack(k, slot_of), ents,
-                   tuple(s for s, _, _ in k), c))
-    gsupports = [tuple(s for s, _, _ in k) for k, _ in gterms]
-    gshift_cache: list[dict[int, int]] = [{} for _ in gterms]
-    shiftset_cache: dict[tuple, tuple] = {}
+        kf = _pack(k, sites)
+        for u, a1, b1 in k:
+            pos = slot * u
+            by_pair.setdefault((a1, b1), []).append(
+                (kf - (1 << pos) - (1 << (pos + _PACK_BITS)), u, c))
+    groups = [(a1, b1, ents, [-abs(c) for _, _, c in ents])
+              for (a1, b1), ents in by_pair.items()]
 
     acc: dict[int, complex] = {}
-    gmax = abs(gterms[0][1])
-    for kf, ents1, supp1, c1 in fp:
-        if pair_cut and abs(c1) * gmax < pair_cut:
+    fmax = abs(fterms[0][1])
+    for k2, c2 in gterms:
+        ag = abs(c2)
+        if pair_cut and ag * fmax < pair_cut:
             break
-        for gi, (k2, c2) in enumerate(gterms):
-            cc = c1 * c2
-            if pair_cut and abs(cc) < pair_cut:
-                break
-            supp2 = gsupports[gi]
-            skey = (supp1, supp2)
-            shifts = shiftset_cache.get(skey)
-            if shifts is None:
-                shifts = tuple({(s2 - s1) % n for s2 in supp2
-                                for s1 in supp1})
-                shiftset_cache[skey] = shifts
-            cache = gshift_cache[gi]
-            for l in shifts:
-                kg = cache.get(l)
-                if kg is None:
-                    kg = _pack(tuple(((s - l) % n, a, b)
-                                     for s, a, b in k2), slot_of)
-                    cache[l] = kg
-                for s, a1, b1, pos in ents1:
-                    ab2 = (kg >> pos) & double_mask
-                    if not ab2:
-                        continue
-                    a2 = ab2 & _PACK_MASK
-                    b2 = ab2 >> _PACK_BITS
-                    factor = a1 * b2 - b1 * a2
-                    if factor:
-                        k = kf + kg - (1 << pos) \
-                            - (1 << (pos + _PACK_BITS))
-                        acc[k] = acc.get(k, 0.0) + cc * factor
-    out = SeedPoly(fb.kind, n, {_unpack(w, sites): v
-                                for w, v in acc.items()})
-    if prune_rel is not None:
-        out = out.prune(prune_rel)
-    return out
+        kg = _pack(k2, sites)
+        kg |= kg << width
+        rots = [(kg >> sh) & word_mask for sh in rot_shift]
+        for s, a2, b2 in k2:
+            for a1, b1, ents, negmag in groups:
+                factor = a1 * b2 - b1 * a2
+                if not factor:
+                    continue
+                if pair_cut:
+                    ents = ents[:bisect_right(negmag, -pair_cut / ag)]
+                cg = c2 * factor
+                for kfm, u, c1 in ents:
+                    w = kfm + rots[u - s]
+                    acc[w] = acc.get(w, 0.0) + c1 * cg
+
+    kept = _cleaned(acc, fb.kind)
+    if prune_rel is not None and kept:
+        cut = prune_rel * max(abs(v) for v in kept.values())
+        kept = {w: v for w, v in kept.items() if abs(v) >= cut}
+
+    # left alignment: rotate each word by minus its arc start
+    ones = sum(1 << (slot * x) for x in sites)
+    low = _PACK_MASK * ones
+    start_of: dict[int, int] = {}
+    aligned: dict[int, complex] = {}
+    for w, v in kept.items():
+        # bit slot*x of occ is set iff site x carries an exponent
+        occ = (((w | (w >> _PACK_BITS)) & low) + low) >> _PACK_BITS & ones
+        start = start_of.get(occ)
+        if start is None:
+            occupied = [x for x in sites if occ >> (slot * x) & 1]
+            start = _arc_start(occupied, n) if occupied else 0
+            start_of[occ] = start
+        if start:
+            w = ((w << (width - slot * start)) | (w >> (slot * start))) \
+                & word_mask
+        aligned[w] = aligned.get(w, 0.0) + v
+    return SeedPoly(fb.kind, n, {_unpack(w, sites): v
+                                 for w, v in aligned.items()},
+                    _skip_clean=True)
 
 
 def symmetric_align(f: SeedPoly, n: int | None = None) -> SeedPoly:

@@ -20,6 +20,10 @@ from .linearize import LinearNF, apply_linear, build_A, linear_normalize
 from .normalform import GdnlsModel, NormalFormResult
 
 
+# Iteration cap of the GdNLS midpoint fixed point; hitting it is an error.
+MIDPOINT_MAX_ITER = 80
+
+
 class IntegratorError(RuntimeError):
     pass
 
@@ -160,7 +164,8 @@ def integrate_kg(cfg: SimConfig) -> Trajectory:
             y -= half * sign * x ** 3
         if step % sample_every == 0 or step == steps:
             record(step * cfg.dt)
-            if abs(energies[-1] - e0) / scale > cfg.energy_guard:
+            # NaN trips the guard too
+            if not abs(energies[-1] - e0) / scale <= cfg.energy_guard:
                 raise IntegratorError(
                     f"energy drift {abs(energies[-1]-e0)/scale:.2e} exceeds "
                     f"guard {cfg.energy_guard:g} at t={step*cfg.dt:g}")
@@ -315,13 +320,17 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
         if tau == 0.0:
             return zz
         m = zz.copy()
-        for _ in range(80):
+        for _ in range(MIDPOINT_MAX_ITER):
             nxt = zz + 0.5 * tau * field_eval(m)
             if np.max(np.abs(nxt - m)) < 1e-15 * max(1.0,
                                                      np.max(np.abs(zz))):
                 m = nxt
                 break
             m = nxt
+        else:
+            raise IntegratorError(
+                "GdNLS midpoint fixed point did not converge in "
+                f"{MIDPOINT_MAX_ITER} iterations")
         return zz + tau * field_eval(m)
 
     times, states, energies = [], [], []
@@ -341,7 +350,8 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
         z = midpoint_kick(z, half)
         if step % sample_every == 0 or step == steps:
             record(step * cfg.dt)
-            if abs(energies[-1] - e0) / scale > cfg.energy_guard:
+            # NaN trips the guard too
+            if not abs(energies[-1] - e0) / scale <= cfg.energy_guard:
                 raise IntegratorError("GdNLS energy drift exceeds guard")
 
     energies = np.array(energies)

@@ -41,10 +41,6 @@ class Circulant:
         # eigenvalues = DFT of the first row; real for a symmetric row
         self.spectrum = np.fft.fft(self.row).real.copy()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        xhat = np.fft.fft(x)
-        return np.fft.ifft(self.spectrum * xhat).real
-
     def dense(self) -> np.ndarray:
         idx = (np.arange(self.n)[None, :] - np.arange(self.n)[:, None]) \
             % self.n

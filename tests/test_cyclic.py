@@ -17,7 +17,7 @@ from kgchain import (
     symmetric_parts,
 )
 from kgchain.cyclic import CyclicFn, FieldSeed, bind, field_norm_decay_bound
-from kgchain.chainpoly import decay_decompose, fit_decay
+from kgchain.chainpoly import decay_decompose, fit_decay, sum_polys
 
 from conftest import random_homogeneous, random_seed_poly
 from oracles import from_seedpoly, p_max_diff, p_poisson, p_realize
@@ -81,6 +81,38 @@ def test_seed_bracket_equivalence(rng):
             lhs = realize(seed_bracket(f, g, n), n)
             rhs = poisson_bracket(realize(f, n), realize(g, n))
             assert lhs.max_coeff_diff(rhs) <= 1e-12
+
+
+def test_seed_bracket_keys_match_shift_sum(rng):
+    # Key by key, not only after realization: left_align breaks ties
+    # between equal largest gaps by the frame, so a kernel that builds the
+    # words in another frame realizes the same function but stores some
+    # orbits under other keys.
+    from kgchain import (invert_lie_omega, linear_normalize, project_range,
+                         to_complex)
+    cases = []
+    for n in (4, 5, 6, 8):
+        for _ in range(10):
+            cases.append((random_seed_poly(rng, n=n, max_sites=n),
+                          random_seed_poly(rng, n=n, max_sites=n), n))
+    lnf = linear_normalize(0.05, 8)
+    cases.append((to_complex(lnf.zeta0),
+                  invert_lie_omega(project_range(to_complex(lnf.h1)),
+                                   lnf.omega), 8))
+    for f, g, n in cases:
+        ours = seed_bracket(f, g, n)
+        ref = left_align(sum_polys(poisson_bracket(f, cyclic_shift(g, l))
+                                   for l in range(n)))
+        top = max(ours.max_abs_coeff(), ref.max_abs_coeff())
+        assert ours.max_coeff_diff(ref) <= 1e-13 * top
+
+
+def test_seed_bracket_exponent_overflow():
+    # an output exponent must fit its 6-bit field of the packed word
+    f = SeedPoly.term([(0, 40, 1)], 1.0, n=4)
+    g = SeedPoly.term([(1, 30, 2)], 1.0, n=4)
+    with pytest.raises(ValueError, match="exponent too large"):
+        seed_bracket(f, g, 4)
 
 
 def test_seed_bracket_h_omega_zeta0_commute():

@@ -164,3 +164,13 @@ def test_trajectory_csv(tmp_path):
     assert rows[0] == ["t", "H", "H_Omega", "Z", "energy_error"]
     assert len(rows) == len(traj.times) + 1
     assert float(rows[1][1]) == traj.energy[0]
+
+
+def test_gdnls_divergence_raises():
+    # far outside the small-amplitude regime the midpoint fixed point
+    # diverges to NaN; it must raise instead of returning NaN energies
+    lnf = linear_normalize(0.05, 6)
+    model = extract_gdnls(normal_form(lnf, 1))
+    cfg = SimConfig(n=6, a=0.05, radius=30.0, dt=0.1, horizon=0.2)
+    with pytest.raises(IntegratorError, match="80 iterations"):
+        integrate_gdnls(model, cfg)
