@@ -253,10 +253,8 @@ def cmd_simulate(args) -> int:
         if cfg["ladder"]:
             ladder = [float(x) for x in str(cfg["ladder"]).split(",")]
             report = dyn.drift_experiment(base, ladder, res)
-            for row in report["ladder"]:
-                cfg_r = dyn.replace(base, radius=row["radius"])
-                traj = dyn.integrate_kg(cfg_r)
-                dyn.observables(traj, res)
+            trajs = report.pop("trajectories")
+            for row, traj in zip(report["ladder"], trajs):
                 dyn.write_trajectory_csv(
                     os.path.join(out, f"trajectory-R{row['radius']:g}.csv"),
                     traj)

@@ -314,13 +314,29 @@ def field_norm_decay_bound(c_f: float, sigma: float, degree: int,
 # -- fast evaluation of realized functions and fields -----------------------
 
 class RealizedEvaluator:
-    """Evaluate F = f^+ at phase-space states, vectorised over shifts.
+    """Evaluate the N shifts of a real seed f at phase-space states.
 
-    States are arrays (..., 2N): first N entries the x/q block, last N the
-    y/p block.  Cost O(N * terms) per state.
+    States are arrays (2N,): first N entries the x/q block, last N the y/p
+    block.  :meth:`values` gives one value per shift: with the default
+    ``shift_sign=-1`` entry l is (tau^l f)(z), and calling the evaluator
+    returns their sum, the realized value F(z) = f^+(z); with
+    ``shift_sign=+1`` entry j is (tau^{-j} f)(z), the site-j component of a
+    field whose site-0 component is f (see :class:`FieldEvaluator`).
+
+    Construction turns every (slot, term, shift) into one flat index into
+    the per-site table T[a, b, s] = x_s**a * y_s**b, a, b = 0..e for the
+    largest exponent e.  A call builds T, (e+1)^2 N products of 2 (e+1) N
+    powers, gathers it once (width * terms * N entries), multiplies along
+    the width axis and contracts with the coefficients.  Raising each
+    gathered coordinate instead costs width * terms * N powers, on libm's
+    slow path for the negative bases that about half of the coordinates
+    are.  Each gathered factor is the same float64 product x_s**a * y_s**b,
+    and the products and sums run in the same order, so the values are
+    bit for bit those of that direct form.
     """
 
-    def __init__(self, f: SeedPoly, n: int | None = None):
+    def __init__(self, f: SeedPoly, n: int | None = None,
+                 shift_sign: int = -1):
         if f.kind != REAL:
             raise CoordinateError("evaluation needs a real-kind polynomial")
         if n is None:
@@ -333,78 +349,48 @@ class RealizedEvaluator:
         width = max((len(m.exps) for m, _ in terms), default=1)
         t = len(terms)
         self.coeff = np.zeros(t)
-        self.sites = np.zeros((t, width), dtype=np.int64)
-        self.aexp = np.zeros((t, width), dtype=np.int64)
-        self.bexp = np.zeros((t, width), dtype=np.int64)
+        sites = np.zeros((t, width), dtype=np.int64)
+        aexp = np.zeros((t, width), dtype=np.int64)
+        bexp = np.zeros((t, width), dtype=np.int64)
         for i, (m, c) in enumerate(terms):
             self.coeff[i] = c.real
             for j, (s, a, b) in enumerate(m.exps):
-                self.sites[i, j] = s
-                self.aexp[i, j] = a
-                self.bexp[i, j] = b
+                sites[i, j] = s
+                aexp[i, j] = a
+                bexp[i, j] = b
+        # padded slots point at T[0, 0, s] = 1
+        self.powers = np.arange(max(aexp.max(initial=0),
+                                    bexp.max(initial=0)) + 1)[:, None]
+        e1 = self.powers.shape[0]
+        shifted = (sites[:, :, None] + shift_sign * np.arange(n)) % n
+        index = (aexp * e1 + bexp)[:, :, None] * n + shifted
+        # slot-major, so the product runs over contiguous (terms, N) slabs
+        self.index = np.ascontiguousarray(index.transpose(1, 0, 2))
 
-    def shifted_values(self, state: np.ndarray) -> np.ndarray:
-        """Values of (tau^l f)(z) for l = 0..N-1, shape (N,)."""
+    def values(self, state: np.ndarray) -> np.ndarray:
+        """Values of the N shifted seeds at one state, shape (N,)."""
         n = self.n
-        x, y = state[:n], state[n:]
-        shifts = np.arange(n)
-        idx = (self.sites[:, :, None] - shifts[None, None, :]) % n
-        vals = (x[idx] ** self.aexp[:, :, None]
-                * y[idx] ** self.bexp[:, :, None]).prod(axis=1)
-        return self.coeff @ vals
+        pw = state ** self.powers              # x**k, then y**k
+        table = pw[:, None, :n] * pw[None, :, n:]
+        return self.coeff @ table.take(self.index).prod(axis=0)
 
     def __call__(self, state: np.ndarray) -> float:
-        if self.coeff.size == 0:
-            return 0.0
-        return float(self.shifted_values(state).sum())
-
-    def many(self, states: np.ndarray) -> np.ndarray:
-        return np.array([self(s) for s in np.atleast_2d(states)])
+        return float(self.values(state).sum())
 
 
 class FieldEvaluator:
-    """Evaluate the Hamiltonian field X_F at states via the field seeds."""
+    """Evaluate the Hamiltonian field X_F at states via the field seeds.
+
+    Each call costs two :class:`RealizedEvaluator` gathers, one per block.
+    """
 
     def __init__(self, f: SeedPoly, n: int | None = None):
         fs = field_seed(f, n)
         self.n = fs.n
-        self._eq = _ComponentEvaluator(fs.xq, fs.n)
-        self._ep = _ComponentEvaluator(fs.xp, fs.n)
+        self._eq = RealizedEvaluator(fs.xq, fs.n, shift_sign=1)
+        self._ep = RealizedEvaluator(fs.xp, fs.n, shift_sign=1)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         """Full field (dx/dt, dy/dt), shape (2N,)."""
-        return np.concatenate([self._eq(state), self._ep(state)])
-
-
-class _ComponentEvaluator:
-    """Evaluates all shifts of one site-0 field component polynomial."""
-
-    def __init__(self, p: SeedPoly, n: int):
-        if p.kind != REAL:
-            raise CoordinateError("evaluation needs a real-kind polynomial")
-        self.n = n
-        terms = p.terms()
-        width = max((len(m.exps) for m, _ in terms), default=1)
-        t = len(terms)
-        self.coeff = np.zeros(t)
-        self.sites = np.zeros((t, width), dtype=np.int64)
-        self.aexp = np.zeros((t, width), dtype=np.int64)
-        self.bexp = np.zeros((t, width), dtype=np.int64)
-        for i, (m, c) in enumerate(terms):
-            self.coeff[i] = c.real
-            for j, (s, a, b) in enumerate(m.exps):
-                self.sites[i, j] = s
-                self.aexp[i, j] = a
-                self.bexp[i, j] = b
-
-    def __call__(self, state: np.ndarray) -> np.ndarray:
-        n = self.n
-        if self.coeff.size == 0:
-            return np.zeros(n)
-        x, y = state[:n], state[n:]
-        # component at site j uses the seed's sites shifted by +j
-        shifts = np.arange(n)
-        idx = (self.sites[:, :, None] + shifts[None, None, :]) % n
-        vals = (x[idx] ** self.aexp[:, :, None]
-                * y[idx] ** self.bexp[:, :, None]).prod(axis=1)
-        return self.coeff @ vals
+        return np.concatenate([self._eq.values(state),
+                               self._ep.values(state)])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chainpoly import SeedPoly, poly_norm
 from .cyclic import FieldEvaluator, RealizedEvaluator
-from .linearize import LinearNF, apply_linear, build_A, linear_normalize
+from .linearize import LinearNF, apply_linear, build_A
 from .normalform import GdnlsModel, NormalFormResult
 
 
@@ -69,6 +69,7 @@ class Trajectory:
     energy_error: np.ndarray        # relative |H - H(0)| / |H(0)|
     config: SimConfig
     observables: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)    # integrator work counts
 
 
 def initial_state(cfg: SimConfig, n: int) -> np.ndarray:
@@ -229,7 +230,9 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
     amplitude ladder, with the log-log slope against the radius.
 
     The report carries the fourth-power reference bounds Omega R^4 and
-    R^4 (C_zeta0 mu + C_h1 R^2) for comparison.
+    R^4 (C_zeta0 mu + C_h1 R^2) for comparison, and under ``trajectories``
+    the integrated trajectories, observables included, in the order of
+    the ``ladder`` rows (decreasing radius).
     """
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two amplitudes")
@@ -244,11 +247,12 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
          for m, p in decay_decompose(lnf.h1).items()], lnf.sigma1 / 1.0
         if math.isfinite(lnf.sigma1) else 25.0)
 
-    rows = []
+    rows, trajs = [], []
     for radius in sorted(ladder, reverse=True):
         cfg = replace(base_cfg, radius=radius)
         traj = integrate_kg(cfg)
         obs = observables(traj, res)
+        trajs.append(traj)
         dh = float(np.max(np.abs(obs["H_Omega"] - obs["H_Omega"][0])))
         dz = float(np.max(np.abs(obs["Z"] - obs["Z"][0])))
         rows.append({
@@ -274,6 +278,7 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
         "within_10x_bound": bool(all(r["max_dH_Omega"]
                                      <= 10.0 * r["bound_H_Omega"]
                                      for r in rows)),
+        "trajectories": trajs,
     }
 
 
@@ -288,10 +293,16 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     midpoint substep for the quartic Z_1.  The midpoint rule preserves
     quadratic invariants, so H_Omega is conserved up to the fixed-point
     tolerance even across the nonlinear kick.
+
+    ``traj.stats`` records the work: ``steps``, ``kicks`` (midpoint
+    substeps), ``midpoint_iters`` (fixed-point iterations summed over the
+    kicks) and ``midpoint_iters_max`` (the most in one kick).  Each kick
+    evaluates the field once per iteration and once more for the update,
+    so the field is evaluated ``midpoint_iters + kicks`` times.
     """
     cfg.validate()
     n = model.n
-    lnf = linear_normalize(model.a, n)
+    lnf = model.lnf
     if state_qp is None:
         state_qp = apply_linear(lnf, initial_state(cfg, n))
     z = np.asarray(state_qp, dtype=float).copy()
@@ -308,19 +319,17 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
         q, p = zz[:n], zz[n:]
         bq = np.fft.ifft(lam_half * np.fft.fft(q)).real
         bp = np.fft.ifft(lam_half * np.fft.fft(p)).real
-        ev = self_z1(zz)
-        return 0.5 * (q @ bq + p @ bp) + ev
+        return 0.5 * (q @ bq + p @ bp) + z1_eval(zz)
 
     z1_eval = RealizedEvaluator(model.zeta1, n)
-
-    def self_z1(zz):
-        return z1_eval(zz)
+    stats = {"steps": steps, "kicks": 0, "midpoint_iters": 0,
+             "midpoint_iters_max": 0}
 
     def midpoint_kick(zz, tau):
         if tau == 0.0:
             return zz
         m = zz.copy()
-        for _ in range(MIDPOINT_MAX_ITER):
+        for it in range(1, MIDPOINT_MAX_ITER + 1):
             nxt = zz + 0.5 * tau * field_eval(m)
             if np.max(np.abs(nxt - m)) < 1e-15 * max(1.0,
                                                      np.max(np.abs(zz))):
@@ -331,6 +340,9 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
             raise IntegratorError(
                 "GdNLS midpoint fixed point did not converge in "
                 f"{MIDPOINT_MAX_ITER} iterations")
+        stats["kicks"] += 1
+        stats["midpoint_iters"] += it
+        stats["midpoint_iters_max"] = max(stats["midpoint_iters_max"], it)
         return zz + tau * field_eval(m)
 
     times, states, energies = [], [], []
@@ -358,7 +370,7 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     traj = Trajectory(times=np.array(times), states=np.array(states),
                       energy=energies,
                       energy_error=np.abs(energies - e0) / scale,
-                      config=cfg)
+                      config=cfg, stats=stats)
     q, p = traj.states[..., :n], traj.states[..., n:]
     traj.observables["H_Omega"] = 0.5 * model.omega * np.sum(
         q * q + p * p, axis=-1)

@@ -448,6 +448,7 @@ class GdnlsModel:
     zeta1: SeedPoly
     k_seed: SeedPoly                    # h_Omega + zeta_0 + zeta_1
     reference: dict
+    lnf: LinearNF = field(repr=False)   # linear normal form it came from
 
     def to_dict(self) -> dict:
         from .chainpoly import seed_to_dict
@@ -488,7 +489,8 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
     }
     return GdnlsModel(n=lnf.n, a=lnf.a, mu=lnf.mu, omega=lnf.omega,
                       b=lnf.b, zeta1_parts=parts, zeta1_profile=profile,
-                      zeta1=zeta1, k_seed=k_seed, reference=reference)
+                      zeta1=zeta1, k_seed=k_seed, reference=reference,
+                      lnf=lnf)
 
 
 # -- the standard two-step dNLS pipeline -------------------------------------

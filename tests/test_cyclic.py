@@ -16,11 +16,25 @@ from kgchain import (
     symmetric_align,
     symmetric_parts,
 )
-from kgchain.cyclic import CyclicFn, FieldSeed, bind, field_norm_decay_bound
+from kgchain.cyclic import (
+    CyclicFn,
+    FieldEvaluator,
+    FieldSeed,
+    RealizedEvaluator,
+    bind,
+    field_norm_decay_bound,
+)
 from kgchain.chainpoly import decay_decompose, fit_decay, sum_polys
 
 from conftest import random_homogeneous, random_seed_poly
-from oracles import from_seedpoly, p_max_diff, p_poisson, p_realize
+from oracles import (
+    from_seedpoly,
+    p_diff,
+    p_eval,
+    p_max_diff,
+    p_poisson,
+    p_realize,
+)
 
 
 def test_shift_orientation_example():
@@ -187,7 +201,6 @@ def test_field_shift_law_against_gradient(rng):
 def test_field_operator_norm_bound(rng):
     # ||X_F(z)|| <= |||X_F|||_1 ||z||^r in both norms
     n = 8
-    from kgchain.cyclic import FieldEvaluator
     for _ in range(5):
         deg = int(rng.integers(2, 5))
         f = random_homogeneous(rng, deg, n=n)
@@ -212,3 +225,68 @@ def test_field_norm_decay_bound(rng):
     for radius in (0.5, 1.0, 2.0):
         bound = field_norm_decay_bound(prof.c, prof.sigma, 4, radius)
         assert field_norm(fs, radius) <= bound * (1 + 1e-12)
+
+
+def _mixed_sign_state(rng, n):
+    """Normal state with some exact zeros, so both signs and 0 occur."""
+    z = rng.normal(size=2 * n)
+    z[rng.choice(2 * n, size=3, replace=False)] = 0.0
+    return z
+
+
+def test_evaluators_match_oracle(rng):
+    # F(z) and X_F(z) = (dF/dy, -dF/dx) against the dense realization
+    for n in (5, 6, 8):
+        for deg in (2, 3, 4, 5):
+            f = random_homogeneous(rng, deg, n=n, max_sites=4)
+            full = p_realize(from_seedpoly(f, n), n)
+            size = {k: abs(v) for k, v in full.items()}
+            ev, fe = RealizedEvaluator(f, n), FieldEvaluator(f, n)
+            for _ in range(4):
+                z = _mixed_sign_state(rng, n)
+                az = np.abs(z)
+                assert abs(ev(z) - p_eval(full, z)) \
+                    <= 1e-13 * p_eval(size, az).real
+                field = fe(z)
+                for j in range(n):
+                    for got, var, sign in ((field[j], n + j, 1.0),
+                                           (field[n + j], j, -1.0)):
+                        d = p_diff(full, var)
+                        scale = p_eval({k: abs(v) for k, v in d.items()},
+                                       az).real
+                        assert abs(got - sign * p_eval(d, z)) \
+                            <= 1e-13 * scale
+
+
+def _direct_shift_values(p, n, sign, state):
+    """Per-shift values in the direct form, every gathered coordinate
+    raised to its power; entry l uses the sites shifted by sign * l."""
+    terms = p.terms()
+    width = max((len(m.exps) for m, _ in terms), default=1)
+    coeff = np.array([c.real for _, c in terms])
+    ent = np.zeros((3, len(terms), width), dtype=np.int64)
+    for i, (m, _) in enumerate(terms):
+        for j, e in enumerate(m.exps):
+            ent[:, i, j] = e
+    sites, a, b = ent
+    idx = (sites[:, :, None] + sign * np.arange(n)) % n
+    x, y = state[:n], state[n:]
+    return coeff @ (x[idx] ** a[:, :, None]
+                    * y[idx] ** b[:, :, None]).prod(axis=1)
+
+
+def test_evaluators_bit_identical_to_direct_powers(rng):
+    # the gather table changes no bit of the realized value or the field
+    from kgchain import linear_normalize
+    lnf = linear_normalize(0.05, 8)
+    seeds = [random_homogeneous(rng, deg, n=8, max_sites=4)
+             for deg in (2, 3, 4, 5)] + [lnf.h1, lnf.zeta0]
+    for f in seeds:
+        ev, fe = RealizedEvaluator(f, 8), FieldEvaluator(f, 8)
+        fs = field_seed(f, 8)
+        for scale in (1e-2, 1.0, 3.0):
+            z = scale * _mixed_sign_state(rng, 8)
+            assert ev(z) == float(_direct_shift_values(f, 8, -1, z).sum())
+            assert np.array_equal(fe(z), np.concatenate(
+                [_direct_shift_values(fs.xq, 8, 1, z),
+                 _direct_shift_values(fs.xp, 8, 1, z)]))

@@ -15,6 +15,7 @@ from kgchain import (
     observables,
 )
 from kgchain.dynamics import (
+    MIDPOINT_MAX_ITER,
     IntegratorError,
     initial_state,
     kg_energy,
@@ -125,6 +126,30 @@ def test_gdnls_flow_conserves_its_homega():
     hom = traj.observables["H_Omega"]
     assert np.max(np.abs(hom - hom[0])) <= 1e-10 * max(hom[0], 1e-30)
     assert np.max(traj.energy_error) <= 1e-6
+
+
+def test_gdnls_stats_count_field_evaluations(monkeypatch):
+    from kgchain.cyclic import FieldEvaluator
+    lnf = linear_normalize(0.05, 6)
+    model = extract_gdnls(normal_form(lnf, 1))
+    calls = []
+    orig = FieldEvaluator.__call__
+
+    def counted(self, state):
+        calls.append(1)
+        return orig(self, state)
+
+    monkeypatch.setattr(FieldEvaluator, "__call__", counted)
+    cfg = SimConfig(n=6, a=0.05, radius=0.1, dt=0.05, horizon=2.0, seed=1)
+    stats = integrate_gdnls(model, cfg).stats
+    assert stats["steps"] == cfg.steps()
+    assert stats["kicks"] == 2 * cfg.steps()
+    # one evaluation per fixed-point iteration, one more per update
+    assert stats["midpoint_iters"] + stats["kicks"] == len(calls)
+    assert stats["kicks"] <= stats["midpoint_iters"] \
+        <= stats["kicks"] * stats["midpoint_iters_max"]
+    assert 1 < stats["midpoint_iters_max"] < MIDPOINT_MAX_ITER
+    assert integrate_kg(cfg).stats == {}
 
 
 def test_gdnls_vs_kg_deviation_shrinks():
