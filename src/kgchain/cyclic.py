@@ -317,7 +317,7 @@ class RealizedEvaluator:
     """Evaluate the N shifts of a real seed f at phase-space states.
 
     States are arrays (2N,): first N entries the x/q block, last N the y/p
-    block.  :meth:`values` gives one value per shift: with the default
+    block.  :meth:`gather` gives one value per shift: with the default
     ``shift_sign=-1`` entry l is (tau^l f)(z), and calling the evaluator
     returns their sum, the realized value F(z) = f^+(z); with
     ``shift_sign=+1`` entry j is (tau^{-j} f)(z), the site-j component of a
@@ -325,18 +325,19 @@ class RealizedEvaluator:
 
     Construction turns every (slot, term, shift) into one flat index into
     the per-site table T[a, b, s] = x_s**a * y_s**b, a, b = 0..e for the
-    largest exponent e.  A call builds T, (e+1)^2 N products of 2 (e+1) N
-    powers, gathers it once (width * terms * N entries), multiplies along
-    the width axis and contracts with the coefficients.  Raising each
-    gathered coordinate instead costs width * terms * N powers, on libm's
-    slow path for the negative bases that about half of the coordinates
-    are.  Each gathered factor is the same float64 product x_s**a * y_s**b,
+    largest exponent e.  :meth:`table` builds T, (e+1)^2 N products of
+    2 (e+1) N powers; :meth:`gather` gathers it once (width * terms * N
+    entries), multiplies along the width axis and contracts with the
+    coefficients.  Raising each gathered coordinate instead costs
+    width * terms * N powers, on libm's slow path for the negative bases
+    that about half of the coordinates are.  Each gathered factor is the same float64 product x_s**a * y_s**b,
     and the products and sums run in the same order, so the values are
-    bit for bit those of that direct form.
+    bit for bit those of that direct form.  ``top`` widens T to at least
+    that exponent, so that evaluators of several seeds can share one table.
     """
 
     def __init__(self, f: SeedPoly, n: int | None = None,
-                 shift_sign: int = -1):
+                 shift_sign: int = -1, top: int = 0):
         if f.kind != REAL:
             raise CoordinateError("evaluation needs a real-kind polynomial")
         if n is None:
@@ -359,38 +360,43 @@ class RealizedEvaluator:
                 aexp[i, j] = a
                 bexp[i, j] = b
         # padded slots point at T[0, 0, s] = 1
-        self.powers = np.arange(max(aexp.max(initial=0),
-                                    bexp.max(initial=0)) + 1)[:, None]
+        self.powers = np.arange(max(_max_exponent(fb), top) + 1)[:, None]
         e1 = self.powers.shape[0]
         shifted = (sites[:, :, None] + shift_sign * np.arange(n)) % n
         index = (aexp * e1 + bexp)[:, :, None] * n + shifted
         # slot-major, so the product runs over contiguous (terms, N) slabs
         self.index = np.ascontiguousarray(index.transpose(1, 0, 2))
 
-    def values(self, state: np.ndarray) -> np.ndarray:
-        """Values of the N shifted seeds at one state, shape (N,)."""
+    def table(self, state: np.ndarray) -> np.ndarray:
+        """The per-site table T of one state."""
         n = self.n
         pw = state ** self.powers              # x**k, then y**k
-        table = pw[:, None, :n] * pw[None, :, n:]
+        return pw[:, None, :n] * pw[None, :, n:]
+
+    def gather(self, table: np.ndarray) -> np.ndarray:
+        """Values of the N shifted seeds from a table T, shape (N,)."""
         return self.coeff @ table.take(self.index).prod(axis=0)
 
     def __call__(self, state: np.ndarray) -> float:
-        return float(self.values(state).sum())
+        return float(self.gather(self.table(state)).sum())
 
 
 class FieldEvaluator:
     """Evaluate the Hamiltonian field X_F at states via the field seeds.
 
-    Each call costs two :class:`RealizedEvaluator` gathers, one per block.
+    Each call builds one per-site table and makes two
+    :class:`RealizedEvaluator` gathers from it, one per block.
     """
 
     def __init__(self, f: SeedPoly, n: int | None = None):
         fs = field_seed(f, n)
         self.n = fs.n
-        self._eq = RealizedEvaluator(fs.xq, fs.n, shift_sign=1)
-        self._ep = RealizedEvaluator(fs.xp, fs.n, shift_sign=1)
+        top = max(_max_exponent(fs.xq), _max_exponent(fs.xp))
+        self._eq = RealizedEvaluator(fs.xq, fs.n, shift_sign=1, top=top)
+        self._ep = RealizedEvaluator(fs.xp, fs.n, shift_sign=1, top=top)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         """Full field (dx/dt, dy/dt), shape (2N,)."""
-        return np.concatenate([self._eq.values(state),
-                               self._ep.values(state)])
+        table = self._eq.table(state)
+        return np.concatenate([self._eq.gather(table),
+                               self._ep.gather(table)])

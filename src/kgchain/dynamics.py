@@ -96,13 +96,17 @@ def initial_state(cfg: SimConfig, n: int) -> np.ndarray:
 
 
 def kg_energy(x: np.ndarray, y: np.ndarray, a: float,
-              quartic: bool = True, soft: bool = False) -> float:
-    """H = 1/2 sum (y^2 + x^2 + a (x_{j+1}-x_j)^2) +- 1/4 sum x^4."""
-    coupling = a * np.sum((np.roll(x, -1) - x) ** 2)
-    h = 0.5 * (np.sum(y * y) + np.sum(x * x) + coupling)
+              quartic: bool = True, soft: bool = False):
+    """H = 1/2 sum (y^2 + x^2 + a (x_{j+1}-x_j)^2) +- 1/4 sum x^4.
+
+    The sums run over the last axis, so a batch of states (..., N) gives
+    one energy per state.
+    """
+    coupling = a * np.sum((np.roll(x, -1, axis=-1) - x) ** 2, axis=-1)
+    h = 0.5 * (np.sum(y * y, axis=-1) + np.sum(x * x, axis=-1) + coupling)
     if quartic:
-        h += (-0.25 if soft else 0.25) * np.sum(x ** 4)
-    return float(h)
+        h += (-0.25 if soft else 0.25) * np.sum(x ** 4, axis=-1)
+    return h
 
 
 class _ModeRotation:
@@ -111,71 +115,105 @@ class _ModeRotation:
     def __init__(self, spectrum: np.ndarray, dt: float,
                  momentum_matches_position: bool = False):
         om = np.sqrt(spectrum)
-        self.om = om
-        self.cos = np.cos(om * dt)
-        self.sin = np.sin(om * dt)
-        # q' = p-block coupling: xdot = y uses sin/omega, ydot = -A x uses
-        # -omega sin; for the B-quadratic GdNLS flow both blocks carry B.
-        self.same = momentum_matches_position
-
-    def apply(self, x: np.ndarray, y: np.ndarray):
-        xh = np.fft.fft(x)
-        yh = np.fft.fft(y)
-        if self.same:
-            xh, yh = (self.cos * xh + self.sin * yh,
-                      -self.sin * xh + self.cos * yh)
+        cos = np.cos(om * dt)
+        sin = np.sin(om * dt)
+        # xdot = y uses sin/omega, ydot = -A x uses -omega sin; for the
+        # B-quadratic GdNLS flow both blocks carry B.
+        if momentum_matches_position:
+            cross = (sin, -sin)
         else:
-            xh, yh = (self.cos * xh + self.sin / self.om * yh,
-                      -self.om * self.sin * xh + self.cos * yh)
-        return np.fft.ifft(xh).real, np.fft.ifft(yh).real
+            cross = (sin / om, -om * sin)
+        # new block k = cos * block k + cross[k] * the other block; the
+        # factors are cast to complex once, as each product would cast them
+        self.cos = cos.astype(complex)
+        self.cross = np.stack(cross).astype(complex)
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """Rotate stacked states (..., 2, N): position block, then momentum.
+
+        The FFTs run row by row over the last axis, so every state of a
+        batch gets the same float64 operations as alone.
+        """
+        zh = np.fft.fft(z)
+        return np.fft.ifft(self.cos * zh
+                           + self.cross * zh[..., ::-1, :]).real
 
 
 def integrate_kg(cfg: SimConfig) -> Trajectory:
     """Strang splitting: half quartic kick, exact linear flow, half kick.
 
     Aborts with :class:`IntegratorError` when the relative energy drift
-    exceeds the instability guard.
+    exceeds the instability guard.  ``traj.stats`` records ``steps`` and
+    ``guard_margin``, the largest sampled relative energy error over
+    ``energy_guard``.
     """
-    cfg.validate()
+    return _integrate_strang([cfg])[0]
+
+
+def _integrate_strang(cfgs: list[SimConfig]) -> list[Trajectory]:
+    """:func:`integrate_kg` for a batch of configurations that differ only
+    in their initial states (radius, norm, seed, initial condition) and
+    guards; the chain, the step and the sampling are those of ``cfgs[0]``.
+
+    The states advance together as one (B, 2, N) array, one FFT pair per
+    step for the whole batch.  Each row gets the same float64 operations
+    as a trajectory integrated alone, so its results are bit for bit those
+    of :func:`integrate_kg` on its configuration.  The guard trips when any
+    row exceeds it, and the error names that row's radius.
+    """
+    for c in cfgs:
+        c.validate()
+    cfg = cfgs[0]
     n = cfg.n
     steps = cfg.steps()
     sample_every = cfg.sample_every or max(1, steps // 2000)
-    circ = build_A(cfg.a, n)
-    rot = _ModeRotation(circ.spectrum, cfg.dt)
-    z = initial_state(cfg, n)
-    x, y = z[:n].copy(), z[n:].copy()
-    sign = -1.0 if cfg.soft else 1.0
+    samples = 1 + steps // sample_every + (steps % sample_every != 0)
+    rot = _ModeRotation(build_A(cfg.a, n).spectrum, cfg.dt)
+    z = np.array([initial_state(c, n) for c in cfgs]).reshape(-1, 2, n)
+    kick = 0.5 * cfg.dt * (-1.0 if cfg.soft else 1.0)
+    guard = np.array([c.energy_guard for c in cfgs])
 
-    times, states, energies = [], [], []
-    e0 = kg_energy(x, y, cfg.a, cfg.quartic, cfg.soft)
-    scale = max(abs(e0), 1e-300)
+    times = np.empty(samples)
+    states = np.empty((len(cfgs), samples, 2, n))
+    energy = np.empty((len(cfgs), samples))
 
-    def record(t):
-        times.append(t)
-        states.append(np.concatenate([x, y]))
-        energies.append(kg_energy(x, y, cfg.a, cfg.quartic, cfg.soft))
+    def record(k, t):
+        times[k] = t
+        states[:, k] = z
+        energy[:, k] = kg_energy(x, y, cfg.a, cfg.quartic, cfg.soft)
 
-    record(0.0)
-    half = 0.5 * cfg.dt
+    x, y = z[:, 0], z[:, 1]
+    record(0, 0.0)
+    e0 = energy[:, 0]
+    scale = np.maximum(np.abs(e0), 1e-300)
+    k = 0
     for step in range(1, steps + 1):
         if cfg.quartic:
-            y -= half * sign * x ** 3
-        x, y = rot.apply(x, y)
+            y -= kick * x ** 3
+        z = rot.apply(z)
+        x, y = z[:, 0], z[:, 1]
         if cfg.quartic:
-            y -= half * sign * x ** 3
+            y -= kick * x ** 3
         if step % sample_every == 0 or step == steps:
-            record(step * cfg.dt)
+            k += 1
+            record(k, step * cfg.dt)
+            err = np.abs(energy[:, k] - e0) / scale
             # NaN trips the guard too
-            if not abs(energies[-1] - e0) / scale <= cfg.energy_guard:
+            bad = np.flatnonzero(~(err <= guard))
+            if bad.size:
+                b = bad[0]
                 raise IntegratorError(
-                    f"energy drift {abs(energies[-1]-e0)/scale:.2e} exceeds "
-                    f"guard {cfg.energy_guard:g} at t={step*cfg.dt:g}")
+                    f"energy drift {err[b]:.2e} exceeds guard "
+                    f"{guard[b]:g} at t={step*cfg.dt:g} for radius "
+                    f"{cfgs[b].radius:g}")
 
-    energies = np.array(energies)
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      energy=energies,
-                      energy_error=np.abs(energies - e0) / scale,
-                      config=cfg)
+    error = np.abs(energy - e0[:, None]) / scale[:, None]
+    return [Trajectory(times=times.copy(),
+                       states=states[b].reshape(samples, 2 * n),
+                       energy=energy[b], energy_error=error[b], config=c,
+                       stats={"steps": steps, "guard_margin":
+                              float(np.max(error[b]) / c.energy_guard)})
+            for b, c in enumerate(cfgs)]
 
 
 def observables(traj: Trajectory, res: NormalFormResult,
@@ -232,7 +270,9 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
     The report carries the fourth-power reference bounds Omega R^4 and
     R^4 (C_zeta0 mu + C_h1 R^2) for comparison, and under ``trajectories``
     the integrated trajectories, observables included, in the order of
-    the ``ladder`` rows (decreasing radius).
+    the ``ladder`` rows (decreasing radius).  The ladder is integrated in
+    one batched pass; its trajectories are bit for bit those of
+    :func:`integrate_kg` on each radius.
     """
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two amplitudes")
@@ -247,12 +287,12 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
          for m, p in decay_decompose(lnf.h1).items()], lnf.sigma1 / 1.0
         if math.isfinite(lnf.sigma1) else 25.0)
 
-    rows, trajs = [], []
-    for radius in sorted(ladder, reverse=True):
-        cfg = replace(base_cfg, radius=radius)
-        traj = integrate_kg(cfg)
+    trajs = _integrate_strang([replace(base_cfg, radius=radius)
+                               for radius in sorted(ladder, reverse=True)])
+    rows = []
+    for traj in trajs:
+        radius = traj.config.radius
         obs = observables(traj, res)
-        trajs.append(traj)
         dh = float(np.max(np.abs(obs["H_Omega"] - obs["H_Omega"][0])))
         dz = float(np.max(np.abs(obs["Z"] - obs["Z"][0])))
         rows.append({
@@ -357,8 +397,7 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     record(0.0)
     for step in range(1, steps + 1):
         z = midpoint_kick(z, half)
-        q, p = rot.apply(z[:n], z[n:])
-        z = np.concatenate([q, p])
+        z = rot.apply(z.reshape(2, n)).reshape(2 * n)
         z = midpoint_kick(z, half)
         if step % sample_every == 0 or step == steps:
             record(step * cfg.dt)

@@ -83,28 +83,29 @@ def test_simulate_ladder(tmp_path, monkeypatch):
     import kgchain.dynamics as dyn
     from kgchain import linear_normalize, normal_form
     runs = []
-    integrate_kg = dyn.integrate_kg
+    integrate_strang = dyn._integrate_strang
 
-    def counted(cfg):
-        runs.append(cfg.radius)
-        return integrate_kg(cfg)
+    def counted(cfgs):
+        runs.append([cfg.radius for cfg in cfgs])
+        return integrate_strang(cfgs)
 
-    monkeypatch.setattr(dyn, "integrate_kg", counted)
+    monkeypatch.setattr(dyn, "_integrate_strang", counted)
     out = str(tmp_path / "out")
     code = run(["simulate", "--n", "8", "--a", "0.05", "--order", "1",
                 "--dt", "0.02", "--horizon", "20",
                 "--ladder", "0.08,0.04,0.02,0.01", "--seed", "7",
                 "--out", out, "--json"])
     assert code == 0
-    # each radius is integrated once, for the report and its CSV alike
-    assert sorted(runs) == [0.01, 0.02, 0.04, 0.08]
+    # one batched pass integrates every radius once, for the report and
+    # its CSVs alike
+    assert runs == [[0.08, 0.04, 0.02, 0.01]]
     report = json.load(open(os.path.join(out, "scaling.json")))
     assert len(report["ladder"]) == 4
     res = normal_form(linear_normalize(0.05, 8), 1)
     for radius in ("0.08", "0.04", "0.02", "0.01"):
         cfg = dyn.SimConfig(n=8, a=0.05, radius=float(radius), dt=0.02,
                             horizon=20.0, order=1, seed=7)
-        traj = integrate_kg(cfg)
+        traj = dyn.integrate_kg(cfg)
         dyn.observables(traj, res)
         direct = tmp_path / f"direct-R{radius}.csv"
         dyn.write_trajectory_csv(direct, traj)

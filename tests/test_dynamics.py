@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from kgchain import (
     SimConfig,
     apply_linear,
     compare_models,
+    drift_experiment,
     extract_gdnls,
     integrate_gdnls,
     integrate_kg,
@@ -17,6 +19,7 @@ from kgchain import (
 from kgchain.dynamics import (
     MIDPOINT_MAX_ITER,
     IntegratorError,
+    _integrate_strang,
     initial_state,
     kg_energy,
     write_trajectory_csv,
@@ -76,6 +79,52 @@ def test_energy_drift_and_guard():
     with pytest.raises(IntegratorError):
         integrate_kg(short_cfg(radius=3.0, dt=0.4, a=0.0,
                                initial="single-site"))
+
+
+def test_ladder_guard_names_the_radius():
+    # the largest radius blows up; the batched ladder raises for its row
+    res = normal_form(linear_normalize(0.0, 8), 1)
+    base = short_cfg(a=0.0, dt=0.4, initial="single-site")
+    with pytest.raises(IntegratorError, match=r"at t=0.4 for radius 3$"):
+        drift_experiment(base, [0.01, 3.0], res)
+    # sampled only at the end, the blown-up row's energy is NaN
+    with pytest.raises(IntegratorError,
+                       match=r"drift nan .* at t=40 for radius 3$"):
+        drift_experiment(replace(base, sample_every=10 ** 9), [0.01, 3.0],
+                         res)
+    # a row after the first trips the guard just as well
+    with pytest.raises(IntegratorError, match=r"for radius 3$"):
+        _integrate_strang([replace(base, radius=r) for r in (0.01, 3.0)])
+
+
+@pytest.mark.parametrize("kw", [
+    dict(norm="l2"),
+    dict(norm="linf"),
+    dict(initial="single-site"),
+    dict(soft=True),
+    dict(quartic=False),
+    dict(dt=-0.02),
+    dict(sample_every=7),
+], ids=["l2", "linf", "single-site", "soft", "harmonic", "backward",
+        "sample-7"])
+def test_ladder_batch_bit_identical(kw):
+    # the batched ladder pass gives every row exactly the trajectory and
+    # the observables of a separate integrate_kg + observables run
+    res = normal_form(linear_normalize(0.05, 8), 1)
+    base = short_cfg(horizon=4.0, **kw)
+    report = drift_experiment(base, [0.02, 0.08, 0.04], res)
+    rows = report["ladder"]
+    assert [r["radius"] for r in rows] == [0.08, 0.04, 0.02]
+    for row, traj in zip(rows, report["trajectories"]):
+        alone = integrate_kg(replace(base, radius=row["radius"]))
+        obs = observables(alone, res)
+        assert traj.config.radius == row["radius"]
+        for name in ("times", "states", "energy", "energy_error"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name))
+        assert traj.stats == alone.stats
+        assert traj.observables.keys() == obs.keys()
+        for name, series in obs.items():
+            assert np.array_equal(traj.observables[name], series), name
 
 
 def test_reversibility():
@@ -149,7 +198,11 @@ def test_gdnls_stats_count_field_evaluations(monkeypatch):
     assert stats["kicks"] <= stats["midpoint_iters"] \
         <= stats["kicks"] * stats["midpoint_iters_max"]
     assert 1 < stats["midpoint_iters_max"] < MIDPOINT_MAX_ITER
-    assert integrate_kg(cfg).stats == {}
+    kg = integrate_kg(cfg)
+    assert kg.stats == {"steps": cfg.steps(),
+                        "guard_margin": np.max(kg.energy_error)
+                        / cfg.energy_guard}
+    assert 0.0 < kg.stats["guard_margin"] < 1.0
 
 
 def test_gdnls_vs_kg_deviation_shrinks():
