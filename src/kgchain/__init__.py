@@ -27,7 +27,6 @@ from .chainpoly import (
     to_real,
 )
 from .cyclic import (
-    CyclicFn,
     FieldSeed,
     cyclic_shift,
     field_norm,

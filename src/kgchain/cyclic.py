@@ -45,14 +45,6 @@ from .chainpoly import (
 REALIZE_CAP = 12
 
 
-@dataclass(frozen=True)
-class CyclicFn:
-    """A cyclically symmetric function, stored through one of its seeds."""
-    seed: SeedPoly
-    n: int
-    alignment: str = "left"
-
-
 def cyclic_shift(f: SeedPoly, l: int) -> SeedPoly:
     """Apply tau^l: site indices decrease by l (mod N when bound)."""
     acc: dict[ExpKey, complex] = {}
@@ -78,16 +70,13 @@ def bind(f: SeedPoly, n: int) -> SeedPoly:
     return SeedPoly(f.kind, n, acc)
 
 
-def realize(f: SeedPoly | CyclicFn, n: int | None = None,
+def realize(f: SeedPoly, n: int | None = None,
             cap: int = REALIZE_CAP) -> SeedPoly:
     """Expand the full 2N-variable polynomial sum_{l=0..N-1} tau^l f.
 
     Ground truth for everything seed-level; capped because the cost and the
     output size grow with N.
     """
-    if isinstance(f, CyclicFn):
-        n = f.n
-        f = f.seed
     if n is None:
         n = f.n
     if n is None:

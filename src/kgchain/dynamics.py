@@ -158,46 +158,63 @@ def _integrate_strang(cfgs: list[SimConfig]) -> list[Trajectory]:
     The states advance together as one (B, 2, N) array, one FFT pair per
     step for the whole batch.  Each row gets the same float64 operations
     as a trajectory integrated alone, so its results are bit for bit those
-    of :func:`integrate_kg` on its configuration.  The guard trips when any
-    row exceeds it, and the error names that row's radius.
+    of :func:`integrate_kg` on its configuration.
     """
     for c in cfgs:
         c.validate()
     cfg = cfgs[0]
     n = cfg.n
+    rot = _ModeRotation(build_A(cfg.a, n).spectrum, cfg.dt)
+    kick = 0.5 * cfg.dt * (-1.0 if cfg.soft else 1.0)
+
+    def advance(z):
+        z[:, 1] -= kick * z[:, 0] ** 3
+        z = rot.apply(z)
+        z[:, 1] -= kick * z[:, 0] ** 3
+        return z
+
+    return _sample_flow(
+        cfgs, np.array([initial_state(c, n) for c in cfgs]).reshape(-1, 2, n),
+        advance if cfg.quartic else rot.apply,
+        lambda z: kg_energy(z[:, 0], z[:, 1], cfg.a, cfg.quartic, cfg.soft))
+
+
+def _sample_flow(cfgs: list[SimConfig], z: np.ndarray, advance,
+                 energy) -> list[Trajectory]:
+    """The sampling loop of every trajectory: ``cfgs[0].steps()`` calls of
+    ``advance`` on the (B, 2, N) state ``z``, one row per configuration.
+
+    ``energy(z)`` gives the conserved energy of each row.  At every
+    ``sample_every``-th step and at the last one, the states and energies
+    are recorded and checked: a row whose relative energy error exceeds
+    its ``energy_guard`` (NaN included) raises :class:`IntegratorError`
+    naming the time and that row's radius.  Each trajectory's ``stats``
+    get ``steps`` and ``guard_margin``.
+    """
+    cfg = cfgs[0]
     steps = cfg.steps()
     sample_every = cfg.sample_every or max(1, steps // 2000)
     samples = 1 + steps // sample_every + (steps % sample_every != 0)
-    rot = _ModeRotation(build_A(cfg.a, n).spectrum, cfg.dt)
-    z = np.array([initial_state(c, n) for c in cfgs]).reshape(-1, 2, n)
-    kick = 0.5 * cfg.dt * (-1.0 if cfg.soft else 1.0)
     guard = np.array([c.energy_guard for c in cfgs])
-
     times = np.empty(samples)
-    states = np.empty((len(cfgs), samples, 2, n))
-    energy = np.empty((len(cfgs), samples))
+    states = np.empty((len(cfgs), samples) + z.shape[1:])
+    energies = np.empty((len(cfgs), samples))
 
     def record(k, t):
         times[k] = t
         states[:, k] = z
-        energy[:, k] = kg_energy(x, y, cfg.a, cfg.quartic, cfg.soft)
+        energies[:, k] = energy(z)
 
-    x, y = z[:, 0], z[:, 1]
     record(0, 0.0)
-    e0 = energy[:, 0]
+    e0 = energies[:, 0]
     scale = np.maximum(np.abs(e0), 1e-300)
     k = 0
     for step in range(1, steps + 1):
-        if cfg.quartic:
-            y -= kick * x ** 3
-        z = rot.apply(z)
-        x, y = z[:, 0], z[:, 1]
-        if cfg.quartic:
-            y -= kick * x ** 3
+        z = advance(z)
         if step % sample_every == 0 or step == steps:
             k += 1
             record(k, step * cfg.dt)
-            err = np.abs(energy[:, k] - e0) / scale
+            err = np.abs(energies[:, k] - e0) / scale
             # NaN trips the guard too
             bad = np.flatnonzero(~(err <= guard))
             if bad.size:
@@ -207,10 +224,10 @@ def _integrate_strang(cfgs: list[SimConfig]) -> list[Trajectory]:
                     f"{guard[b]:g} at t={step*cfg.dt:g} for radius "
                     f"{cfgs[b].radius:g}")
 
-    error = np.abs(energy - e0[:, None]) / scale[:, None]
+    error = np.abs(energies - e0[:, None]) / scale[:, None]
     return [Trajectory(times=times.copy(),
-                       states=states[b].reshape(samples, 2 * n),
-                       energy=energy[b], energy_error=error[b], config=c,
+                       states=states[b].reshape(samples, -1),
+                       energy=energies[b], energy_error=error[b], config=c,
                        stats={"steps": steps, "guard_margin":
                               float(np.max(error[b]) / c.energy_guard)})
             for b, c in enumerate(cfgs)]
@@ -332,45 +349,44 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     circulant quadratic form of A^{1/2} in both blocks) with an implicit
     midpoint substep for the quartic Z_1.  The midpoint rule preserves
     quadratic invariants, so H_Omega is conserved up to the fixed-point
-    tolerance even across the nonlinear kick.
+    tolerance even across the nonlinear kick.  The sampling and the
+    energy guard are those of :func:`integrate_kg`; ``cfg`` must describe
+    the model's chain.
 
-    ``traj.stats`` records the work: ``steps``, ``kicks`` (midpoint
-    substeps), ``midpoint_iters`` (fixed-point iterations summed over the
-    kicks) and ``midpoint_iters_max`` (the most in one kick).  Each kick
-    evaluates the field once per iteration and once more for the update,
-    so the field is evaluated ``midpoint_iters + kicks`` times.
+    ``traj.stats`` records the work: ``steps``, ``guard_margin``,
+    ``kicks`` (midpoint substeps), ``midpoint_iters`` (fixed-point
+    iterations summed over the kicks) and ``midpoint_iters_max`` (the most
+    in one kick).  Each kick evaluates the field once per iteration and
+    once more for the update, so the field is evaluated
+    ``midpoint_iters + kicks`` times.
     """
     cfg.validate()
+    if cfg.n != model.n or cfg.a != model.a:
+        raise ValueError("configuration and GdNLS model parameters differ")
     n = model.n
     lnf = model.lnf
     if state_qp is None:
         state_qp = apply_linear(lnf, initial_state(cfg, n))
-    z = np.asarray(state_qp, dtype=float).copy()
-    steps = cfg.steps()
-    sample_every = cfg.sample_every or max(1, steps // 2000)
+    z = np.asarray(state_qp, dtype=float).reshape(1, 2, n)
     rot = _ModeRotation(lnf.circ.spectrum, cfg.dt,
                         momentum_matches_position=True)
     field_eval = FieldEvaluator(model.zeta1, n)
+    z1_eval = RealizedEvaluator(model.zeta1, n)
     half = 0.5 * cfg.dt
-
     lam_half = np.sqrt(lnf.circ.spectrum)
+    stats = {"kicks": 0, "midpoint_iters": 0, "midpoint_iters_max": 0}
 
-    def k_energy(zz):
+    def k_energy(z):
+        zz = z.reshape(2 * n)
         q, p = zz[:n], zz[n:]
         bq = np.fft.ifft(lam_half * np.fft.fft(q)).real
         bp = np.fft.ifft(lam_half * np.fft.fft(p)).real
         return 0.5 * (q @ bq + p @ bp) + z1_eval(zz)
 
-    z1_eval = RealizedEvaluator(model.zeta1, n)
-    stats = {"steps": steps, "kicks": 0, "midpoint_iters": 0,
-             "midpoint_iters_max": 0}
-
-    def midpoint_kick(zz, tau):
-        if tau == 0.0:
-            return zz
+    def midpoint_kick(zz):
         m = zz.copy()
         for it in range(1, MIDPOINT_MAX_ITER + 1):
-            nxt = zz + 0.5 * tau * field_eval(m)
+            nxt = zz + 0.5 * half * field_eval(m)
             if np.max(np.abs(nxt - m)) < 1e-15 * max(1.0,
                                                      np.max(np.abs(zz))):
                 m = nxt
@@ -383,33 +399,15 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
         stats["kicks"] += 1
         stats["midpoint_iters"] += it
         stats["midpoint_iters_max"] = max(stats["midpoint_iters_max"], it)
-        return zz + tau * field_eval(m)
+        return zz + half * field_eval(m)
 
-    times, states, energies = [], [], []
-    e0 = k_energy(z)
-    scale = max(abs(e0), 1e-300)
+    def advance(z):
+        zz = midpoint_kick(z.reshape(2 * n))
+        zz = rot.apply(zz.reshape(2, n)).reshape(2 * n)
+        return midpoint_kick(zz).reshape(1, 2, n)
 
-    def record(t):
-        times.append(t)
-        states.append(z.copy())
-        energies.append(k_energy(z))
-
-    record(0.0)
-    for step in range(1, steps + 1):
-        z = midpoint_kick(z, half)
-        z = rot.apply(z.reshape(2, n)).reshape(2 * n)
-        z = midpoint_kick(z, half)
-        if step % sample_every == 0 or step == steps:
-            record(step * cfg.dt)
-            # NaN trips the guard too
-            if not abs(energies[-1] - e0) / scale <= cfg.energy_guard:
-                raise IntegratorError("GdNLS energy drift exceeds guard")
-
-    energies = np.array(energies)
-    traj = Trajectory(times=np.array(times), states=np.array(states),
-                      energy=energies,
-                      energy_error=np.abs(energies - e0) / scale,
-                      config=cfg, stats=stats)
+    traj = _sample_flow([cfg], z, advance, k_energy)[0]
+    traj.stats.update(stats)
     q, p = traj.states[..., :n], traj.states[..., n:]
     traj.observables["H_Omega"] = 0.5 * model.omega * np.sum(
         q * q + p * p, axis=-1)

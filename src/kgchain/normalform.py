@@ -246,8 +246,11 @@ class NormalFormResult:
 class _LieEngine:
     """Seed-level E_s / D_s applications for one generating sequence.
 
-    Intermediate results are memoised per input polynomial object, which
-    collapses the shared sub-brackets of the triangular recursions.
+    Results are memoised under the recursion's own structure, which
+    collapses the shared sub-brackets of the triangular recursions: E_s f
+    under (s, root), and each L_{chi_j} image of the D recursion under
+    (root, path of j's).  Callers name the root that f stands for, and
+    must use one root per polynomial.
     """
 
     def __init__(self, chis: list[SeedPoly], n: int,
@@ -256,44 +259,33 @@ class _LieEngine:
         self.n = n
         self.prune = prune_rel
         self._memo: dict[tuple, SeedPoly] = {}
-        self._keep: list[SeedPoly] = []
 
     def lie(self, j: int, f: SeedPoly) -> SeedPoly:
         """L_{chi_j} f at seed level (a seed of {chi_j^+, F})."""
-        key = ("L", j, id(f))
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = seed_bracket(self.chis[j - 1], f, self.n,
-                               prune_rel=self.prune)
-            self._memo[key] = hit
-            self._keep.append(f)
-        return hit
+        return seed_bracket(self.chis[j - 1], f, self.n, prune_rel=self.prune)
 
-    def e_apply(self, s: int, f: SeedPoly) -> SeedPoly:
+    def e_apply(self, s: int, f: SeedPoly, root) -> SeedPoly:
         if s == 0:
             return f
-        key = ("E", s, id(f))
-        hit = self._memo.get(key)
-        if hit is None:
-            parts = [self.lie(j, self.e_apply(s - j, f)).scaled(j / s)
+        key = ("E", s, root)
+        if key not in self._memo:
+            parts = [self.lie(j, self.e_apply(s - j, f, root)).scaled(j / s)
                      for j in range(1, min(s, len(self.chis)) + 1)]
-            hit = sum_polys(parts, kind=f.kind, n=f.n)
-            self._memo[key] = hit
-            self._keep.append(f)
-        return hit
+            self._memo[key] = sum_polys(parts, kind=f.kind, n=f.n)
+        return self._memo[key]
 
-    def d_apply(self, s: int, f: SeedPoly) -> SeedPoly:
+    def d_apply(self, s: int, f: SeedPoly, root,
+                path: tuple = ()) -> SeedPoly:
         if s == 0:
             return f
-        key = ("D", s, id(f))
-        hit = self._memo.get(key)
-        if hit is None:
-            parts = [self.d_apply(s - j, self.lie(j, f)).scaled(-j / s)
-                     for j in range(1, min(s, len(self.chis)) + 1)]
-            hit = sum_polys(parts, kind=f.kind, n=f.n)
-            self._memo[key] = hit
-            self._keep.append(f)
-        return hit
+        parts = []
+        for j in range(1, min(s, len(self.chis)) + 1):
+            key = ("L", root, path + (j,))
+            if key not in self._memo:
+                self._memo[key] = self.lie(j, f)
+            parts.append(self.d_apply(s - j, self._memo[key], root,
+                                      path + (j,)).scaled(-j / s))
+        return sum_polys(parts, kind=f.kind, n=f.n)
 
 
 def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
@@ -330,7 +322,7 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
         else:
             parts = [engine.lie(s - 1, h1_real).scaled((s - 1) / s)]
             for l in range(1, s):
-                parts.append(engine.e_apply(s - l, zetas[l - 1])
+                parts.append(engine.e_apply(s - l, zetas[l - 1], l)
                              .scaled(l / s))
             psi = sum_polys(parts).scaled(-1.0)
         if prune_rel is not None:
@@ -389,9 +381,9 @@ def remainder_head(res: NormalFormResult, s_max: int) -> list[SeedPoly]:
     engine = _LieEngine(res.seq.chis, res.lnf.n, res._prune_rel)
     out = []
     for s in range(r + 1, s_max + 1):
-        parts = [engine.d_apply(s - 1, res._h1)]
+        parts = [engine.d_apply(s - 1, res._h1, 0)]
         for j in range(1, r + 1):
-            parts.append(engine.d_apply(s - j, res._ranges[j - 1])
+            parts.append(engine.d_apply(s - j, res._ranges[j - 1], j)
                          .scaled(-j / s))
         out.append(sum_polys(parts))
     return out
@@ -419,7 +411,7 @@ def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
             continue
         s = 0
         while d0 + 2 * s <= degree_cap:
-            term = op(s, piece)
+            term = op(s, piece, d0)
             parts.append(SeedPoly(term.kind, term.n,
                                   {k: v for k, v in term._terms.items()
                                    if sum(a + b for _, a, b in k)

@@ -17,7 +17,6 @@ from kgchain import (
     symmetric_parts,
 )
 from kgchain.cyclic import (
-    CyclicFn,
     FieldEvaluator,
     FieldSeed,
     RealizedEvaluator,
@@ -76,8 +75,6 @@ def test_realize_cap():
     f = SeedPoly.term([(0, 1, 0)], 1.0, n=20)
     with pytest.raises(ValueError):
         realize(f, 20)
-    assert realize(CyclicFn(SeedPoly.term([(0, 1, 0)], 1.0, n=4), 4), None) \
-        .num_terms() == 4
 
 
 def test_seed_bracket_disjoint_supports():

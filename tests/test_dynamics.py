@@ -16,10 +16,12 @@ from kgchain import (
     normal_form,
     observables,
 )
+from kgchain.cyclic import FieldEvaluator, RealizedEvaluator
 from kgchain.dynamics import (
     MIDPOINT_MAX_ITER,
     IntegratorError,
     _integrate_strang,
+    _ModeRotation,
     initial_state,
     kg_energy,
     write_trajectory_csv,
@@ -178,7 +180,6 @@ def test_gdnls_flow_conserves_its_homega():
 
 
 def test_gdnls_stats_count_field_evaluations(monkeypatch):
-    from kgchain.cyclic import FieldEvaluator
     lnf = linear_normalize(0.05, 6)
     model = extract_gdnls(normal_form(lnf, 1))
     calls = []
@@ -190,8 +191,12 @@ def test_gdnls_stats_count_field_evaluations(monkeypatch):
 
     monkeypatch.setattr(FieldEvaluator, "__call__", counted)
     cfg = SimConfig(n=6, a=0.05, radius=0.1, dt=0.05, horizon=2.0, seed=1)
-    stats = integrate_gdnls(model, cfg).stats
+    traj = integrate_gdnls(model, cfg)
+    stats = traj.stats
     assert stats["steps"] == cfg.steps()
+    assert stats["guard_margin"] == np.max(traj.energy_error) \
+        / cfg.energy_guard
+    assert 0.0 < stats["guard_margin"] < 1.0
     assert stats["kicks"] == 2 * cfg.steps()
     # one evaluation per fixed-point iteration, one more per update
     assert stats["midpoint_iters"] + stats["kicks"] == len(calls)
@@ -203,6 +208,105 @@ def test_gdnls_stats_count_field_evaluations(monkeypatch):
                         "guard_margin": np.max(kg.energy_error)
                         / cfg.energy_guard}
     assert 0.0 < kg.stats["guard_margin"] < 1.0
+
+
+def test_gdnls_guard_names_time_and_radius():
+    lnf = linear_normalize(0.05, 6)
+    model = extract_gdnls(normal_form(lnf, 1))
+    # K drifts by ~5e-13 relative per step of 0.05 at this radius
+    cfg = SimConfig(n=6, a=0.05, radius=0.1, dt=0.05, horizon=2.0, seed=1,
+                    energy_guard=1e-12)
+    with pytest.raises(IntegratorError,
+                       match=r"exceeds guard 1e-12 at t=0.15 for radius 0.1$"):
+        integrate_gdnls(model, cfg)
+
+
+def test_gdnls_rejects_another_chain():
+    lnf = linear_normalize(0.05, 6)
+    model = extract_gdnls(normal_form(lnf, 1))
+    for kw in (dict(n=8), dict(a=0.04)):
+        cfg = SimConfig(**{**dict(n=6, a=0.05, radius=0.1, dt=0.05,
+                                  horizon=2.0), **kw})
+        with pytest.raises(ValueError, match="parameters differ"):
+            integrate_gdnls(model, cfg)
+
+
+def gdnls_reference(model, cfg, state_qp=None):
+    """The GdNLS flow with its own step and sampling loop, as it was before
+    it shared the Strang sampling loop; the reference that loop must match
+    bit for bit."""
+    n = model.n
+    lnf = model.lnf
+    if state_qp is None:
+        state_qp = apply_linear(lnf, initial_state(cfg, n))
+    z = np.asarray(state_qp, dtype=float).copy()
+    steps = cfg.steps()
+    sample_every = cfg.sample_every or max(1, steps // 2000)
+    rot = _ModeRotation(lnf.circ.spectrum, cfg.dt,
+                        momentum_matches_position=True)
+    field_eval = FieldEvaluator(model.zeta1, n)
+    z1_eval = RealizedEvaluator(model.zeta1, n)
+    half = 0.5 * cfg.dt
+    lam_half = np.sqrt(lnf.circ.spectrum)
+    stats = {"steps": steps, "kicks": 0, "midpoint_iters": 0,
+             "midpoint_iters_max": 0}
+
+    def k_energy(zz):
+        q, p = zz[:n], zz[n:]
+        bq = np.fft.ifft(lam_half * np.fft.fft(q)).real
+        bp = np.fft.ifft(lam_half * np.fft.fft(p)).real
+        return 0.5 * (q @ bq + p @ bp) + z1_eval(zz)
+
+    def midpoint_kick(zz, tau):
+        m = zz.copy()
+        for it in range(1, MIDPOINT_MAX_ITER + 1):
+            nxt = zz + 0.5 * tau * field_eval(m)
+            if np.max(np.abs(nxt - m)) < 1e-15 * max(1.0,
+                                                     np.max(np.abs(zz))):
+                m = nxt
+                break
+            m = nxt
+        stats["kicks"] += 1
+        stats["midpoint_iters"] += it
+        stats["midpoint_iters_max"] = max(stats["midpoint_iters_max"], it)
+        return zz + tau * field_eval(m)
+
+    times, states, energies = [0.0], [z.copy()], [k_energy(z)]
+    for step in range(1, steps + 1):
+        z = midpoint_kick(z, half)
+        z = rot.apply(z.reshape(2, n)).reshape(2 * n)
+        z = midpoint_kick(z, half)
+        if step % sample_every == 0 or step == steps:
+            times.append(step * cfg.dt)
+            states.append(z.copy())
+            energies.append(k_energy(z))
+    energies = np.array(energies)
+    e0 = energies[0]
+    return {"times": np.array(times), "states": np.array(states),
+            "energy": energies,
+            "energy_error": np.abs(energies - e0) / max(abs(e0), 1e-300),
+            "stats": stats}
+
+
+@pytest.mark.parametrize("kw, scale", [
+    (dict(dt=-0.02), None),
+    (dict(sample_every=7), None),       # 200 steps: the last gap is short
+    (dict(radius=0.08), 1.1),           # state_qp given
+], ids=["backward", "sample-7", "state-qp"])
+def test_gdnls_bit_identical_to_own_loop(kw, scale):
+    # the shared sampling loop gives the GdNLS flow exactly the times,
+    # states, energies and kick counts of its former loop
+    lnf = linear_normalize(0.05, 8)
+    model = extract_gdnls(normal_form(lnf, 1))
+    cfg = short_cfg(horizon=4.0, **kw)
+    state_qp = None if scale is None \
+        else scale * apply_linear(lnf, initial_state(cfg, cfg.n))
+    traj = integrate_gdnls(model, cfg, state_qp)
+    ref = gdnls_reference(model, cfg, state_qp)
+    for name in ("times", "states", "energy", "energy_error"):
+        assert np.array_equal(getattr(traj, name), ref[name]), name
+    assert traj.stats == {**ref["stats"], "guard_margin":
+                          np.max(ref["energy_error"]) / cfg.energy_guard}
 
 
 def test_gdnls_vs_kg_deviation_shrinks():
