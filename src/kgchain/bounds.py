@@ -16,14 +16,17 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .chainpoly import (
+    BIRKHOFF,
     DecayProfile,
     SeedPoly,
     decay_decompose,
     envelope_constant,
     poly_norm,
+    to_complex,
 )
 from .cyclic import FieldEvaluator, field_norm, field_norm_decay_bound, field_seed
 from .linearize import LinearNF
+from .normalform import remainder_head
 
 LN4 = math.log(4.0)
 E = math.e
@@ -40,7 +43,6 @@ def _norm_pairs(f: SeedPoly) -> list[tuple[int, float]]:
 def _norm_pairs_complex(f: SeedPoly) -> list[tuple[int, float]]:
     """Per-distance norms in the complex frame, where the homological
     estimates of the construction live."""
-    from .chainpoly import BIRKHOFF, to_complex
     if f.kind != BIRKHOFF:
         f = to_complex(f)
     return _norm_pairs(f)
@@ -156,7 +158,6 @@ def verify_decay_bounds(res, rec: ConstantsRecord) -> dict:
             checks.append({"name": name, "sigma": sig, "measured": meas,
                            "theoretical": theo,
                            "pass": bool(meas <= theo)})
-    from .normalform import remainder_head
     rem = res.remainder or remainder_head(res, r + 1)
     for i, h in enumerate(rem):
         s = r + 1 + i

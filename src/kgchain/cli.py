@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -33,7 +35,7 @@ def _write_atomic(path: str, text: str):
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -45,6 +47,21 @@ def _write_atomic(path: str, text: str):
 def _dump_json(path: str, obj):
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2,
                                    allow_nan=True) + "\n")
+
+
+def write_trajectory_csv(path, traj: dyn.Trajectory):
+    """Atomic CSV dump: t, H, H_Omega, Z, energy_error per sample."""
+    obs = traj.observables
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["t", "H", "H_Omega", "Z", "energy_error"])
+    for i, t in enumerate(traj.times):
+        w.writerow([repr(float(t)), repr(float(traj.energy[i])),
+                    repr(float(obs["H_Omega"][i]))
+                    if "H_Omega" in obs else "",
+                    repr(float(obs["Z"][i])) if "Z" in obs else "",
+                    repr(float(traj.energy_error[i]))])
+    _write_atomic(path, buf.getvalue())
 
 
 def _sanitize(obj):
@@ -167,33 +184,46 @@ def _normal_form(cfg: dict, s_max: int | None = None) -> nf.NormalFormResult:
         raise CliError(f"divergence: {exc}", code=3)
 
 
-def _bounds_report(res: nf.NormalFormResult, cfg: dict,
-                   sigma_star: float | None) -> dict:
+def _constants(res: nf.NormalFormResult, cfg: dict):
+    """The run's one constants record, at the configured order and sigma_*.
+
+    Returns the record (None in the decoupled limit and when the sigma_*
+    window is empty or missed), the order-bound advisory and the bounds
+    report, all three read off that one record.
+    """
     if res.lnf.mu == 0.0:
-        return {"advisories": ["decoupled limit: no constants to check"],
-                "checks": [], "all_pass": True}
+        return (None, {"decoupled": True, "order_bound_violated": False},
+                {"advisories": ["decoupled limit: no constants to check"],
+                 "checks": [], "all_pass": True})
     try:
-        rec = bounds_mod.constants(res.lnf, cfg["order"], sigma_star)
+        rec = bounds_mod.constants(res.lnf, cfg["order"], cfg["sigma_star"])
     except bounds_mod.SigmaWindowError as exc:
-        return {"advisories": [str(exc)], "window_empty": True,
-                "checks": [], "all_pass": True}
-    return bounds_mod.verify_decay_bounds(res, rec)
+        return (None, {"window_empty": True, "detail": str(exc)},
+                {"advisories": [str(exc)], "window_empty": True,
+                 "checks": [], "all_pass": True})
+    advisory = {"r_max": rec.r_max,
+                "order_bound_violated": cfg["order"] > rec.r_max}
+    return rec, advisory, bounds_mod.verify_decay_bounds(res, rec)
 
 
 def cmd_normalize(args) -> int:
     cfg = resolve_config(args)
     s_max = cfg["smax"] or cfg["order"] + 1
     res = _normal_form(cfg, s_max=s_max)
-    report = _bounds_report(res, cfg, cfg["sigma_star"])
+    rec, advisory, report = _constants(res, cfg)
     out = cfg["out"]
+    nf_dict = res.to_dict()
+    nf_dict["advisory"] = advisory
+    for s, step in enumerate(nf_dict["generating"]):
+        step["sigma"] = rec.sigma_seq[s] if rec else None
     payload = {"params": {k: cfg[k] for k in
                           ("n", "a", "order", "tol", "soft")}}
-    payload.update(_sanitize(res.to_dict()))
+    payload.update(_sanitize(nf_dict))
     _dump_json(os.path.join(out, "normalform.json"), payload)
     _dump_json(os.path.join(out, "bounds-report.json"), _sanitize(report))
     lines = [f"normal form: n={cfg['n']} a={cfg['a']} order={cfg['order']}",
              f"Omega = {res.lnf.omega!r}  mu = {res.lnf.mu!r}",
-             f"advisory: {res.advisory}"]
+             f"advisory: {advisory}"]
     for s, z in enumerate(res.zetas, 1):
         prof = cp.fit_decay(cp.decay_decompose(z))
         chi_prof = cp.fit_decay(cp.decay_decompose(res.seq.chis[s - 1]))
@@ -210,7 +240,7 @@ def cmd_normalize(args) -> int:
         lines.append(f"[ADVISORY] {adv}")
     _write_atomic(os.path.join(out, "summary.txt"), "\n".join(lines) + "\n")
     if args.json:
-        print(json.dumps(_sanitize({"advisory": res.advisory,
+        print(json.dumps(_sanitize({"advisory": advisory,
                                     "bounds": report}), sort_keys=True))
     return 0
 
@@ -255,7 +285,7 @@ def cmd_simulate(args) -> int:
             report = dyn.drift_experiment(base, ladder, res)
             trajs = report.pop("trajectories")
             for row, traj in zip(report["ladder"], trajs):
-                dyn.write_trajectory_csv(
+                write_trajectory_csv(
                     os.path.join(out, f"trajectory-R{row['radius']:g}.csv"),
                     traj)
             _dump_json(os.path.join(out, "scaling.json"), _sanitize(report))
@@ -267,8 +297,7 @@ def cmd_simulate(args) -> int:
         else:
             traj = dyn.integrate_kg(base)
             dyn.observables(traj, res)
-            dyn.write_trajectory_csv(os.path.join(out, "trajectory.csv"),
-                                     traj)
+            write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
             if args.json:
                 print(json.dumps(_sanitize(
                     {"max_energy_error":
@@ -281,9 +310,8 @@ def cmd_simulate(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = resolve_config(args)
     res = _normal_form(cfg, s_max=cfg["order"] + 1)
-    report = _bounds_report(res, cfg, cfg["sigma_star"])
-    if res.lnf.mu > 0 and "window_empty" not in report:
-        rec = bounds_mod.constants(res.lnf, cfg["order"], cfg["sigma_star"])
+    rec, _, report = _constants(res, cfg)
+    if rec is not None:
         report["deformation"] = bounds_mod.deformation_bound(
             res, cfg["radius"], rec, seed=cfg["seed"], norm=cfg["norm"])
     _dump_json(os.path.join(cfg["out"], "bounds-report.json"),
@@ -396,7 +424,7 @@ def _verify_checks(cfg: dict, fault: str | None):
 
     # kernel purity at order 2 (small chain keeps the suite quick)
     lnf5 = lin.linear_normalize(0.02, 5)
-    resnf = nf.normal_form(lnf5, 2, with_advisory=False)
+    resnf = nf.normal_form(lnf5, 2)
     purity = 0.0
     for z in resnf.zetas:
         zb = cp.to_complex(cy.realize(fault_bump("kernel-purity", z), 5))

@@ -8,13 +8,13 @@ the nonlinear drift, which is the object under study.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chainpoly import SeedPoly, poly_norm
+from .bounds import _norm_pairs
+from .chainpoly import envelope_constant
 from .cyclic import FieldEvaluator, RealizedEvaluator
 from .linearize import LinearNF, apply_linear, build_A
 from .normalform import GdnlsModel, NormalFormResult
@@ -53,6 +53,8 @@ class SimConfig:
         return int(round(steps))
 
     def validate(self):
+        if self.dt == 0:
+            raise ValueError("dt must be nonzero")
         lam_max = 1.0 + 4.0 * self.a
         if abs(self.dt) * math.sqrt(lam_max) >= 0.5:
             raise ValueError("dt too large: dt * max frequency must be < 0.5")
@@ -293,16 +295,11 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
     """
     if len(ladder) < 2:
         raise ValueError("ladder needs at least two amplitudes")
-    from .chainpoly import decay_decompose, envelope_constant
     lnf = res.lnf
     sig0 = lnf.sigma0 if math.isfinite(lnf.sigma0) else 50.0
-    c_z0 = envelope_constant(
-        [(m, poly_norm(p, 1.0))
-         for m, p in decay_decompose(lnf.zeta0).items()], sig0)
-    c_h1 = envelope_constant(
-        [(m, poly_norm(p, 1.0))
-         for m, p in decay_decompose(lnf.h1).items()], lnf.sigma1 / 1.0
-        if math.isfinite(lnf.sigma1) else 25.0)
+    c_z0 = envelope_constant(_norm_pairs(lnf.zeta0), sig0)
+    c_h1 = envelope_constant(_norm_pairs(lnf.h1), lnf.sigma1
+                             if math.isfinite(lnf.sigma1) else 25.0)
 
     trajs = _integrate_strang([replace(base_cfg, radius=radius)
                                for radius in sorted(ladder, reverse=True)])
@@ -427,28 +424,3 @@ def compare_models(kg_traj: Trajectory, gdnls_traj: Trajectory,
     return {"t": kg_traj.times, "deviation": dev,
             "max_deviation": float(np.max(dev))}
 
-
-def write_trajectory_csv(path, traj: Trajectory):
-    """Atomic CSV dump: t, H, H_Omega, Z, energy_error per sample."""
-    import os
-    import tempfile
-    obs = traj.observables
-    path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "H", "H_Omega", "Z", "energy_error"])
-            for i, t in enumerate(traj.times):
-                w.writerow([repr(float(t)), repr(float(traj.energy[i])),
-                            repr(float(obs["H_Omega"][i]))
-                            if "H_Omega" in obs else "",
-                            repr(float(obs["Z"][i])) if "Z" in obs else "",
-                            repr(float(traj.energy_error[i]))])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -38,6 +38,7 @@ from .chainpoly import (
     SeedPoly,
     fit_decay,
     poly_norm,
+    seed_to_dict,
     sum_polys,
     to_complex,
     to_real,
@@ -62,6 +63,13 @@ class NeumannDivergenceError(NormalFormError):
 
 class KernelLeakageError(NormalFormError):
     pass
+
+
+# Term cap of the Neumann series in solve_homological; hitting it is an error.
+NEUMANN_MAX_TERMS = 200
+# Kernel mass of an invert_lie_omega input, relative to its ||.||_1, that is
+# dropped as float noise; a larger one is an error.
+KERNEL_LEAK_TOL = 1e-12
 
 
 # -- the diagonal operator L_Omega ------------------------------------------
@@ -99,19 +107,18 @@ def project_range(f: SeedPoly) -> SeedPoly:
                     _skip_clean=True)
 
 
-def invert_lie_omega(g: SeedPoly, omega: float,
-                     kernel_tol: float = 1e-12) -> SeedPoly:
+def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     """Unique inverse on the range: divide by i Omega (|k|-|j|).
 
-    A kernel component above ``kernel_tol`` (relative to ||g||_1) is an
-    error; a smaller one is float noise and is dropped.
+    A kernel component above ``KERNEL_LEAK_TOL`` (relative to ||g||_1) is
+    an error; a smaller one is float noise and is dropped.
     """
     if g.kind != BIRKHOFF:
         g = to_complex(g)
     total = poly_norm(g, 1.0)
     kernel_mass = sum(abs(c) for k, c in g._terms.items()
                       if _imbalance(k) == 0)
-    if kernel_mass > kernel_tol * max(total, 1e-300):
+    if kernel_mass > KERNEL_LEAK_TOL * max(total, 1e-300):
         raise KernelLeakageError(
             f"input has kernel component of relative size "
             f"{kernel_mass / max(total, 1e-300):.3e}")
@@ -128,16 +135,16 @@ def invert_lie_omega(g: SeedPoly, omega: float,
 def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
                       tol: float = 1e-12, n: int | None = None,
                       prune_rel: float | None = None,
-                      max_terms: int = 200,
                       ) -> tuple[SeedPoly, SeedPoly]:
     """Solve L_{H_0} chi + zeta = psi with zeta in the kernel of L_Omega.
 
     The inverse of L_{H_0} = L_Omega (Id + K), K = L_Omega^{-1} L_{Z_0},
     is applied through the Neumann series sum_l (-K)^l L_Omega^{-1},
     iterated until the next term's seed norm drops below tol * ||psi||_1.
-    Term growth over three consecutive iterations raises
-    :class:`NeumannDivergenceError` (the operator-norm smallness that
-    guarantees convergence no longer holds).
+    Term growth over three consecutive iterations, or no settling within
+    ``NEUMANN_MAX_TERMS`` terms, raises :class:`NeumannDivergenceError`
+    (the operator-norm smallness that guarantees convergence no longer
+    holds).
     """
     if psi.kind != BIRKHOFF:
         psi = to_complex(psi)
@@ -158,7 +165,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     total = term
     prev_norm = poly_norm(term, 1.0)
     growth = 0
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
             break
         bracket = seed_bracket(zeta0, term, n, prune_rel=prune_rel)
@@ -187,10 +194,9 @@ def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,
 
 @dataclass
 class GeneratingSequence:
-    """Seeds chi_1..chi_r of the Lie transform, with step decay rates."""
+    """Seeds chi_1..chi_r of the Lie transform."""
     order: int
     chis: list[SeedPoly]
-    sigmas: list[float] | None = None
 
 
 @dataclass
@@ -202,7 +208,6 @@ class NormalFormResult:
     s_max: int
     soft: bool
     tol: float
-    advisory: dict = field(default_factory=dict)
     # internals reused by remainder/bound computations (real kind)
     _h1: SeedPoly | None = None
     _ranges: list[SeedPoly] | None = None   # Psi_s - Z_s = -L_{H0} chi_s
@@ -217,24 +222,18 @@ class NormalFormResult:
         h1 = self.lnf.h1.scaled(-1.0) if self.soft else self.lnf.h1
         return self.lnf.h_omega + self.lnf.zeta0 + h1
 
-    def normal_form_seed(self, include_remainder: bool = True) -> SeedPoly:
-        parts = [self.lnf.h_omega, self.lnf.zeta0] + list(self.zetas)
-        if include_remainder:
-            parts += list(self.remainder)
-        return sum_polys(parts)
+    def normal_form_seed(self) -> SeedPoly:
+        """Seed of H_Omega + Z_0 + Z_1..Z_r + the remainder head."""
+        return sum_polys([self.lnf.h_omega, self.lnf.zeta0]
+                         + list(self.zetas) + list(self.remainder))
 
     def to_dict(self) -> dict:
-        from .chainpoly import seed_to_dict
         return {
             "order": self.order,
             "soft": self.soft,
             "tol": self.tol,
-            "advisory": self.advisory,
             "linear": self.lnf.to_dict(),
-            "generating": [{"s": s + 1,
-                            "sigma": (self.seq.sigmas[s]
-                                      if self.seq.sigmas else None),
-                            "seed": seed_to_dict(chi)}
+            "generating": [{"s": s + 1, "seed": seed_to_dict(chi)}
                            for s, chi in enumerate(self.seq.chis)],
             "normalized": [seed_to_dict(z) for z in self.zetas],
             "remainder_head": [seed_to_dict(h) for h in self.remainder],
@@ -290,14 +289,14 @@ class _LieEngine:
 
 def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
                 soft: bool = False, s_max: int | None = None,
-                prune_rel: float | None = None,
-                with_advisory: bool = True) -> NormalFormResult:
+                prune_rel: float | None = None) -> NormalFormResult:
     """Run ``order`` normalizing steps on the transformed Hamiltonian.
 
     Every bracket is evaluated at the seed level.  The hypothesis
-    r < mu_*/(2 mu) of the order bound is reported as an advisory, not
-    enforced: it is sufficient for convergence, and desk experiments can
-    converge beyond it (divergence is detected adaptively instead).
+    r < mu_*/(2 mu) of the order bound is not checked here: it is
+    sufficient for convergence, and desk experiments can converge beyond
+    it (divergence is detected adaptively instead).  The order bound and
+    the step rates come from :func:`kgchain.bounds.constants`.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -342,25 +341,9 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
         zetas.append(zeta)
         ranges.append(psi - zeta)
 
-    advisory: dict = {}
-    sigmas = None
-    if with_advisory:
-        if lnf.mu == 0.0:
-            advisory = {"decoupled": True, "order_bound_violated": False}
-        else:
-            from . import bounds as _bounds
-            try:
-                rec = _bounds.constants(lnf, order)
-                advisory = {"r_max": rec.r_max,
-                            "order_bound_violated": order > rec.r_max}
-                sigmas = list(rec.sigma_seq)
-            except _bounds.SigmaWindowError as exc:
-                advisory = {"window_empty": True, "detail": str(exc)}
-
-    seq = GeneratingSequence(order, chis, sigmas)
     res = NormalFormResult(
-        lnf=lnf, seq=seq, zetas=zetas, remainder=[], s_max=order,
-        soft=soft, tol=tol, advisory=advisory, _h1=h1_real,
+        lnf=lnf, seq=GeneratingSequence(order, chis), zetas=zetas,
+        remainder=[], s_max=order, soft=soft, tol=tol, _h1=h1_real,
         _ranges=ranges, _prune_rel=prune_rel)
     if s_max is not None:
         res.remainder = remainder_head(res, s_max)
@@ -443,7 +426,6 @@ class GdnlsModel:
     lnf: LinearNF = field(repr=False)   # linear normal form it came from
 
     def to_dict(self) -> dict:
-        from .chainpoly import seed_to_dict
         return {
             "n": self.n, "a": self.a, "mu": self.mu, "omega": self.omega,
             "b": list(self.b),

@@ -76,7 +76,7 @@ def ac4_run():
 def ladder_run():
     t0 = time.monotonic()
     lnf = linear_normalize(0.05, 16)
-    res = normal_form(lnf, 2, prune_rel=1e-7, with_advisory=False)
+    res = normal_form(lnf, 2, prune_rel=1e-7)
     base = SimConfig(n=16, a=0.05, radius=0.1, norm="l2", dt=0.01,
                      horizon=1e3, order=2, seed=0, sample_every=50)
     ladder = [1e-1, 5e-2, 2e-2, 1e-2]
@@ -202,7 +202,7 @@ def test_ac07_extensivity():
         z1 = to_real(project_kernel(to_complex(lnf.h1)))
         norms1.append(poly_norm(z1, 1.0))
     lnf8 = linear_normalize(0.05, 8)
-    res8 = normal_form(lnf8, 1, with_advisory=False)
+    res8 = normal_form(lnf8, 1)
     z1_direct = to_real(project_kernel(to_complex(lnf8.h1)))
     assert res8.zetas[0].max_coeff_diff(z1_direct) == 0.0
     s0 = max(norms0) - min(norms0)

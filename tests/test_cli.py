@@ -3,11 +3,25 @@ import os
 
 import pytest
 
-from kgchain.cli import main
+from kgchain.cli import main, write_trajectory_csv
 
 
 def run(args):
     return main(args)
+
+
+def count_constants(monkeypatch):
+    """Record the order of every bounds.constants call."""
+    import kgchain.bounds as bounds_mod
+    calls = []
+    constants = bounds_mod.constants
+
+    def counted(lnf, r, *args, **kwargs):
+        calls.append(r)
+        return constants(lnf, r, *args, **kwargs)
+
+    monkeypatch.setattr(bounds_mod, "constants", counted)
+    return calls
 
 
 def test_normalize_writes_files(tmp_path):
@@ -44,6 +58,31 @@ def test_normalize_order_advisory(tmp_path):
     assert payload["advisory"]["order_bound_violated"] is True
 
 
+def test_normalize_sigma_star_one_record(tmp_path):
+    # normalform.json and bounds-report.json read one constants record,
+    # also at an explicit sigma_*
+    out = str(tmp_path / "inside")
+    assert run(["normalize", "--n", "8", "--a", "1e-3", "--order", "2",
+                "--prune", "1e-13", "--sigma-star", "2.5",
+                "--out", out]) == 0
+    payload = json.load(open(os.path.join(out, "normalform.json")))
+    report = json.load(open(os.path.join(out, "bounds-report.json")))
+    assert report["constants"]["sigma_star"] == 2.5
+    assert payload["advisory"]["r_max"] == report["constants"]["r_max"]
+    assert [g["sigma"] for g in payload["generating"]] \
+        == report["constants"]["sigma_seq"]
+    # outside the window [1.5542, 3.1083): window_empty in both files
+    out = str(tmp_path / "outside")
+    assert run(["normalize", "--n", "8", "--a", "1e-3", "--order", "1",
+                "--sigma-star", "9", "--out", out]) == 0
+    payload = json.load(open(os.path.join(out, "normalform.json")))
+    report = json.load(open(os.path.join(out, "bounds-report.json")))
+    assert payload["advisory"]["window_empty"] is True
+    assert report["window_empty"] is True
+    assert payload["advisory"]["detail"] == report["advisories"][0]
+    assert [g["sigma"] for g in payload["generating"]] == [None]
+
+
 def test_normalize_deterministic_bytes(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
@@ -58,11 +97,13 @@ def test_normalize_deterministic_bytes(tmp_path):
     assert open(os.path.join(out1, "normalform.json"), "rb").read() == b1
 
 
-def test_gdnls_outputs(tmp_path):
+def test_gdnls_outputs(tmp_path, monkeypatch):
+    calls = count_constants(monkeypatch)
     out = str(tmp_path)
     code = run(["gdnls", "--n", "8", "--a", "0.05", "--out", out,
                 "--energy", "0.1"])
     assert code == 0
+    assert calls == []
     payload = json.load(open(os.path.join(out, "gdnls.json")))
     b = [abs(x) for x in payload["b"]]
     assert all(b[i] > b[i + 1] for i in range(len(b) - 1))
@@ -108,9 +149,15 @@ def test_simulate_ladder(tmp_path, monkeypatch):
         traj = dyn.integrate_kg(cfg)
         dyn.observables(traj, res)
         direct = tmp_path / f"direct-R{radius}.csv"
-        dyn.write_trajectory_csv(direct, traj)
+        write_trajectory_csv(direct, traj)
         name = os.path.join(out, f"trajectory-R{radius}.csv")
         assert open(name, "rb").read() == direct.read_bytes()
+
+
+def test_simulate_zero_dt_is_usage_error(tmp_path, capsys):
+    assert run(["simulate", "--n", "6", "--dt", "0", "--horizon", "1",
+                "--out", str(tmp_path)]) == 2
+    assert "dt must be nonzero" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(tmp_path):
@@ -123,11 +170,14 @@ def test_simulate_deterministic(tmp_path):
     assert t1 == t2
 
 
-def test_bounds_command(tmp_path):
+def test_bounds_command(tmp_path, monkeypatch):
+    calls = count_constants(monkeypatch)
     out = str(tmp_path)
     code = run(["bounds", "--n", "8", "--a", "1e-3", "--order", "1",
                 "--radius", "0.01", "--out", out, "--json"])
     assert code == 0
+    # one record serves the decay checks and the deformation bound
+    assert calls == [1]
     report = json.load(open(os.path.join(out, "bounds-report.json")))
     assert report["all_pass"] is True
     assert "deformation" in report

@@ -16,6 +16,7 @@ from kgchain import (
     normal_form,
     observables,
 )
+from kgchain.cli import write_trajectory_csv
 from kgchain.cyclic import FieldEvaluator, RealizedEvaluator
 from kgchain.dynamics import (
     MIDPOINT_MAX_ITER,
@@ -24,7 +25,6 @@ from kgchain.dynamics import (
     _ModeRotation,
     initial_state,
     kg_energy,
-    write_trajectory_csv,
 )
 
 
@@ -41,6 +41,8 @@ def test_config_validation():
         SimConfig(dt=0.03, horizon=0.1).validate()
     with pytest.raises(ValueError):
         SimConfig(norm="l1").validate()
+    with pytest.raises(ValueError):
+        SimConfig(dt=0.0).validate()
 
 
 def test_initial_state_norms():
