@@ -123,8 +123,8 @@ def constants(lnf: LinearNF, r: int,
     c_r = 64.0 * r * r * c_star
     c_r_tilde = 96.0 * r * r * c_star
     b_r = 16.0 * c_h1 * r / (gamma * d0s * d0 * e0)
-    r_star = math.sqrt(2.0 / (3.0 * (1.0 + E) * c_r)) if c_r > 0 \
-        else math.inf
+    # gamma <= 0 (r mu >= mu_*) voids the radius constants: no admissible R
+    r_star = math.sqrt(2.0 / (3.0 * (1.0 + E) * c_r)) if gamma > 0 else 0.0
     r_max = int(math.floor(mu_star / (2.0 * lnf.mu)))
     sigma_seq = tuple(sigma1 - (j - 1) / r * (sigma1 - sigma_star)
                       for j in range(1, r + 1))
@@ -171,6 +171,10 @@ def verify_decay_bounds(res, rec: ConstantsRecord) -> dict:
         advisories.append(
             f"order r = {r} violates the sufficient bound r < mu_*/(2 mu) "
             f"= {rec.mu_star / (2 * rec.mu):.3f}; computation proceeded")
+    if rec.gamma <= 0:
+        advisories.append(
+            f"gamma = 2 Omega (1 - r mu/mu_*) = {rec.gamma:.4g} <= 0: the "
+            "radius constants are void (R_* = 0)")
     return {"checks": checks,
             "all_pass": all(c["pass"] for c in checks),
             "advisories": advisories,
@@ -238,7 +242,7 @@ def deformation_bound(res, radius: float, rec: ConstantsRecord,
     steps = []
     for s in range(1, r + 1):
         rs_prev = radius - (s - 1) * delta
-        fs = field_seed(res.seq.chis[s - 1], n)
+        fs = field_seed(res.seq.chis[s - 1])
         fn = field_norm(fs, rs_prev)
         sig = rec.sigma_seq[s - 1]
         c_meas = envelope_constant(_norm_pairs(res.seq.chis[s - 1]), sig)
@@ -256,7 +260,7 @@ def deformation_bound(res, radius: float, rec: ConstantsRecord,
             "deformation bound is outside its hypothesis")
 
     rng = np.random.default_rng(seed)
-    evaluators = [FieldEvaluator(c, n) for c in res.seq.chis]
+    evaluators = [FieldEvaluator(c) for c in res.seq.chis]
     worst = 0.0
     per_step_worst = [0.0] * r
     for _ in range(samples):

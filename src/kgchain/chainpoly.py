@@ -1,7 +1,8 @@
 """Sparse polynomial algebra over the canonical chain variables.
 
-Polynomials live on a periodic chain of N sites (or on the free integer
-lattice when unbound).  Each site carries one canonically conjugate pair:
+Polynomials live on a periodic chain of N sites: every polynomial carries
+its chain size, and sites are residues mod N.  Each site carries one
+canonically conjugate pair:
 (x_l, y_l) in real coordinates, or (xi_l, eta_l) in complex coordinates
 where x_l = (xi_l + i eta_l)/sqrt(2), y_l = (i xi_l + eta_l)/sqrt(2).
 
@@ -12,6 +13,7 @@ the cyclic machinery itself lives in :mod:`kgchain.cyclic`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
@@ -56,12 +58,6 @@ class Monomial:
     def support(self) -> tuple[int, ...]:
         return tuple(s for s, _, _ in self.exps)
 
-    def shifted(self, l: int, n: int | None = None) -> "Monomial":
-        """Apply the shift site -> site - l (reduced mod n when bound)."""
-        if n is None:
-            return Monomial((s - l, a, b) for s, a, b in self.exps)
-        return Monomial(((s - l) % n, a, b) for s, a, b in self.exps)
-
     def sort_key(self):
         return (self.degree, self.exps)
 
@@ -75,17 +71,15 @@ class Monomial:
         return f"Monomial({self.exps!r})"
 
 
-def _mono_distance(exps: ExpKey, n: int | None) -> int:
+def _mono_distance(exps: ExpKey, n: int) -> int:
     """Interaction distance: diameter of the support.
 
-    For a bound monomial the support lives on a ring, so the diameter is
-    that of the shortest covering arc (N minus the largest circular gap).
+    The support lives on a ring, so the diameter is that of the shortest
+    covering arc (N minus the largest circular gap).
     """
     if not exps:
         return 0
     sites = sorted({s for s, _, _ in exps})
-    if n is None:
-        return sites[-1] - sites[0]
     if len(sites) == 1:
         return 0
     gaps = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
@@ -93,20 +87,20 @@ def _mono_distance(exps: ExpKey, n: int | None) -> int:
     return n - max(gaps)
 
 
-def _mono_arc_start(exps: ExpKey, n: int | None) -> int:
+def _mono_arc_start(exps: ExpKey, n: int) -> int:
     """First site of the minimal covering arc (ties: smallest site)."""
     if not exps:
         return 0
     return _arc_start(sorted({s for s, _, _ in exps}), n)
 
 
-def _arc_start(sites: list[int], n: int | None) -> int:
+def _arc_start(sites: list[int], n: int) -> int:
     """:func:`_mono_arc_start` on the sorted, distinct, non-empty sites.
 
     The arc starts after the first largest circular gap, counted from the
     smallest site; which of several equal gaps wins depends on the frame.
     """
-    if n is None or len(sites) == 1:
+    if len(sites) == 1:
         return sites[0]
     best_gap, best_start = -1, sites[0]
     for i in range(len(sites)):
@@ -119,8 +113,19 @@ def _arc_start(sites: list[int], n: int | None) -> int:
     return best_start
 
 
+def _check_chain_size(n) -> None:
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise CoordinateError(f"a seed needs a chain size n >= 1, got {n!r}")
+
+
+def _ring_key(exps: Iterable[tuple[int, int, int]], n: int) -> ExpKey:
+    """Monomial key of ``exps`` with its sites reduced mod n."""
+    _check_chain_size(n)
+    return Monomial((s % n, a, b) for s, a, b in exps).exps
+
+
 class SeedPoly:
-    """Sparse polynomial over the chain, in one coordinate kind.
+    """Sparse polynomial over a chain of ``n`` sites, in one coordinate kind.
 
     Values are immutable by convention: every operation returns a new
     instance.  Coefficients are complex doubles; in the real kind the
@@ -130,19 +135,21 @@ class SeedPoly:
 
     __slots__ = ("kind", "n", "_terms")
 
-    def __init__(self, kind: str, n: int | None,
+    def __init__(self, kind: str, n: int,
                  terms: dict[ExpKey, complex] | None = None,
                  _skip_clean: bool = False):
         if kind not in (REAL, BIRKHOFF):
             raise CoordinateError(f"unknown coordinate kind {kind!r}")
-        if n is not None and n < 1:
-            raise ValueError("chain size must be >= 1")
+        _check_chain_size(n)
         self.kind = kind
         self.n = n
         raw = terms or {}
         self._terms = raw if _skip_clean else _cleaned(raw, kind)
 
     # -- constructors --------------------------------------------------
+    #
+    # The chain size n is required; it defaults to None only so that a
+    # missing one raises CoordinateError.  Sites are reduced mod n.
 
     @classmethod
     def zero(cls, kind: str = REAL, n: int | None = None) -> "SeedPoly":
@@ -151,16 +158,14 @@ class SeedPoly:
     @classmethod
     def term(cls, exps: Iterable[tuple[int, int, int]], coeff: complex,
              kind: str = REAL, n: int | None = None) -> "SeedPoly":
-        m = Monomial(exps)
-        key = m.exps if n is None else m.shifted(0, n).exps
-        return cls(kind, n, {key: complex(coeff)})
+        return cls(kind, n, {_ring_key(exps, n): complex(coeff)})
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[Monomial, complex]],
                    kind: str = REAL, n: int | None = None) -> "SeedPoly":
         acc: dict[ExpKey, complex] = {}
         for m, c in pairs:
-            key = m.exps if n is None else m.shifted(0, n).exps
+            key = _ring_key(m.exps, n)
             acc[key] = acc.get(key, 0.0) + complex(c)
         return cls(kind, n, acc)
 
@@ -570,11 +575,7 @@ def support_info(f: SeedPoly) -> SupportInfo:
     sites = sorted({s for k in f._terms for s, _, _ in k})
     if not sites:
         return SupportInfo((), 0, True)
-    if f.n is None:
-        dist = sites[-1] - sites[0]
-    else:
-        key = tuple((s, 1, 0) for s in sites)
-        dist = _mono_distance(key, f.n)
+    dist = _mono_distance(tuple((s, 1, 0) for s in sites), f.n)
     return SupportInfo(tuple(sites), dist, sites[0] == 0)
 
 
@@ -588,8 +589,6 @@ def left_align(f: SeedPoly) -> SeedPoly:
         start = _mono_arc_start(k, f.n)
         if start == 0:
             kk = k
-        elif f.n is None:
-            kk = tuple((s - start, a, b) for s, a, b in k)
         else:
             kk = tuple(sorted(((s - start) % f.n, a, b) for s, a, b in k))
         acc[kk] = acc.get(kk, 0.0) + c

@@ -46,76 +46,41 @@ REALIZE_CAP = 12
 
 
 def cyclic_shift(f: SeedPoly, l: int) -> SeedPoly:
-    """Apply tau^l: site indices decrease by l (mod N when bound)."""
+    """Apply tau^l: site indices decrease by l (mod N)."""
     acc: dict[ExpKey, complex] = {}
     for k, c in f._terms.items():
-        if f.n is None:
-            kk = tuple((s - l, a, b) for s, a, b in k)
-        else:
-            kk = tuple(sorted(((s - l) % f.n, a, b) for s, a, b in k))
+        kk = tuple(sorted(((s - l) % f.n, a, b) for s, a, b in k))
         acc[kk] = acc.get(kk, 0.0) + c
     return SeedPoly(f.kind, f.n, acc, _skip_clean=True)
 
 
-def bind(f: SeedPoly, n: int) -> SeedPoly:
-    """Bind a free seed to a chain of size n (site indices reduced mod n)."""
-    if f.n == n:
-        return f
-    if f.n is not None:
-        raise CoordinateError(f"seed already bound to n={f.n}")
-    acc: dict[ExpKey, complex] = {}
-    for k, c in f._terms.items():
-        kk = Monomial((s % n, a, b) for s, a, b in k).exps
-        acc[kk] = acc.get(kk, 0.0) + c
-    return SeedPoly(f.kind, n, acc)
-
-
-def realize(f: SeedPoly, n: int | None = None,
-            cap: int = REALIZE_CAP) -> SeedPoly:
+def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
     """Expand the full 2N-variable polynomial sum_{l=0..N-1} tau^l f.
 
-    Ground truth for everything seed-level; capped because the cost and the
-    output size grow with N.
+    Ground truth for everything seed-level; capped at ``REALIZE_CAP``
+    because the cost and the output size grow with N.  ``n``, if given,
+    must be the seed's own chain size.
     """
-    if n is None:
-        n = f.n
-    if n is None:
-        raise CoordinateError("realize needs a chain size")
-    if n > cap:
-        raise ValueError(f"realize cap exceeded: n={n} > {cap}")
-    g = bind(f, n) if f.n is None else f
-    return sum_polys(cyclic_shift(g, l) for l in range(n))
+    if n not in (None, f.n):
+        raise CoordinateError(f"realize: seed is on n={f.n}, not n={n}")
+    if f.n > REALIZE_CAP:
+        raise ValueError(f"realize cap exceeded: n={f.n} > {REALIZE_CAP}")
+    return sum_polys(cyclic_shift(f, l) for l in range(f.n))
 
 
-def seed_bracket(f: SeedPoly, g: SeedPoly, n: int | None = None,
+def seed_bracket(f: SeedPoly, g: SeedPoly, *,
                  prune_rel: float | None = None) -> SeedPoly:
     """A left-aligned seed of {f^+, g^+}: the bracket {f, sum_l tau^l g}.
 
     Only shifts l that bring a site of tau^l g onto a site of f contribute,
     so the cost is independent of N for short-range seeds; shifts are taken
     mod N, which keeps small-N wrap-around exact.
-    """
-    if f.kind != g.kind:
-        raise CoordinateError("coordinate-kind mismatch")
-    if n is None:
-        n = f.n if f.n is not None else g.n
-    if n is None:
-        raise CoordinateError("seed_bracket needs a chain size")
-    fb = bind(f, n) if f.n is None else f
-    gb = bind(g, n) if g.n is None else g
-    if fb.n != n or gb.n != n:
-        raise CoordinateError("chain-size mismatch")
-    return _seed_bracket_accumulate(fb, gb, n, prune_rel)
 
-
-def _seed_bracket_accumulate(fb: SeedPoly, gb: SeedPoly, n: int,
-                             prune_rel: float | None) -> SeedPoly:
-    """Contact-driven sum over shifts on packed words, left-aligned.
-
-    Words are the packed keys of :mod:`kgchain.chainpoly` with site s in
-    slot s.  A contact is a site entry (u, a1, b1) of an f-term meeting a
-    site entry (s, a2, b2) of a g-term: the shift tau^(s-u) carries site s
-    of g onto site u, so the pair adds (a1 b2 - b1 a2) c_f c_g to the word
+    The sum over shifts is contact-driven, on the packed keys of
+    :mod:`kgchain.chainpoly` with site s in slot s (words).  A contact is a
+    site entry (u, a1, b1) of an f-term meeting a site entry (s, a2, b2) of
+    a g-term: the shift tau^(s-u) carries site s of g onto site u, so the
+    pair adds (a1 b2 - b1 a2) c_f c_g to the word
     kf - xi_u - eta_u + rot(kg, u - s), where rot(w, r) moves every site x
     of w to x + r (mod n).  Each (pair, shift, site) term of the shift sum
     is one contact, so no shift set is built.  f's entries are grouped by
@@ -130,11 +95,13 @@ def _seed_bracket_accumulate(fb: SeedPoly, gb: SeedPoly, n: int,
     relative to the largest coefficient; then each is rotated so that its
     covering arc starts at site 0, and each aligned word is unpacked once.
     """
-    fterms = sorted(fb._terms.items(), key=lambda kv: -abs(kv[1]))
-    gterms = sorted(gb._terms.items(), key=lambda kv: -abs(kv[1]))
+    f._check_compatible(g)
+    n = f.n
+    fterms = sorted(f._terms.items(), key=lambda kv: -abs(kv[1]))
+    gterms = sorted(g._terms.items(), key=lambda kv: -abs(kv[1]))
     if not fterms or not gterms:
-        return SeedPoly.zero(fb.kind, n)
-    if _max_exponent(fb) + _max_exponent(gb) >= _PACK_MASK:
+        return SeedPoly.zero(f.kind, n)
+    if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
         raise ValueError("exponent too large for the packed bracket")
     pair_cut = _pair_cut(fterms, gterms, prune_rel)
     sites = list(range(n))          # slot of site s is s
@@ -175,7 +142,7 @@ def _seed_bracket_accumulate(fb: SeedPoly, gb: SeedPoly, n: int,
                     w = kfm + rots[u - s]
                     acc[w] = acc.get(w, 0.0) + c1 * cg
 
-    kept = _cleaned(acc, fb.kind)
+    kept = _cleaned(acc, f.kind)
     if prune_rel is not None and kept:
         cut = prune_rel * max(abs(v) for v in kept.values())
         kept = {w: v for w, v in kept.items() if abs(v) >= cut}
@@ -197,12 +164,12 @@ def _seed_bracket_accumulate(fb: SeedPoly, gb: SeedPoly, n: int,
             w = ((w << (width - slot * start)) | (w >> (slot * start))) \
                 & word_mask
         aligned[w] = aligned.get(w, 0.0) + v
-    return SeedPoly(fb.kind, n, {_unpack(w, sites): v
+    return SeedPoly(f.kind, n, {_unpack(w, sites): v
                                  for w, v in aligned.items()},
                     _skip_clean=True)
 
 
-def symmetric_align(f: SeedPoly, n: int | None = None) -> SeedPoly:
+def symmetric_align(f: SeedPoly) -> SeedPoly:
     """Reseed so every monomial sits in a window centred on site 0.
 
     Site residues above N/2 are read as negative sites; a monomial whose
@@ -213,14 +180,10 @@ def symmetric_align(f: SeedPoly, n: int | None = None) -> SeedPoly:
     symmetric interaction distance, which is the sharper measure used for
     the centred decay decomposition.
     """
-    if n is None:
-        n = f.n
-    if n is None:
-        raise CoordinateError("symmetric_align needs a chain size")
-    fb = bind(f, n) if f.n is None else f
+    n = f.n
     half = n // 2
     acc: dict[ExpKey, complex] = {}
-    for k, c in fb._terms.items():
+    for k, c in f._terms.items():
         start = _mono_arc_start(k, n)
         dist = _mono_distance(k, n)
         # Shift so the arc contains site 0 whenever it does not already.
@@ -236,7 +199,7 @@ def symmetric_align(f: SeedPoly, n: int | None = None) -> SeedPoly:
             shift = max(centred)
             k = tuple(sorted(((s - shift) % n, a, b) for s, a, b in k))
         acc[k] = acc.get(k, 0.0) + c
-    return SeedPoly(fb.kind, n, acc, _skip_clean=True)
+    return SeedPoly(f.kind, n, acc, _skip_clean=True)
 
 
 def symmetric_distance(m: Monomial | ExpKey, n: int) -> int:
@@ -246,9 +209,9 @@ def symmetric_distance(m: Monomial | ExpKey, n: int) -> int:
     return max((s if s <= half else n - s for s, _, _ in exps), default=0)
 
 
-def symmetric_parts(f: SeedPoly, n: int | None = None) -> dict[int, SeedPoly]:
+def symmetric_parts(f: SeedPoly) -> dict[int, SeedPoly]:
     """Centred decay decomposition: parts indexed by window half-width."""
-    g = symmetric_align(f, n)
+    g = symmetric_align(f)
     out: dict[int, dict[ExpKey, complex]] = {}
     for k, c in g._terms.items():
         m = symmetric_distance(k, g.n)
@@ -270,22 +233,15 @@ class FieldSeed:
     """
     xq: SeedPoly
     xp: SeedPoly
-    n: int
-    degree: int
 
 
-def field_seed(f: SeedPoly, n: int | None = None) -> FieldSeed:
-    if n is None:
-        n = f.n
-    if n is None:
-        raise CoordinateError("field_seed needs a chain size")
-    fb = bind(f, n) if f.n is None else f
-    sites = {s for k in fb._terms for s, _, _ in k}
-    xq = sum_polys((cyclic_shift(fb.partial(l, 1), l) for l in sites),
-                   kind=fb.kind, n=n)
-    xp = sum_polys((cyclic_shift(fb.partial(l, 0), l) for l in sites),
-                   kind=fb.kind, n=n).scaled(-1.0)
-    return FieldSeed(xq, xp, n, max(fb.max_degree() - 1, 0))
+def field_seed(f: SeedPoly) -> FieldSeed:
+    sites = {s for k in f._terms for s, _, _ in k}
+    xq = sum_polys((cyclic_shift(f.partial(l, 1), l) for l in sites),
+                   kind=f.kind, n=f.n)
+    xp = sum_polys((cyclic_shift(f.partial(l, 0), l) for l in sites),
+                   kind=f.kind, n=f.n).scaled(-1.0)
+    return FieldSeed(xq, xp)
 
 
 def field_norm(fs: FieldSeed, radius: float) -> float:
@@ -325,17 +281,11 @@ class RealizedEvaluator:
     that exponent, so that evaluators of several seeds can share one table.
     """
 
-    def __init__(self, f: SeedPoly, n: int | None = None,
-                 shift_sign: int = -1, top: int = 0):
+    def __init__(self, f: SeedPoly, *, shift_sign: int = -1, top: int = 0):
         if f.kind != REAL:
             raise CoordinateError("evaluation needs a real-kind polynomial")
-        if n is None:
-            n = f.n
-        if n is None:
-            raise CoordinateError("evaluation needs a chain size")
-        fb = bind(f, n) if f.n is None else f
-        self.n = n
-        terms = fb.terms()
+        self.n = n = f.n
+        terms = f.terms()
         width = max((len(m.exps) for m, _ in terms), default=1)
         t = len(terms)
         self.coeff = np.zeros(t)
@@ -349,7 +299,7 @@ class RealizedEvaluator:
                 aexp[i, j] = a
                 bexp[i, j] = b
         # padded slots point at T[0, 0, s] = 1
-        self.powers = np.arange(max(_max_exponent(fb), top) + 1)[:, None]
+        self.powers = np.arange(max(_max_exponent(f), top) + 1)[:, None]
         e1 = self.powers.shape[0]
         shifted = (sites[:, :, None] + shift_sign * np.arange(n)) % n
         index = (aexp * e1 + bexp)[:, :, None] * n + shifted
@@ -377,12 +327,11 @@ class FieldEvaluator:
     :class:`RealizedEvaluator` gathers from it, one per block.
     """
 
-    def __init__(self, f: SeedPoly, n: int | None = None):
-        fs = field_seed(f, n)
-        self.n = fs.n
+    def __init__(self, f: SeedPoly):
+        fs = field_seed(f)
         top = max(_max_exponent(fs.xq), _max_exponent(fs.xp))
-        self._eq = RealizedEvaluator(fs.xq, fs.n, shift_sign=1, top=top)
-        self._ep = RealizedEvaluator(fs.xp, fs.n, shift_sign=1, top=top)
+        self._eq = RealizedEvaluator(fs.xq, shift_sign=1, top=top)
+        self._ep = RealizedEvaluator(fs.xp, shift_sign=1, top=top)
 
     def __call__(self, state: np.ndarray) -> np.ndarray:
         """Full field (dx/dt, dy/dt), shape (2N,)."""

@@ -268,7 +268,7 @@ def observables(traj: Trajectory, res: NormalFormResult,
     for s, zeta in enumerate(res.zetas, 1):
         if s > max(orders, default=0):
             break
-        ev = RealizedEvaluator(zeta, n)
+        ev = RealizedEvaluator(zeta)
         zs.append(np.array([ev(state) for state in qp]))
         series[f"Z{s}"] = zs[-1]
     for rho in orders:
@@ -367,8 +367,8 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     z = np.asarray(state_qp, dtype=float).reshape(1, 2, n)
     rot = _ModeRotation(lnf.circ.spectrum, cfg.dt,
                         momentum_matches_position=True)
-    field_eval = FieldEvaluator(model.zeta1, n)
-    z1_eval = RealizedEvaluator(model.zeta1, n)
+    field_eval = FieldEvaluator(model.zeta1)
+    z1_eval = RealizedEvaluator(model.zeta1)
     half = 0.5 * cfg.dt
     lam_half = np.sqrt(lnf.circ.spectrum)
     stats = {"kicks": 0, "midpoint_iters": 0, "midpoint_iters_max": 0}

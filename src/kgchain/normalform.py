@@ -133,8 +133,7 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
 # -- homological equation ----------------------------------------------------
 
 def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
-                      tol: float = 1e-12, n: int | None = None,
-                      prune_rel: float | None = None,
+                      tol: float = 1e-12, prune_rel: float | None = None,
                       ) -> tuple[SeedPoly, SeedPoly]:
     """Solve L_{H_0} chi + zeta = psi with zeta in the kernel of L_Omega.
 
@@ -150,16 +149,12 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         psi = to_complex(psi)
     if zeta0.kind != BIRKHOFF:
         zeta0 = to_complex(zeta0)
-    if n is None:
-        n = psi.n
-    if n is None:
-        raise NormalFormError("solve_homological needs a chain size")
 
     zeta = project_kernel(psi)
     g = psi - zeta
     scale = poly_norm(psi, 1.0)
     if g.is_zero():
-        return SeedPoly.zero(BIRKHOFF, n), zeta
+        return SeedPoly.zero(BIRKHOFF, psi.n), zeta
 
     term = invert_lie_omega(g, omega)
     total = term
@@ -168,7 +163,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
             break
-        bracket = seed_bracket(zeta0, term, n, prune_rel=prune_rel)
+        bracket = seed_bracket(zeta0, term, prune_rel=prune_rel)
         term = invert_lie_omega(bracket, omega).scaled(-1.0)
         total = total + term
         norm = poly_norm(term, 1.0)
@@ -183,10 +178,9 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
 
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,
-                         zeta0: SeedPoly, omega: float,
-                         n: int) -> float:
+                         zeta0: SeedPoly, omega: float) -> float:
     """||L_{H_0} chi + zeta - psi||_1 (all in Birkhoff kind)."""
-    lh0 = lie_omega(chi, omega) + seed_bracket(zeta0, chi, n)
+    lh0 = lie_omega(chi, omega) + seed_bracket(zeta0, chi)
     return poly_norm(lh0 + zeta - psi, 1.0)
 
 
@@ -252,16 +246,14 @@ class _LieEngine:
     must use one root per polynomial.
     """
 
-    def __init__(self, chis: list[SeedPoly], n: int,
-                 prune_rel: float | None):
+    def __init__(self, chis: list[SeedPoly], prune_rel: float | None):
         self.chis = chis
-        self.n = n
         self.prune = prune_rel
         self._memo: dict[tuple, SeedPoly] = {}
 
     def lie(self, j: int, f: SeedPoly) -> SeedPoly:
         """L_{chi_j} f at seed level (a seed of {chi_j^+, F})."""
-        return seed_bracket(self.chis[j - 1], f, self.n, prune_rel=self.prune)
+        return seed_bracket(self.chis[j - 1], f, prune_rel=self.prune)
 
     def e_apply(self, s: int, f: SeedPoly, root) -> SeedPoly:
         if s == 0:
@@ -300,7 +292,6 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n = lnf.n
     omega = lnf.omega
     h1_real = lnf.h1.scaled(-1.0) if soft else lnf.h1
     if prune_rel is not None:
@@ -313,7 +304,7 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     chis: list[SeedPoly] = []
     zetas: list[SeedPoly] = []
     ranges: list[SeedPoly] = []
-    engine = _LieEngine(chis, n, prune_rel)
+    engine = _LieEngine(chis, prune_rel)
 
     for s in range(1, order + 1):
         if s == 1:
@@ -328,7 +319,7 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
             psi = psi.prune(prune_rel)
         try:
             chi_t, zeta_b = solve_homological(to_complex(psi), zeta0_b,
-                                              omega, tol=tol, n=n,
+                                              omega, tol=tol,
                                               prune_rel=prune_rel)
         except NeumannDivergenceError as exc:
             raise NeumannDivergenceError(s) from exc
@@ -361,7 +352,7 @@ def remainder_head(res: NormalFormResult, s_max: int) -> list[SeedPoly]:
     r = res.order
     if s_max < r + 1:
         raise ValueError("s_max must be at least order+1")
-    engine = _LieEngine(res.seq.chis, res.lnf.n, res._prune_rel)
+    engine = _LieEngine(res.seq.chis, res._prune_rel)
     out = []
     for s in range(r + 1, s_max + 1):
         parts = [engine.d_apply(s - 1, res._h1, 0)]
@@ -377,16 +368,11 @@ def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
                         prune_rel: float | None = None,
                         inverse: bool = False) -> SeedPoly:
     """Graded application of T (or its D-series inverse) up to degree_cap."""
-    if isinstance(seq, NormalFormResult):
-        chis = seq.seq.chis
-        n = seq.lnf.n
-    else:
-        chis = seq.chis
-        n = f.n
+    chis = seq.seq.chis if isinstance(seq, NormalFormResult) else seq.chis
     if chis and chis[0].kind != f.kind:
         chis = [to_complex(c) if f.kind == BIRKHOFF else to_real(c)
                 for c in chis]
-    engine = _LieEngine(chis, n, prune_rel)
+    engine = _LieEngine(chis, prune_rel)
     op = engine.d_apply if inverse else engine.e_apply
     parts = []
     for d0, piece in sorted(f.graded_parts().items()):
@@ -452,7 +438,7 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
         raise ValueError("GdNLS extraction needs order >= 1")
     lnf = res.lnf
     zeta1 = res.zetas[0]
-    parts = symmetric_parts(zeta1, lnf.n)
+    parts = symmetric_parts(zeta1)
     profile = fit_decay(parts)
     k_seed = lnf.h_omega + lnf.zeta0 + zeta1
     reference = {

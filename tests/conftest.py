@@ -4,7 +4,7 @@ import pytest
 from kgchain import SeedPoly
 
 
-def random_seed_poly(rng, n=None, max_sites=3, terms=4, max_degree=4,
+def random_seed_poly(rng, n, max_sites=3, terms=4, max_degree=4,
                      homogeneous=None):
     """Random short-range seed with O(1) coefficients."""
     p = SeedPoly.zero(n=n)
@@ -25,7 +25,7 @@ def random_seed_poly(rng, n=None, max_sites=3, terms=4, max_degree=4,
     return p
 
 
-def random_homogeneous(rng, degree, n=None, max_sites=3, terms=4):
+def random_homogeneous(rng, degree, n, max_sites=3, terms=4):
     """Random homogeneous seed of the exact requested degree."""
     p = SeedPoly.zero(n=n)
     guard = 0

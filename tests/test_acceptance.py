@@ -101,7 +101,7 @@ def test_ac01_seed_bracket_equivalence():
         for _ in range(100):
             f = random_seed_poly(rng, n=n)
             g = random_seed_poly(rng, n=n)
-            lhs = realize(seed_bracket(f, g, n), n)
+            lhs = realize(seed_bracket(f, g), n)
             rhs = poisson_bracket(realize(f, n), realize(g, n))
             worst = max(worst, lhs.max_coeff_diff(rhs))
     elapsed = time.monotonic() - t0
@@ -220,7 +220,7 @@ def test_ac08_decay_envelopes():
     assert prof0.check()
     assert prof0.sigma >= lnf.sigma0 - 0.05
     z1 = to_real(project_kernel(to_complex(lnf.h1)))
-    prof1 = fit_decay(symmetric_parts(z1, 32))
+    prof1 = fit_decay(symmetric_parts(z1))
     assert prof1.check()
     assert prof1.sigma >= lnf.sigma0 - 0.1
     mu = lnf.mu
@@ -273,8 +273,8 @@ def test_ac11_field_norm_proposition():
     for _ in range(20):
         deg = int(rng.integers(2, 6))
         f = random_homogeneous(rng, deg, n=n, max_sites=3)
-        ev = FieldEvaluator(f, n)
-        fn1 = field_norm(field_seed(f, n), 1.0)
+        ev = FieldEvaluator(f)
+        fn1 = field_norm(field_seed(f), 1.0)
         z = rng.normal(size=(1000, 2 * n))
         for zz in z:
             val = ev(zz)

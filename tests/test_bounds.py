@@ -127,6 +127,26 @@ def test_verify_reports_order_advisory(lnf_small):
     assert report["all_pass"]
 
 
+def test_void_radius_constants():
+    # r mu > mu_* makes gamma negative: no radius is admissible
+    lnf = linear_normalize(1e-3, 8)
+    rec = constants(lnf, 2, sigma_star=2.5)
+    assert rec.gamma == pytest.approx(-0.2429, abs=1e-4)
+    assert rec.r_star == 0.0
+    res = normal_form(lnf, 2, s_max=3, prune_rel=1e-13)
+    report = verify_decay_bounds(res, rec)
+    assert any("radius constants are void" in a
+               for a in report["advisories"])
+    deform = deformation_bound(res, 0.01, rec, samples=1)
+    assert any("not below R_* = 0" in a for a in deform["advisories"])
+    # order 1 at the same sigma_* keeps a positive admissible radius
+    rec1 = constants(lnf, 1, sigma_star=2.5)
+    assert rec1.gamma == pytest.approx(0.8796, abs=1e-4)
+    assert rec1.r_star == pytest.approx(0.01984, abs=1e-5)
+    report1 = verify_decay_bounds(normal_form(lnf, 1, s_max=2), rec1)
+    assert not any("void" in a for a in report1["advisories"])
+
+
 def test_bracket_decay_bound_displayed_formula():
     pf = fit_decay([(0, 1.0), (1, math.exp(-1.0))])
     pg = fit_decay([(0, 1.0), (1, math.exp(-1.0))])
@@ -164,7 +184,7 @@ def test_bracket_decay_bound_validates_measurement(rng):
         sigma_out = 0.5 * min(pf.sigma, pg.sigma)
         pred = bracket_decay_bound(pf, pg, f.max_degree(), g.max_degree(),
                                    sigma_out=sigma_out)
-        br = seed_bracket(f, g, n)
+        br = seed_bracket(f, g)
         if br.is_zero():
             continue
         for m, part in decay_decompose(br).items():
@@ -203,8 +223,8 @@ def test_lie_derivative_iterate_bound(rng):
     r, s = 2, 3
     chi_full = realize(chi, n)
     f_full = realize(f, n)
-    fn_chi = field_norm(field_seed(chi, n), 1.0)
-    fn_f = field_norm(field_seed(f, n), 1.0)
+    fn_chi = field_norm(field_seed(chi), 1.0)
+    fn_f = field_norm(field_seed(f), 1.0)
     # symbolic field components of X_F and iterated Lie derivatives
     comps = [f_full.partial(j, 1) for j in range(n)] + \
             [f_full.partial(j, 0).scaled(-1.0) for j in range(n)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kgchain import (
+    REAL,
     CoordinateError,
     SeedPoly,
     decay_decompose,
@@ -13,6 +14,7 @@ from kgchain import (
     poisson_bracket,
     poly_norm,
     reality_defect,
+    seed_bracket,
     seed_from_dict,
     seed_to_dict,
     support_info,
@@ -27,8 +29,8 @@ from oracles import from_seedpoly, p_max_diff, p_poisson
 
 
 def test_canonical_pair_bracket():
-    f = SeedPoly.term([(0, 1, 0)], 1.0)
-    g = SeedPoly.term([(0, 0, 1)], 1.0)
+    f = SeedPoly.term([(0, 1, 0)], 1.0, n=8)
+    g = SeedPoly.term([(0, 0, 1)], 1.0, n=8)
     br = poisson_bracket(f, g)
     assert br.num_terms() == 1
     assert br.coeff([]) == 1.0
@@ -81,10 +83,10 @@ def test_bracket_degree_and_norm_bound(rng):
 
 
 def test_poly_norm_examples():
-    f = SeedPoly.term([(0, 2, 0), (1, 0, 1)], 3.0)
+    f = SeedPoly.term([(0, 2, 0), (1, 0, 1)], 3.0, n=8)
     assert poly_norm(f, 2.0) == pytest.approx(24.0, abs=0)
-    assert poly_norm(SeedPoly.zero(), 1.0) == 0.0
-    quartic = SeedPoly.term([(0, 4, 0)], 0.25)
+    assert poly_norm(SeedPoly.zero(n=8), 1.0) == 0.0
+    quartic = SeedPoly.term([(0, 4, 0)], 0.25, n=8)
     assert poly_norm(quartic, 1.0) == pytest.approx(0.25, abs=0)
     with pytest.raises(ValueError):
         poly_norm(quartic, 0.0)
@@ -98,7 +100,8 @@ def test_norm_shift_invariance(rng):
 
 
 def test_harmonic_seed_to_complex():
-    h = SeedPoly.term([(0, 2, 0)], 0.5) + SeedPoly.term([(0, 0, 2)], 0.5)
+    h = SeedPoly.term([(0, 2, 0)], 0.5, n=8) \
+        + SeedPoly.term([(0, 0, 2)], 0.5, n=8)
     hb = to_complex(h)
     assert hb.num_terms() == 1
     assert hb.coeff([(0, 1, 1)]) == pytest.approx(1j, abs=1e-15)
@@ -106,7 +109,7 @@ def test_harmonic_seed_to_complex():
 
 def test_complexification_roundtrip_and_reality(rng):
     for _ in range(10):
-        f = random_seed_poly(rng)
+        f = random_seed_poly(rng, n=8)
         fb = to_complex(f)
         assert reality_defect(fb) <= 1e-14 * max(fb.max_abs_coeff(), 1.0)
         assert to_real(fb).max_coeff_diff(f) <= 1e-14
@@ -122,17 +125,24 @@ def test_coordinate_kind_errors(rng):
         poisson_bracket(f, to_complex(f))
     with pytest.raises(CoordinateError):
         poisson_bracket(f, random_seed_poly(rng, n=5))
+    # every seed carries its chain size, and seeds on other rings do not mix
+    for make in (lambda: SeedPoly.term([(0, 1, 0)], 1.0),
+                 lambda: SeedPoly.zero(), lambda: SeedPoly(REAL, None, {})):
+        with pytest.raises(CoordinateError, match="chain size"):
+            make()
+    with pytest.raises(CoordinateError, match="chain-size mismatch"):
+        seed_bracket(f, random_seed_poly(rng, n=5))
 
 
 def test_support_and_left_align():
-    f = SeedPoly.term([(3, 1, 0), (5, 1, 0)], 1.0)
+    f = SeedPoly.term([(3, 1, 0), (5, 1, 0)], 1.0, n=8)
     info = support_info(f)
     assert info.sites == (3, 5)
     assert info.distance == 2
     assert not info.left_aligned
     la = left_align(f)
     assert la.coeff([(0, 1, 0), (2, 1, 0)]) == 1.0
-    const = SeedPoly.term([], 2.5)
+    const = SeedPoly.term([], 2.5, n=8)
     cinfo = support_info(const)
     assert cinfo.sites == () and cinfo.distance == 0 and cinfo.left_aligned
 
@@ -146,13 +156,14 @@ def test_left_align_preserves_realization(rng):
 
 
 def test_decay_decompose_examples():
-    f = SeedPoly.term([(0, 4, 0)], 1.0) + \
-        SeedPoly.term([(0, 3, 0), (1, 1, 0)], 1.0)
+    f = SeedPoly.term([(0, 4, 0)], 1.0, n=8) + \
+        SeedPoly.term([(0, 3, 0), (1, 1, 0)], 1.0, n=8)
     parts = decay_decompose(f)
     assert sorted(parts) == [0, 1]
     assert parts[0].coeff([(0, 4, 0)]) == 1.0
     assert parts[1].coeff([(0, 3, 0), (1, 1, 0)]) == 1.0
-    single = decay_decompose(SeedPoly.term([(2, 1, 0), (4, 0, 1)], 1.0))
+    single = decay_decompose(
+        SeedPoly.term([(2, 1, 0), (4, 0, 1)], 1.0, n=8))
     assert list(single) == [2]
 
 
@@ -202,4 +213,4 @@ def test_empty_polynomial_is_valid_everywhere():
 
 def test_real_kind_rejects_complex_coefficients():
     with pytest.raises(CoordinateError):
-        SeedPoly.term([(0, 1, 0)], 1.0 + 0.5j)
+        SeedPoly.term([(0, 1, 0)], 1.0 + 0.5j, n=8)

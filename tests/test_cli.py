@@ -154,10 +154,20 @@ def test_simulate_ladder(tmp_path, monkeypatch):
         assert open(name, "rb").read() == direct.read_bytes()
 
 
-def test_simulate_zero_dt_is_usage_error(tmp_path, capsys):
+def test_simulate_zero_dt_is_usage_error(tmp_path, capsys, monkeypatch):
+    # usage errors are reported before the normal form is solved
+    import kgchain.normalform as nf
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("normal form solved before input validation")
+
+    monkeypatch.setattr(nf, "normal_form", unreachable)
     assert run(["simulate", "--n", "6", "--dt", "0", "--horizon", "1",
                 "--out", str(tmp_path)]) == 2
     assert "dt must be nonzero" in capsys.readouterr().err
+    assert run(["simulate", "--n", "6", "--horizon", "1",
+                "--ladder", "0.1,x", "--out", str(tmp_path)]) == 2
+    assert "could not convert" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(tmp_path):

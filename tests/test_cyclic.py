@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kgchain import (
+    CoordinateError,
     SeedPoly,
     cyclic_shift,
     field_norm,
@@ -20,7 +21,6 @@ from kgchain.cyclic import (
     FieldEvaluator,
     FieldSeed,
     RealizedEvaluator,
-    bind,
     field_norm_decay_bound,
 )
 from kgchain.chainpoly import decay_decompose, fit_decay, sum_polys
@@ -75,13 +75,19 @@ def test_realize_cap():
     f = SeedPoly.term([(0, 1, 0)], 1.0, n=20)
     with pytest.raises(ValueError):
         realize(f, 20)
+    # realize and the evaluators read N from the seed: another n is an error
+    g = SeedPoly.term([(0, 1, 0)], 1.0, n=8)
+    with pytest.raises(CoordinateError, match="n=8"):
+        realize(g, 6)
+    with pytest.raises(TypeError):
+        RealizedEvaluator(g, 16)
 
 
 def test_seed_bracket_disjoint_supports():
     # single-site x-only seeds bracket to zero at every shift
     f = SeedPoly.term([(0, 2, 0)], 1.0, n=6)
     g = SeedPoly.term([(0, 3, 0)], 1.0, n=6)
-    assert seed_bracket(f, g, 6).is_zero()
+    assert seed_bracket(f, g).is_zero()
 
 
 def test_seed_bracket_equivalence(rng):
@@ -89,7 +95,7 @@ def test_seed_bracket_equivalence(rng):
         for _ in range(20):
             f = random_seed_poly(rng, n=n)
             g = random_seed_poly(rng, n=n)
-            lhs = realize(seed_bracket(f, g, n), n)
+            lhs = realize(seed_bracket(f, g), n)
             rhs = poisson_bracket(realize(f, n), realize(g, n))
             assert lhs.max_coeff_diff(rhs) <= 1e-12
 
@@ -111,7 +117,7 @@ def test_seed_bracket_keys_match_shift_sum(rng):
                   invert_lie_omega(project_range(to_complex(lnf.h1)),
                                    lnf.omega), 8))
     for f, g, n in cases:
-        ours = seed_bracket(f, g, n)
+        ours = seed_bracket(f, g)
         ref = left_align(sum_polys(poisson_bracket(f, cyclic_shift(g, l))
                                    for l in range(n)))
         top = max(ours.max_abs_coeff(), ref.max_abs_coeff())
@@ -123,20 +129,23 @@ def test_seed_bracket_exponent_overflow():
     f = SeedPoly.term([(0, 40, 1)], 1.0, n=4)
     g = SeedPoly.term([(1, 30, 2)], 1.0, n=4)
     with pytest.raises(ValueError, match="exponent too large"):
-        seed_bracket(f, g, 4)
+        seed_bracket(f, g)
 
 
 def test_seed_bracket_h_omega_zeta0_commute():
     from kgchain import linear_normalize
     lnf = linear_normalize(0.05, 8)
-    br = seed_bracket(lnf.h_omega, lnf.zeta0, 8)
+    br = seed_bracket(lnf.h_omega, lnf.zeta0)
     assert realize(br, 8).max_abs_coeff() <= 1e-13
 
 
 def test_seed_bracket_norm_extensive(rng):
-    f = random_seed_poly(rng, max_sites=3)
-    g = random_seed_poly(rng, max_sites=3)
-    norms = [poly_norm(seed_bracket(bind(f, n), bind(g, n), n), 1.0)
+    # the same seed pair (sites < 3) on rings of 8, 16 and 32 sites
+    f = random_seed_poly(rng, n=8, max_sites=3)
+    g = random_seed_poly(rng, n=8, max_sites=3)
+    norms = [poly_norm(seed_bracket(SeedPoly(f.kind, n, dict(f._terms)),
+                                    SeedPoly(g.kind, n, dict(g._terms))),
+                       1.0)
              for n in (8, 16, 32)]
     assert max(norms) - min(norms) <= 1e-14 * max(norms)
 
@@ -160,7 +169,7 @@ def test_symmetric_h1_parts_decay():
     # centred expansion of the transformed quartic keeps the full rate
     from kgchain import linear_normalize
     lnf = linear_normalize(0.05, 16)
-    parts = symmetric_parts(lnf.h1, 16)
+    parts = symmetric_parts(lnf.h1)
     prof = fit_decay(parts)
     assert prof.check()
     assert prof.sigma >= lnf.sigma0 - 0.1
@@ -201,8 +210,8 @@ def test_field_operator_norm_bound(rng):
     for _ in range(5):
         deg = int(rng.integers(2, 5))
         f = random_homogeneous(rng, deg, n=n)
-        ev = FieldEvaluator(f, n)
-        fs = field_seed(f, n)
+        ev = FieldEvaluator(f)
+        fs = field_seed(f)
         fn1 = field_norm(fs, 1.0)
         for _ in range(50):
             z = rng.normal(size=2 * n)
@@ -218,7 +227,7 @@ def test_field_norm_decay_bound(rng):
     n = 12
     f = random_homogeneous(rng, 4, n=n, max_sites=4)
     prof = fit_decay(decay_decompose(f))
-    fs = field_seed(f, n)
+    fs = field_seed(f)
     for radius in (0.5, 1.0, 2.0):
         bound = field_norm_decay_bound(prof.c, prof.sigma, 4, radius)
         assert field_norm(fs, radius) <= bound * (1 + 1e-12)
@@ -238,7 +247,7 @@ def test_evaluators_match_oracle(rng):
             f = random_homogeneous(rng, deg, n=n, max_sites=4)
             full = p_realize(from_seedpoly(f, n), n)
             size = {k: abs(v) for k, v in full.items()}
-            ev, fe = RealizedEvaluator(f, n), FieldEvaluator(f, n)
+            ev, fe = RealizedEvaluator(f), FieldEvaluator(f)
             for _ in range(4):
                 z = _mixed_sign_state(rng, n)
                 az = np.abs(z)
@@ -279,8 +288,8 @@ def test_evaluators_bit_identical_to_direct_powers(rng):
     seeds = [random_homogeneous(rng, deg, n=8, max_sites=4)
              for deg in (2, 3, 4, 5)] + [lnf.h1, lnf.zeta0]
     for f in seeds:
-        ev, fe = RealizedEvaluator(f, 8), FieldEvaluator(f, 8)
-        fs = field_seed(f, 8)
+        ev, fe = RealizedEvaluator(f), FieldEvaluator(f)
+        fs = field_seed(f)
         for scale in (1e-2, 1.0, 3.0):
             z = scale * _mixed_sign_state(rng, 8)
             assert ev(z) == float(_direct_shift_values(f, 8, -1, z).sum())

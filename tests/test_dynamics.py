@@ -157,7 +157,7 @@ def test_observables_consistency():
     # t=0 value matches a direct evaluation of the transformed seeds
     from kgchain.cyclic import RealizedEvaluator
     qp0 = apply_linear(lnf, traj.states[0])
-    direct = RealizedEvaluator(res.zetas[0], cfg.n)(qp0)
+    direct = RealizedEvaluator(res.zetas[0])(qp0)
     assert obs["Z1"][0] == pytest.approx(direct, rel=1e-12)
     assert obs["J1"][0] == pytest.approx(
         obs["H_Omega"][0] + obs["Z0"][0] + direct, rel=1e-12)
@@ -246,8 +246,8 @@ def gdnls_reference(model, cfg, state_qp=None):
     sample_every = cfg.sample_every or max(1, steps // 2000)
     rot = _ModeRotation(lnf.circ.spectrum, cfg.dt,
                         momentum_matches_position=True)
-    field_eval = FieldEvaluator(model.zeta1, n)
-    z1_eval = RealizedEvaluator(model.zeta1, n)
+    field_eval = FieldEvaluator(model.zeta1)
+    z1_eval = RealizedEvaluator(model.zeta1)
     half = 0.5 * cfg.dt
     lam_half = np.sqrt(lnf.circ.spectrum)
     stats = {"steps": steps, "kicks": 0, "midpoint_iters": 0,

@@ -126,7 +126,7 @@ def test_h1_decay_classes():
     left = fit_decay(decay_decompose(lnf.h1))
     assert left.check()
     assert left.sigma >= lnf.sigma1
-    sym = fit_decay(symmetric_parts(lnf.h1, 16))
+    sym = fit_decay(symmetric_parts(lnf.h1))
     assert sym.check()
     assert sym.sigma >= lnf.sigma0 - 0.1
 

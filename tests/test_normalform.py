@@ -88,8 +88,7 @@ def test_invert_is_right_inverse(rng):
 def test_solve_homological_decoupled():
     lnf = linear_normalize(0.0, 4)
     psi = to_complex(lnf.h1)
-    chi, zeta = solve_homological(psi, to_complex(lnf.zeta0), lnf.omega,
-                                  n=4)
+    chi, zeta = solve_homological(psi, to_complex(lnf.zeta0), lnf.omega)
     # K = 0: chi is exactly the diagonal inverse of the range part
     direct = invert_lie_omega(project_range(psi), lnf.omega)
     assert chi.max_coeff_diff(direct) == 0.0
@@ -100,8 +99,8 @@ def test_solve_homological_residual_realization():
     lnf = linear_normalize(0.02, 6)
     psi = to_complex(lnf.h1)
     z0b = to_complex(lnf.zeta0)
-    chi, zeta = solve_homological(psi, z0b, lnf.omega, tol=1e-13, n=6)
-    resid = homological_residual(chi, zeta, psi, z0b, lnf.omega, 6)
+    chi, zeta = solve_homological(psi, z0b, lnf.omega, tol=1e-13)
+    resid = homological_residual(chi, zeta, psi, z0b, lnf.omega)
     assert resid <= 1e-10 * poly_norm(psi, 1.0)
     # and the same identity on the realized ring
     full = poisson_bracket(
@@ -116,7 +115,7 @@ def test_k_operator_preserves_range(rng):
     z0b = to_complex(lnf.zeta0)
     for _ in range(5):
         g = project_range(to_complex(random_seed_poly(rng, n=6)))
-        bracket = seed_bracket(z0b, g, 6)
+        bracket = seed_bracket(z0b, g)
         leak = poly_norm(project_kernel(bracket), 1.0)
         assert leak <= 1e-12 * max(poly_norm(bracket, 1.0), 1e-30)
 
@@ -127,8 +126,7 @@ def test_neumann_divergence_detected():
     big = big + SeedPoly.term([(0, 1, 0), (1, 1, 0)], 20.0, n=6)
     big = big + SeedPoly.term([(0, 0, 1), (1, 0, 1)], 20.0, n=6)
     with pytest.raises(NeumannDivergenceError):
-        solve_homological(to_complex(lnf.h1), to_complex(big), lnf.omega,
-                          n=6)
+        solve_homological(to_complex(lnf.h1), to_complex(big), lnf.omega)
 
 
 def test_decoupled_zeta1_rotation_average():
