@@ -142,41 +142,44 @@ def verify_decay_bounds(res, rec: ConstantsRecord) -> dict:
     chi_s is checked against C_r^{s-1} C_h1 / (gamma s) at rate sigma_s,
     zeta_s against C_r^{s-1} C_h1 / s, and each remainder seed h^(r)_s
     against 2 Ctilde_r^{s-1} C_h1 at rate sigma_*.  Failures are reported,
-    never raised.
+    never raised.  When gamma <= 0 the classes that use gamma, C_r or
+    Ctilde_r (every chi_s, zeta_s for s >= 2 and every remainder) are
+    void: their checks get ``"pass": None``, and ``all_pass`` counts only
+    the graded checks.
     """
+    void = rec.gamma <= 0
     checks = []
+
+    def check(name, sigma, poly, theo, uses_gamma):
+        meas = envelope_constant(_norm_pairs_complex(poly), sigma)
+        checks.append({"name": name, "sigma": sigma, "measured": meas,
+                       "theoretical": theo,
+                       "pass": None if void and uses_gamma
+                       else bool(meas <= theo)})
+
     r = res.order
     for s in range(1, r + 1):
         sig = rec.sigma_seq[s - 1]
-        for name, poly, theo in (
-            (f"chi_{s}", res.seq.chis[s - 1],
-             rec.c_r ** (s - 1) * rec.c_h1 / (rec.gamma * s)),
-            (f"zeta_{s}", res.zetas[s - 1],
-             rec.c_r ** (s - 1) * rec.c_h1 / s),
-        ):
-            meas = envelope_constant(_norm_pairs_complex(poly), sig)
-            checks.append({"name": name, "sigma": sig, "measured": meas,
-                           "theoretical": theo,
-                           "pass": bool(meas <= theo)})
+        check(f"chi_{s}", sig, res.seq.chis[s - 1],
+              rec.c_r ** (s - 1) * rec.c_h1 / (rec.gamma * s), True)
+        check(f"zeta_{s}", sig, res.zetas[s - 1],
+              rec.c_r ** (s - 1) * rec.c_h1 / s, s >= 2)
     rem = res.remainder or remainder_head(res, r + 1)
-    for i, h in enumerate(rem):
-        s = r + 1 + i
-        meas = envelope_constant(_norm_pairs_complex(h), rec.sigma_star)
-        theo = 2.0 * rec.c_r_tilde ** (s - 1) * rec.c_h1
-        checks.append({"name": f"remainder_{s}", "sigma": rec.sigma_star,
-                       "measured": meas, "theoretical": theo,
-                       "pass": bool(meas <= theo)})
+    for s, h in enumerate(rem, r + 1):
+        check(f"remainder_{s}", rec.sigma_star, h,
+              2.0 * rec.c_r_tilde ** (s - 1) * rec.c_h1, True)
     advisories = []
     if not rec.order_bound_ok:
         advisories.append(
             f"order r = {r} violates the sufficient bound r < mu_*/(2 mu) "
             f"= {rec.mu_star / (2 * rec.mu):.3f}; computation proceeded")
-    if rec.gamma <= 0:
+    if void:
         advisories.append(
             f"gamma = 2 Omega (1 - r mu/mu_*) = {rec.gamma:.4g} <= 0: the "
             "radius constants are void (R_* = 0)")
     return {"checks": checks,
-            "all_pass": all(c["pass"] for c in checks),
+            "all_pass": all(c["pass"] for c in checks
+                            if c["pass"] is not None),
             "advisories": advisories,
             "constants": rec.to_dict()}
 

@@ -54,10 +54,6 @@ class Monomial:
         self.exps: ExpKey = key
         self.degree: int = sum(a + b for _, a, b in key)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(s for s, _, _ in self.exps)
-
     def sort_key(self):
         return (self.degree, self.exps)
 
@@ -71,46 +67,23 @@ class Monomial:
         return f"Monomial({self.exps!r})"
 
 
-def _mono_distance(exps: ExpKey, n: int) -> int:
-    """Interaction distance: diameter of the support.
+def _arc(sites: list[int], n: int) -> tuple[int, int]:
+    """Start and diameter of the minimal covering arc of ring sites.
 
-    The support lives on a ring, so the diameter is that of the shortest
-    covering arc (N minus the largest circular gap).
+    ``sites`` are sorted and distinct, as in a monomial key.  The arc
+    starts after the largest circular gap, the first one counted from the
+    smallest site when several tie (sites {0, 4} at N = 8 start at 4), and
+    its diameter, the interaction distance, is N minus that gap.  No sites
+    give (0, 0).
     """
-    if not exps:
-        return 0
-    sites = sorted({s for s, _, _ in exps})
-    if len(sites) == 1:
-        return 0
-    gaps = [sites[i + 1] - sites[i] for i in range(len(sites) - 1)]
-    gaps.append(sites[0] + n - sites[-1])
-    return n - max(gaps)
-
-
-def _mono_arc_start(exps: ExpKey, n: int) -> int:
-    """First site of the minimal covering arc (ties: smallest site)."""
-    if not exps:
-        return 0
-    return _arc_start(sorted({s for s, _, _ in exps}), n)
-
-
-def _arc_start(sites: list[int], n: int) -> int:
-    """:func:`_mono_arc_start` on the sorted, distinct, non-empty sites.
-
-    The arc starts after the first largest circular gap, counted from the
-    smallest site; which of several equal gaps wins depends on the frame.
-    """
-    if len(sites) == 1:
-        return sites[0]
-    best_gap, best_start = -1, sites[0]
-    for i in range(len(sites)):
-        nxt = sites[(i + 1) % len(sites)]
-        gap = (nxt - sites[i]) % n
-        if gap == 0:
-            gap = n
-        if gap > best_gap:
-            best_gap, best_start = gap, nxt
-    return best_start
+    if not sites:
+        return 0, 0
+    best_gap, start = 0, sites[0]
+    for i, s in enumerate(sites):
+        nxt = sites[i + 1] if i + 1 < len(sites) else sites[0] + n
+        if nxt - s > best_gap:
+            best_gap, start = nxt - s, nxt % n
+    return start, n - best_gap
 
 
 def _check_chain_size(n) -> None:
@@ -342,125 +315,43 @@ def sum_polys(polys: Iterable[SeedPoly], kind: str | None = None,
 
 
 # -- Poisson bracket -----------------------------------------------------
-#
-# Both bracket kernels run on packed words: the two block exponents of
-# slot i occupy the 6-bit fields 2i and 2i+1 of a Python int, a 12-bit
-# slot per site, so "multiply two monomials and differentiate once in each
-# block at site u" is the single integer sum kf + kg - xi_u - eta_u.  Both
-# canonical pairings at a common site give that word, with the combined
-# factor a1*b2 - b1*a2.
-#
-# poisson_bracket below numbers the sites its operands use as slots and
-# tests every f entry against every g term.  It is the plain reference
-# that the seed kernel is tested against.
-#
-# The seed kernel (kgchain.cyclic.seed_bracket) sums {f, tau^l g} over all
-# shifts l on words whose slot i is site i of the ring.  It is driven by
-# contacts: an f entry at site u meets a g entry at site s under the one
-# shift that moves g by r = u - s, which on words is the rotation
-#     rot(w, r) = ((w << 12r) | (w >> 12(n-r))) & (2^(12n) - 1),
-# taking every site x to x + r (mod n).  f is never moved, so the words
-# stay in f's frame until each is rotated to its left-aligned form.  The
-# frame matters: left_align breaks ties between equal largest gaps by it
-# (sites {0, 4} at N = 8), so it decides the key an orbit is stored under.
 
-_PACK_BITS = 6
-_PACK_MASK = (1 << _PACK_BITS) - 1
-
-
-def _pack(key: ExpKey, slot_of: dict[int, int]) -> int:
-    word = 0
-    for s, a, b in key:
-        sl = slot_of[s]
-        word |= a << (_PACK_BITS * 2 * sl)
-        word |= b << (_PACK_BITS * (2 * sl + 1))
-    return word
-
-
-def _unpack(word: int, sites: list[int]) -> ExpKey:
-    out = []
-    while word:
-        low = (word & -word).bit_length() - 1   # lowest nonzero bit
-        sl = low // (2 * _PACK_BITS)
-        pos = _PACK_BITS * 2 * sl
-        a = (word >> pos) & _PACK_MASK
-        b = (word >> (pos + _PACK_BITS)) & _PACK_MASK
-        word &= ~(((_PACK_MASK << _PACK_BITS) | _PACK_MASK) << pos)
-        out.append((sites[sl], a, b))
-    return tuple(sorted(out))
-
-
-def _max_exponent(f: SeedPoly) -> int:
-    return max((max(max(a, b) for _, a, b in k) for k in f._terms if k),
-               default=0)
-
-
-def poisson_bracket(f: SeedPoly, g: SeedPoly,
-                    prune_rel: float | None = None) -> SeedPoly:
+def poisson_bracket(f: SeedPoly, g: SeedPoly) -> SeedPoly:
     """Canonical bracket {f, g} = sum_l (df/dx_l dg/dy_l - df/dy_l dg/dx_l).
 
     The same pairing is used in complex coordinates (xi in the first block,
     eta in the second, {xi_l, eta_l} = 1).  Homogeneous inputs of degrees
     r and s yield a homogeneous result of degree r + s - 2.
 
-    ``prune_rel`` overrides the default coefficient threshold; it also
-    enables skipping of term pairs whose product is provably below the
-    final threshold (sound because a single pair contributes at most
-    r*s*|c_f c_g| to any output coefficient).
+    Taken from the definition, term pair by term pair: at each site l the
+    terms c_f x^a1 y^b1 and c_g x^a2 y^b2 share, the pair adds
+    (a1 b2 - b1 a2) c_f c_g to their product less one x_l and one y_l.  It
+    is the plain reference that the seed kernel
+    :func:`kgchain.cyclic.seed_bracket` is tested against.
     """
     f._check_compatible(g)
-    fterms = sorted(f._terms.items(), key=lambda kv: -abs(kv[1]))
-    gterms = sorted(g._terms.items(), key=lambda kv: -abs(kv[1]))
-    if not fterms or not gterms:
-        return SeedPoly.zero(f.kind, f.n)
-    if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
-        raise ValueError("exponent too large for the packed bracket")
-
-    sites = sorted({s for k in f._terms for s, _, _ in k}
-                   | {s for k in g._terms for s, _, _ in k})
-    slot_of = {s: i for i, s in enumerate(sites)}
-    pair_cut = _pair_cut(fterms, gterms, prune_rel)
-
-    fp = [(_pack(k, slot_of), [(slot_of[s], a, b) for s, a, b in k], c)
-          for k, c in fterms]
-    gp = [(_pack(k, slot_of), k, c) for k, c in gterms]
-    acc: dict[int, complex] = {}
-    gmax = abs(gterms[0][1])
-    for kf, ents1, c1 in fp:
-        if pair_cut and abs(c1) * gmax < pair_cut:
-            break
-        for kg, k2, c2 in gp:
-            cc = c1 * c2
-            if pair_cut and abs(cc) < pair_cut:
-                break
-            for sl, a1, b1 in ents1:
-                pos = _PACK_BITS * 2 * sl
-                ab2 = (kg >> pos) & ((_PACK_MASK << _PACK_BITS)
-                                     | _PACK_MASK)
-                if not ab2:
-                    continue
-                a2 = ab2 & _PACK_MASK
-                b2 = ab2 >> _PACK_BITS
+    acc: dict[ExpKey, complex] = {}
+    for k1, c1 in f._terms.items():
+        ents1 = {s: (a, b) for s, a, b in k1}
+        for k2, c2 in g._terms.items():
+            for s, a2, b2 in k2:
+                a1, b1 = ents1.get(s, (0, 0))
                 factor = a1 * b2 - b1 * a2
                 if factor:
-                    k = kf + kg - (1 << pos) - (1 << (pos + _PACK_BITS))
-                    acc[k] = acc.get(k, 0.0) + cc * factor
-    out_terms = {_unpack(w, sites): v for w, v in acc.items()}
-    out = SeedPoly(f.kind, f.n, out_terms)
-    if prune_rel is not None:
-        out = out.prune(prune_rel)
-    return out
+                    k = _less_pair(_merge_exps(k1, k2), s)
+                    acc[k] = acc.get(k, 0.0) + c1 * c2 * factor
+    return SeedPoly(f.kind, f.n, acc)
 
 
-def _pair_cut(fterms, gterms, prune_rel: float | None) -> float:
-    if prune_rel is None:
-        return 0.0
-    dmax = (max(sum(a + b for _, a, b in k) for k, _ in fterms)
-            * max(sum(a + b for _, a, b in k) for k, _ in gterms))
-    # Safety margin 1e-6 under the final threshold keeps the total dropped
-    # mass negligible relative to the retained coefficients.
-    return (prune_rel * abs(fterms[0][1]) * abs(gterms[0][1])
-            / max(dmax, 1) * 1e-6)
+def _less_pair(key: ExpKey, site: int) -> ExpKey:
+    """``key`` less one first-block and one second-block factor at ``site``."""
+    out = []
+    for s, a, b in key:
+        if s == site:
+            a, b = a - 1, b - 1
+        if a or b:
+            out.append((s, a, b))
+    return tuple(out)
 
 
 # -- norms ----------------------------------------------------------------
@@ -575,8 +466,7 @@ def support_info(f: SeedPoly) -> SupportInfo:
     sites = sorted({s for k in f._terms for s, _, _ in k})
     if not sites:
         return SupportInfo((), 0, True)
-    dist = _mono_distance(tuple((s, 1, 0) for s in sites), f.n)
-    return SupportInfo(tuple(sites), dist, sites[0] == 0)
+    return SupportInfo(tuple(sites), _arc(sites, f.n)[1], sites[0] == 0)
 
 
 def left_align(f: SeedPoly) -> SeedPoly:
@@ -586,7 +476,7 @@ def left_align(f: SeedPoly) -> SeedPoly:
     """
     acc: dict[ExpKey, complex] = {}
     for k, c in f._terms.items():
-        start = _mono_arc_start(k, f.n)
+        start = _arc([s for s, _, _ in k], f.n)[0]
         if start == 0:
             kk = k
         else:
@@ -603,7 +493,7 @@ def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
     g = left_align(f)
     out: dict[int, dict[ExpKey, complex]] = {}
     for k, c in g._terms.items():
-        m = _mono_distance(k, g.n)
+        m = _arc([s for s, _, _ in k], g.n)[1]
         part = out.setdefault(m, {})
         part[k] = part.get(k, 0.0) + c
     return {m: SeedPoly(g.kind, g.n, t, _skip_clean=True)

@@ -233,7 +233,8 @@ def cmd_normalize(args) -> int:
         lines.append(f"chi_{s}: decay fit (C={chi_prof.c:.4e}, "
                      f"sigma={chi_prof.sigma:.4f})")
     for c in report.get("checks", []):
-        lines.append(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']}: "
+        verdict = {True: "PASS", False: "FAIL", None: "VOID"}[c["pass"]]
+        lines.append(f"[{verdict}] {c['name']}: "
                      f"measured {c['measured']:.6e} <= "
                      f"theoretical {c['theoretical']:.6e}")
     for adv in report.get("advisories", []):

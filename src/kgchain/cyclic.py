@@ -29,16 +29,8 @@ from .chainpoly import (
     SeedPoly,
     poly_norm,
     sum_polys,
-    _PACK_BITS,
-    _PACK_MASK,
-    _arc_start,
+    _arc,
     _cleaned,
-    _max_exponent,
-    _mono_arc_start,
-    _mono_distance,
-    _pack,
-    _pair_cut,
-    _unpack,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -68,6 +60,62 @@ def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
     return sum_polys(cyclic_shift(f, l) for l in range(f.n))
 
 
+# -- packed words ------------------------------------------------------------
+#
+# The seed kernel runs on packed words: the two block exponents of site s
+# occupy the 6-bit fields 2s and 2s+1 of a Python int, a 12-bit slot per
+# site of the ring, so "multiply two monomials and differentiate once in
+# each block at site u" is the single integer sum kf + kg - xi_u - eta_u.
+# Both canonical pairings at a common site give that word, with the
+# combined factor a1*b2 - b1*a2.  A shift of the ring is the rotation
+#     rot(w, r) = ((w << 12r) | (w >> 12(n-r))) & (2^(12n) - 1),
+# which takes every site x to x + r (mod n).
+
+_PACK_BITS = 6
+_PACK_MASK = (1 << _PACK_BITS) - 1
+_SLOT_BITS = 2 * _PACK_BITS
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+
+
+def _pack(key: ExpKey) -> int:
+    word = 0
+    for s, a, b in key:
+        word |= (a | b << _PACK_BITS) << (_SLOT_BITS * s)
+    return word
+
+
+def _unpack(word: int) -> ExpKey:
+    out = []
+    while word:
+        s = ((word & -word).bit_length() - 1) // _SLOT_BITS  # lowest site
+        pos = _SLOT_BITS * s
+        out.append((s, (word >> pos) & _PACK_MASK,
+                    (word >> (pos + _PACK_BITS)) & _PACK_MASK))
+        word &= ~(_SLOT_MASK << pos)
+    return tuple(out)
+
+
+def _max_exponent(f: SeedPoly) -> int:
+    return max((max(max(a, b) for _, a, b in k) for k in f._terms if k),
+               default=0)
+
+
+def _pair_cut(fterms, gterms, prune_rel: float | None) -> float:
+    """Smallest |c_f c_g| a term pair needs to count under ``prune_rel``.
+
+    Sound because a single pair contributes at most r*s*|c_f c_g| to any
+    output coefficient of degree-r and degree-s inputs.
+    """
+    if prune_rel is None:
+        return 0.0
+    dmax = (max(sum(a + b for _, a, b in k) for k, _ in fterms)
+            * max(sum(a + b for _, a, b in k) for k, _ in gterms))
+    # Safety margin 1e-6 under the final threshold keeps the total dropped
+    # mass negligible relative to the retained coefficients.
+    return (prune_rel * abs(fterms[0][1]) * abs(gterms[0][1])
+            / max(dmax, 1) * 1e-6)
+
+
 def seed_bracket(f: SeedPoly, g: SeedPoly, *,
                  prune_rel: float | None = None) -> SeedPoly:
     """A left-aligned seed of {f^+, g^+}: the bracket {f, sum_l tau^l g}.
@@ -76,11 +124,10 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     so the cost is independent of N for short-range seeds; shifts are taken
     mod N, which keeps small-N wrap-around exact.
 
-    The sum over shifts is contact-driven, on the packed keys of
-    :mod:`kgchain.chainpoly` with site s in slot s (words).  A contact is a
-    site entry (u, a1, b1) of an f-term meeting a site entry (s, a2, b2) of
-    a g-term: the shift tau^(s-u) carries site s of g onto site u, so the
-    pair adds (a1 b2 - b1 a2) c_f c_g to the word
+    The sum over shifts is contact-driven, on the packed words above.  A
+    contact is a site entry (u, a1, b1) of an f-term meeting a site entry
+    (s, a2, b2) of a g-term: the shift tau^(s-u) carries site s of g onto
+    site u, so the pair adds (a1 b2 - b1 a2) c_f c_g to the word
     kf - xi_u - eta_u + rot(kg, u - s), where rot(w, r) moves every site x
     of w to x + r (mod n).  Each (pair, shift, site) term of the shift sum
     is one contact, so no shift set is built.  f's entries are grouped by
@@ -88,9 +135,10 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     by descending |c_f|, so the pair cut ends a group at the first pair
     with |c_f c_g| below it.
 
-    The words stay in f's frame.  left_align breaks ties between equal
-    largest gaps by the frame (sites {0, 4} at N = 8), so another frame
-    would store some orbits under other keys and move per-key pruning.
+    The words stay in f's frame.  The covering-arc rule breaks ties
+    between equal largest gaps by the frame (sites {0, 4} at N = 8), so
+    another frame would store some orbits under other keys and move
+    per-key pruning.
     The raw words get the 1e-15 clean and the ``prune_rel`` prune, both
     relative to the largest coefficient; then each is rotated so that its
     covering arc starts at site 0, and each aligned word is unpacked once.
@@ -104,18 +152,16 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
         raise ValueError("exponent too large for the packed bracket")
     pair_cut = _pair_cut(fterms, gterms, prune_rel)
-    sites = list(range(n))          # slot of site s is s
-    slot = 2 * _PACK_BITS
-    width = slot * n
+    width = _SLOT_BITS * n
     word_mask = (1 << width) - 1
     # rot(w, r) = (w | w << width) >> rot_shift[r], masked
-    rot_shift = [width - slot * r for r in range(n)]
+    rot_shift = [width - _SLOT_BITS * r for r in range(n)]
 
     by_pair: dict[tuple[int, int], list] = {}
     for k, c in fterms:
-        kf = _pack(k, sites)
+        kf = _pack(k)
         for u, a1, b1 in k:
-            pos = slot * u
+            pos = _SLOT_BITS * u
             by_pair.setdefault((a1, b1), []).append(
                 (kf - (1 << pos) - (1 << (pos + _PACK_BITS)), u, c))
     groups = [(a1, b1, ents, [-abs(c) for _, _, c in ents])
@@ -127,7 +173,7 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
         ag = abs(c2)
         if pair_cut and ag * fmax < pair_cut:
             break
-        kg = _pack(k2, sites)
+        kg = _pack(k2)
         kg |= kg << width
         rots = [(kg >> sh) & word_mask for sh in rot_shift]
         for s, a2, b2 in k2:
@@ -148,24 +194,23 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
         kept = {w: v for w, v in kept.items() if abs(v) >= cut}
 
     # left alignment: rotate each word by minus its arc start
-    ones = sum(1 << (slot * x) for x in sites)
+    ones = sum(1 << (_SLOT_BITS * x) for x in range(n))
     low = _PACK_MASK * ones
     start_of: dict[int, int] = {}
     aligned: dict[int, complex] = {}
     for w, v in kept.items():
-        # bit slot*x of occ is set iff site x carries an exponent
+        # bit 12x of occ is set iff site x carries an exponent
         occ = (((w | (w >> _PACK_BITS)) & low) + low) >> _PACK_BITS & ones
         start = start_of.get(occ)
         if start is None:
-            occupied = [x for x in sites if occ >> (slot * x) & 1]
-            start = _arc_start(occupied, n) if occupied else 0
+            start = _arc([x for x in range(n)
+                          if occ >> (_SLOT_BITS * x) & 1], n)[0]
             start_of[occ] = start
         if start:
-            w = ((w << (width - slot * start)) | (w >> (slot * start))) \
-                & word_mask
+            shift = _SLOT_BITS * start
+            w = ((w << (width - shift)) | (w >> shift)) & word_mask
         aligned[w] = aligned.get(w, 0.0) + v
-    return SeedPoly(f.kind, n, {_unpack(w, sites): v
-                                 for w, v in aligned.items()},
+    return SeedPoly(f.kind, n, {_unpack(w): v for w, v in aligned.items()},
                     _skip_clean=True)
 
 
@@ -184,10 +229,9 @@ def symmetric_align(f: SeedPoly) -> SeedPoly:
     half = n // 2
     acc: dict[ExpKey, complex] = {}
     for k, c in f._terms.items():
-        start = _mono_arc_start(k, n)
-        dist = _mono_distance(k, n)
-        # Shift so the arc contains site 0 whenever it does not already.
         sites = [s for s, _, _ in k]
+        start, dist = _arc(sites, n)
+        # Shift so the arc contains site 0 whenever it does not already.
         arc = {(start + d) % n for d in range(dist + 1)}
         if 0 not in arc:
             shift = (start + dist) % n

@@ -260,7 +260,8 @@ def observables(traj: Trajectory, res: NormalFormResult,
     and share one per-site table per sample.
     """
     lnf = res.lnf
-    if traj.config.n != lnf.n or traj.config.a != lnf.a:
+    if (traj.config.n, traj.config.a, traj.config.soft) \
+            != (lnf.n, lnf.a, res.soft):
         raise ValueError("trajectory and normal form parameters differ")
     n = lnf.n
     if orders is None:

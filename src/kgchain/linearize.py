@@ -96,7 +96,6 @@ class LinearNF:
     h1: SeedPoly
     b: np.ndarray                 # b_m for m = 1..n//2 (zeta0 coefficients)
     circ: Circulant               # A itself
-    row_half: np.ndarray          # first row of A^{1/2}
     row_quarter: np.ndarray       # first row of A^{1/4}
     row_quarter_inv: np.ndarray   # first row of A^{-1/4}
     h1_mmax: int
@@ -192,8 +191,7 @@ def linear_normalize(a: float, n: int) -> LinearNF:
 
     return LinearNF(n=n, a=a, mu=mu, omega=omega, sigma0=sigma0,
                     sigma1=sigma1, h_omega=h_omega, zeta0=zeta0, h1=h1,
-                    b=b, circ=circ, row_half=half.row,
-                    row_quarter=quarter.row,
+                    b=b, circ=circ, row_quarter=quarter.row,
                     row_quarter_inv=quarter_inv.row, h1_mmax=h1_mmax)
 
 

@@ -391,11 +391,12 @@ def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
                         f: SeedPoly, degree_cap: int,
                         prune_rel: float | None = None,
                         inverse: bool = False) -> SeedPoly:
-    """Graded application of T (or its D-series inverse) up to degree_cap."""
+    """Graded application of T (or its D-series inverse) up to degree_cap.
+
+    ``f`` is in the coordinate kind of the generating sequence (real);
+    another kind raises ``CoordinateError`` at the first bracket.
+    """
     chis = seq.seq.chis if isinstance(seq, NormalFormResult) else seq.chis
-    if chis and chis[0].kind != f.kind:
-        chis = [to_complex(c) if f.kind == BIRKHOFF else to_real(c)
-                for c in chis]
     engine = _LieEngine(chis, prune_rel)
     op = engine.d_apply if inverse else engine.e_apply
     parts = []

@@ -137,6 +137,11 @@ def test_void_radius_constants():
     report = verify_decay_bounds(res, rec)
     assert any("radius constants are void" in a
                for a in report["advisories"])
+    # every class that uses gamma, C_r or Ctilde_r is void; zeta_1 = C_h1
+    verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+    assert verdicts == {"chi_1": None, "zeta_1": True, "chi_2": None,
+                        "zeta_2": None, "remainder_3": None}
+    assert report["all_pass"]
     deform = deformation_bound(res, 0.01, rec, samples=1)
     assert any("not below R_* = 0" in a for a in deform["advisories"])
     # order 1 at the same sigma_* keeps a positive admissible radius
@@ -145,6 +150,7 @@ def test_void_radius_constants():
     assert rec1.r_star == pytest.approx(0.01984, abs=1e-5)
     report1 = verify_decay_bounds(normal_form(lnf, 1, s_max=2), rec1)
     assert not any("void" in a for a in report1["advisories"])
+    assert all(c["pass"] is not None for c in report1["checks"])
 
 
 def test_bracket_decay_bound_displayed_formula():

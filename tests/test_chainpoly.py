@@ -147,6 +147,19 @@ def test_support_and_left_align():
     assert cinfo.sites == () and cinfo.distance == 0 and cinfo.left_aligned
 
 
+def test_covering_arc_tie_rule():
+    # the arc starts after the first largest circular gap counted from the
+    # smallest site: x_0 y_4 at N=8 has two gaps of 4 and starts at 4
+    def keys(p):
+        return [m.exps for m, _ in p.terms()]
+    tie = SeedPoly.term([(0, 1, 0), (4, 0, 1)], 1.0, n=8)
+    assert keys(left_align(tie)) == [((0, 0, 1), (4, 1, 0))]
+    wrap = SeedPoly.term([(1, 1, 0), (7, 0, 1)], 1.0, n=8)
+    assert keys(left_align(wrap)) == [((0, 0, 1), (2, 1, 0))]
+    assert support_info(wrap).distance == 2
+    assert list(decay_decompose(wrap)) == [2]
+
+
 def test_left_align_preserves_realization(rng):
     from kgchain import realize
     for _ in range(10):

@@ -115,7 +115,7 @@ def test_ladder_guard_names_the_radius():
 def test_ladder_batch_bit_identical(kw):
     # the batched ladder pass gives every row exactly the trajectory and
     # the observables of a separate integrate_kg + observables run
-    res = normal_form(linear_normalize(0.05, 8), 1)
+    res = normal_form(linear_normalize(0.05, 8), 1, soft=kw.get("soft", False))
     base = short_cfg(horizon=4.0, **kw)
     report = drift_experiment(base, [0.02, 0.08, 0.04], res)
     rows = report["ladder"]
@@ -205,6 +205,17 @@ def test_observables_without_j_series():
         assert np.array_equal(series, full[name]), name
     with pytest.raises(ValueError):
         observables(traj, res, orders=(0, 2))
+
+
+def test_observables_rejects_soft_mismatch():
+    # the J series of a soft chain are not conserved under a hard normal
+    # form, nor the reverse
+    lnf = linear_normalize(0.05, 6)
+    for soft in (True, False):
+        res = normal_form(lnf, 1, soft=not soft)
+        traj = integrate_kg(short_cfg(n=6, horizon=0.2, soft=soft))
+        with pytest.raises(ValueError, match="parameters differ"):
+            observables(traj, res, orders=())
 
 
 def test_harmonic_homega_constant():

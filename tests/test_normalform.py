@@ -31,7 +31,7 @@ from kgchain.normalform import (
     homological_residual,
     remainder_head,
 )
-from kgchain.chainpoly import REAL, decay_decompose
+from kgchain.chainpoly import REAL, CoordinateError, decay_decompose
 from kgchain.cyclic import symmetric_parts
 
 from conftest import random_seed_poly
@@ -183,6 +183,10 @@ def test_lie_transform_identity_and_inverse(rng):
     low = {k: v for k, v in diff._terms.items()
            if sum(a + b for _, a, b in k) <= 8}
     assert max((abs(v) for v in low.values()), default=0.0) <= 1e-11
+    # f is taken in the coordinates of chi (real); a Birkhoff f fails at
+    # the first bracket
+    with pytest.raises(CoordinateError):
+        lie_transform_apply(res, to_complex(f), 8)
 
 
 def test_round_trip_small():
