@@ -57,7 +57,6 @@ from .normalform import (
     invert_lie_omega,
     lie_omega,
     lie_transform_apply,
-    lie_transform_inverse,
     normal_form,
     project_kernel,
     project_range,

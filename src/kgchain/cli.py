@@ -90,35 +90,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "Klein-Gordon chains")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    flags = {
+        "n": {"type": int}, "a": {"type": float}, "order": {"type": int},
+        "radius": {"type": float}, "norm": {"choices": ["l2", "linf"]},
+        "out": {}, "seed": {"type": int}, "tol": {"type": float},
+        "soft": {"action": "store_true", "default": None},
+        "prune": {"type": float,
+                  "help": "engine coefficient truncation override"},
+    }
+
+    def common(p, *names):
+        """--config, --json and the named flags of ``flags``, unset = None."""
         p.add_argument("--config", help="JSON config file; flags override")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--norm", choices=["l2", "linf"], default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for name in names:
+            p.add_argument(f"--{name}", **flags[name])
         p.add_argument("--json", action="store_true",
                        help="print machine-readable results to stdout")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--soft", action="store_true", default=None)
-        p.add_argument("--prune", type=float, default=None,
-                       help="engine coefficient truncation override")
+
+    engine = ("n", "a", "order", "out", "tol", "soft", "prune")
 
     p = sub.add_parser("normalize", help="compute the resonant normal form")
-    common(p)
+    common(p, *engine)
     p.add_argument("--sigma-star", type=float, default=None)
     p.add_argument("--smax", type=int, default=None)
 
     p = sub.add_parser("gdnls", help="extract the GdNLS first-order model")
-    common(p)
+    common(p, *engine)
     p.add_argument("--energy", type=float, default=None,
                    help="scaled-energy parameter of the two-step pipeline")
 
     p = sub.add_parser("simulate", help="integrate the chain and measure "
                                         "adiabatic drift")
-    common(p)
+    common(p, *engine, "radius", "norm", "seed")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--ladder", default=None,
@@ -127,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["single-site", "uniform-random-phase"])
 
     p = sub.add_parser("bounds", help="constants and bound verification")
-    common(p)
+    common(p, *engine, "radius", "norm", "seed")
     p.add_argument("--sigma-star", type=float, default=None)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    common(p)
-    p.add_argument("--inject-fault", default=None,
+    common(p, "a", "seed")
+    p.add_argument("--inject-fault", default=None, choices=FAULT_HOOKS,
                    help="perturb one named check (testing aid)")
     return ap
 
@@ -326,6 +329,11 @@ def cmd_bounds(args) -> int:
 
 
 # -- verify -------------------------------------------------------------------
+
+# the checks that ``verify --inject-fault`` can perturb
+FAULT_HOOKS = ("bracket-jacobi", "quadratic-identity", "kernel-purity",
+               "field-shift-law", "dnls-coefficients")
+
 
 def _verify_checks(cfg: dict, fault: str | None):
     rng = np.random.default_rng(cfg["seed"])

@@ -15,7 +15,6 @@ realization-based tests.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .chainpoly import (
     REAL,
     CoordinateError,
     ExpKey,
-    Monomial,
     SeedPoly,
     poly_norm,
     sum_polys,
@@ -100,22 +98,6 @@ def _max_exponent(f: SeedPoly) -> int:
                default=0)
 
 
-def _pair_cut(fterms, gterms, prune_rel: float | None) -> float:
-    """Smallest |c_f c_g| a term pair needs to count under ``prune_rel``.
-
-    Sound because a single pair contributes at most r*s*|c_f c_g| to any
-    output coefficient of degree-r and degree-s inputs.
-    """
-    if prune_rel is None:
-        return 0.0
-    dmax = (max(sum(a + b for _, a, b in k) for k, _ in fterms)
-            * max(sum(a + b for _, a, b in k) for k, _ in gterms))
-    # Safety margin 1e-6 under the final threshold keeps the total dropped
-    # mass negligible relative to the retained coefficients.
-    return (prune_rel * abs(fterms[0][1]) * abs(gterms[0][1])
-            / max(dmax, 1) * 1e-6)
-
-
 def seed_bracket(f: SeedPoly, g: SeedPoly, *,
                  prune_rel: float | None = None) -> SeedPoly:
     """A left-aligned seed of {f^+, g^+}: the bracket {f, sum_l tau^l g}.
@@ -131,58 +113,47 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     kf - xi_u - eta_u + rot(kg, u - s), where rot(w, r) moves every site x
     of w to x + r (mod n).  Each (pair, shift, site) term of the shift sum
     is one contact, so no shift set is built.  f's entries are grouped by
-    exponent pair, which fixes the factor for the whole group, and sorted
-    by descending |c_f|, so the pair cut ends a group at the first pair
-    with |c_f c_g| below it.
+    exponent pair, which fixes the factor for the whole group.
 
     The words stay in f's frame.  The covering-arc rule breaks ties
     between equal largest gaps by the frame (sites {0, 4} at N = 8), so
     another frame would store some orbits under other keys and move
     per-key pruning.
-    The raw words get the 1e-15 clean and the ``prune_rel`` prune, both
-    relative to the largest coefficient; then each is rotated so that its
+
+    The kernel's only approximations are the 1e-15 clean and the
+    ``prune_rel`` prune of the raw words, both relative to the largest raw
+    output coefficient; then each kept word is rotated so that its
     covering arc starts at site 0, and each aligned word is unpacked once.
     """
     f._check_compatible(g)
     n = f.n
-    fterms = sorted(f._terms.items(), key=lambda kv: -abs(kv[1]))
-    gterms = sorted(g._terms.items(), key=lambda kv: -abs(kv[1]))
-    if not fterms or not gterms:
+    if not f._terms or not g._terms:
         return SeedPoly.zero(f.kind, n)
     if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
         raise ValueError("exponent too large for the packed bracket")
-    pair_cut = _pair_cut(fterms, gterms, prune_rel)
     width = _SLOT_BITS * n
     word_mask = (1 << width) - 1
     # rot(w, r) = (w | w << width) >> rot_shift[r], masked
     rot_shift = [width - _SLOT_BITS * r for r in range(n)]
 
     by_pair: dict[tuple[int, int], list] = {}
-    for k, c in fterms:
+    for k, c in f._terms.items():
         kf = _pack(k)
         for u, a1, b1 in k:
             pos = _SLOT_BITS * u
             by_pair.setdefault((a1, b1), []).append(
                 (kf - (1 << pos) - (1 << (pos + _PACK_BITS)), u, c))
-    groups = [(a1, b1, ents, [-abs(c) for _, _, c in ents])
-              for (a1, b1), ents in by_pair.items()]
 
     acc: dict[int, complex] = {}
-    fmax = abs(fterms[0][1])
-    for k2, c2 in gterms:
-        ag = abs(c2)
-        if pair_cut and ag * fmax < pair_cut:
-            break
+    for k2, c2 in g._terms.items():
         kg = _pack(k2)
         kg |= kg << width
         rots = [(kg >> sh) & word_mask for sh in rot_shift]
         for s, a2, b2 in k2:
-            for a1, b1, ents, negmag in groups:
+            for (a1, b1), ents in by_pair.items():
                 factor = a1 * b2 - b1 * a2
                 if not factor:
                     continue
-                if pair_cut:
-                    ents = ents[:bisect_right(negmag, -pair_cut / ag)]
                 cg = c2 * factor
                 for kfm, u, c1 in ents:
                     w = kfm + rots[u - s]
@@ -246,11 +217,10 @@ def symmetric_align(f: SeedPoly) -> SeedPoly:
     return SeedPoly(f.kind, n, acc, _skip_clean=True)
 
 
-def symmetric_distance(m: Monomial | ExpKey, n: int) -> int:
+def symmetric_distance(k: ExpKey, n: int) -> int:
     """Window half-width max |site| with sites read as centred residues."""
-    exps = m.exps if isinstance(m, Monomial) else m
     half = n // 2
-    return max((s if s <= half else n - s for s, _, _ in exps), default=0)
+    return max((s if s <= half else n - s for s, _, _ in k), default=0)
 
 
 def symmetric_parts(f: SeedPoly) -> dict[int, SeedPoly]:

@@ -414,11 +414,6 @@ def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
     return sum_polys(parts, kind=f.kind, n=f.n)
 
 
-def lie_transform_inverse(seq, f: SeedPoly, degree_cap: int,
-                          prune_rel: float | None = None) -> SeedPoly:
-    return lie_transform_apply(seq, f, degree_cap, prune_rel, inverse=True)
-
-
 # -- GdNLS extraction ---------------------------------------------------------
 
 @dataclass

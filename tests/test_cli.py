@@ -200,6 +200,16 @@ def test_verify_pass_and_fault(capsys):
     assert run(["verify", "--inject-fault", "quadratic-identity"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] quadratic-identity" in out
+    # a name without a fault hook is a usage error, not a silent pass
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--inject-fault", "no-such-check"])
+    assert exc.value.code == 2
+
+
+def test_verify_rejects_flags_it_does_not_read():
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--n", "3"])
+    assert exc.value.code == 2
 
 
 def test_verify_json(capsys):

@@ -132,6 +132,17 @@ def test_seed_bracket_exponent_overflow():
         seed_bracket(f, g)
 
 
+def test_seed_bracket_prune_keeps_the_answer():
+    # The large terms of f and g bracket to zero, so the only output term
+    # is also the largest; a prune relative to the output must keep it.
+    f = SeedPoly.term([(0, 2, 0)], 1.0, n=4)
+    g = (SeedPoly.term([(0, 2, 0)], 1e12, n=4)
+         + SeedPoly.term([(0, 0, 1)], 1.0, n=4))
+    want = {((0, 1, 0),): 2.0}
+    assert seed_bracket(f, g)._terms == want
+    assert seed_bracket(f, g, prune_rel=1e-3)._terms == want
+
+
 def test_seed_bracket_h_omega_zeta0_commute():
     from kgchain import linear_normalize
     lnf = linear_normalize(0.05, 8)

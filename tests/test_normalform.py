@@ -11,7 +11,6 @@ from kgchain import (
     invert_lie_omega,
     lie_omega,
     lie_transform_apply,
-    lie_transform_inverse,
     linear_normalize,
     normal_form,
     poisson_bracket,
@@ -178,7 +177,7 @@ def test_lie_transform_identity_and_inverse(rng):
     f = random_seed_poly(rng, n=5)
     assert lie_transform_apply(empty, f, 8).max_coeff_diff(f) == 0.0
     tf = lie_transform_apply(res, f, 8)
-    back = lie_transform_inverse(res.seq, tf, 8)
+    back = lie_transform_apply(res.seq, tf, 8, inverse=True)
     diff = back - f
     low = {k: v for k, v in diff._terms.items()
            if sum(a + b for _, a, b in k) <= 8}
