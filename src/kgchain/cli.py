@@ -148,7 +148,25 @@ DEFAULTS = {
 }
 
 
+# key -> (test a value must pass, message when it fails); written so that
+# NaN fails every test
+CHECKS = {
+    "n": (lambda v: v >= 1, "chain size must be >= 1"),
+    "a": (lambda v: v >= 0, "coupling must be nonnegative"),
+    "order": (lambda v: v >= 1, "must be >= 1"),
+    "radius": (lambda v: v > 0, "must be positive"),
+    "tol": (lambda v: v > 0, "must be positive"),
+    "prune": (lambda v: v is None or 0 < v < 1,
+              "must be a number with 0 < prune < 1"),
+}
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then flags.
+
+    A command reads exactly the keys it has flags for, and only those are
+    validated; a config file may hold any known key.
+    """
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
@@ -164,16 +182,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg["n"] < 1:
-        raise CliError("n: chain size must be >= 1")
-    if cfg["a"] < 0:
-        raise CliError("a: coupling must be nonnegative")
-    if cfg["order"] < 1:
-        raise CliError("order: must be >= 1")
-    if cfg["radius"] <= 0:
-        raise CliError("radius: must be positive")
-    if cfg["tol"] <= 0:
-        raise CliError("tol: must be positive")
+    for key, (ok, message) in CHECKS.items():
+        if not hasattr(args, key):
+            continue
+        try:
+            good = ok(cfg[key])
+        except TypeError:
+            good = False
+        if not good:
+            raise CliError(f"{key}: {message}")
     return cfg
 
 

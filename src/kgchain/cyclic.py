@@ -99,7 +99,8 @@ def _max_exponent(f: SeedPoly) -> int:
 
 
 def seed_bracket(f: SeedPoly, g: SeedPoly, *,
-                 prune_rel: float | None = None) -> SeedPoly:
+                 prune_rel: float | None = None,
+                 floor: float = 0.0) -> SeedPoly:
     """A left-aligned seed of {f^+, g^+}: the bracket {f, sum_l tau^l g}.
 
     Only shifts l that bring a site of tau^l g onto a site of f contribute,
@@ -120,10 +121,12 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     another frame would store some orbits under other keys and move
     per-key pruning.
 
-    The kernel's only approximations are the 1e-15 clean and the
-    ``prune_rel`` prune of the raw words, both relative to the largest raw
-    output coefficient; then each kept word is rotated so that its
-    covering arc starts at site 0, and each aligned word is unpacked once.
+    The kernel's only approximations are the 1e-15 clean, relative to the
+    largest raw output coefficient, and one prune of the raw words below
+    max(``prune_rel`` * that coefficient, ``floor``); ``floor`` is an
+    absolute cut set by the caller.  Then each kept word is rotated so
+    that its covering arc starts at site 0, and each aligned word is
+    unpacked once.
     """
     f._check_compatible(g)
     n = f.n
@@ -160,8 +163,9 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
                     acc[w] = acc.get(w, 0.0) + c1 * cg
 
     kept = _cleaned(acc, f.kind)
-    if prune_rel is not None and kept:
-        cut = prune_rel * max(abs(v) for v in kept.values())
+    if kept and (prune_rel or floor):
+        cut = max((prune_rel or 0.0) * max(abs(v) for v in kept.values()),
+                  floor)
         kept = {w: v for w, v in kept.items() if abs(v) >= cut}
 
     # left alignment: rotate each word by minus its arc start

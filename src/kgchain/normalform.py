@@ -67,6 +67,9 @@ class KernelLeakageError(NormalFormError):
 
 # Term cap of the Neumann series in solve_homological; hitting it is an error.
 NEUMANN_MAX_TERMS = 200
+# A pruned Neumann series drops every word below NEUMANN_CUT * prune_rel
+# times the largest coefficient of its first term L_Omega^{-1} g.
+NEUMANN_CUT = 1e-3
 # Kernel mass of an invert_lie_omega input, relative to its ||.||_1, that is
 # dropped as float noise; a larger one is an error.
 KERNEL_LEAK_TOL = 1e-12
@@ -144,6 +147,12 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     ``NEUMANN_MAX_TERMS`` terms, raises :class:`NeumannDivergenceError`
     (the operator-norm smallness that guarantees convergence no longer
     holds).
+
+    With ``prune_rel`` set, every term's bracket drops its words below
+    one absolute floor, ``NEUMANN_CUT * prune_rel`` times the largest
+    coefficient of the first term, besides its own relative cut: term l
+    is about (mu/Omega)^l smaller than the first, so a cut relative to
+    each term alone would keep a full-width tail at every l.
     """
     if psi.kind != BIRKHOFF:
         psi = to_complex(psi)
@@ -157,13 +166,16 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         return SeedPoly.zero(BIRKHOFF, psi.n), zeta
 
     term = invert_lie_omega(g, omega)
+    floor = (0.0 if prune_rel is None
+             else NEUMANN_CUT * prune_rel * term.max_abs_coeff())
     total = term
     prev_norm = poly_norm(term, 1.0)
     growth = 0
     for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
             break
-        bracket = seed_bracket(zeta0, term, prune_rel=prune_rel)
+        bracket = seed_bracket(zeta0, term, prune_rel=prune_rel,
+                               floor=floor)
         term = invert_lie_omega(bracket, omega).scaled(-1.0)
         total = total + term
         norm = poly_norm(term, 1.0)
@@ -316,6 +328,8 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if prune_rel is not None and not 0 < prune_rel < 1:
+        raise ValueError(f"prune_rel must be in (0, 1), got {prune_rel!r}")
     omega = lnf.omega
     h1_real = lnf.h1.scaled(-1.0) if soft else lnf.h1
     if prune_rel is not None:

@@ -47,6 +47,19 @@ def test_normalize_invalid_parameter(tmp_path, capsys):
     assert "a:" in capsys.readouterr().err
 
 
+def test_normalize_rejects_invalid_prune(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for value in ("nan", "2", "1", "0", "-0.5", "inf"):
+        code = run(["normalize", "--n", "4", "--order", "1",
+                    "--prune", value, "--out", out])
+        assert code == 2
+        assert "prune:" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"prune": 1.5}))
+    assert run(["normalize", "--config", str(cfgfile), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_normalize_order_advisory(tmp_path):
     out = str(tmp_path)
     code = run(["normalize", "--n", "8", "--a", "1e-3", "--order", "2",
@@ -210,6 +223,20 @@ def test_verify_rejects_flags_it_does_not_read():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_verify_config_validates_only_keys_it_reads(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    # radius, n and prune are known keys that verify does not read
+    cfgfile.write_text(json.dumps({"radius": -1, "n": 0, "prune": 2}))
+    assert run(["verify", "--config", str(cfgfile)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    cfgfile.write_text(json.dumps({"a": -1}))
+    assert run(["verify", "--config", str(cfgfile)]) == 2
+    assert "a:" in capsys.readouterr().err
+    cfgfile.write_text(json.dumps({"radius": 1, "bogus": 1}))
+    assert run(["verify", "--config", str(cfgfile)]) == 2
+    assert "unknown keys" in capsys.readouterr().err
 
 
 def test_verify_json(capsys):

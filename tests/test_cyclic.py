@@ -143,6 +143,25 @@ def test_seed_bracket_prune_keeps_the_answer():
     assert seed_bracket(f, g, prune_rel=1e-3)._terms == want
 
 
+def test_seed_bracket_floor():
+    # {x_0^2, y_0 + 1e-3 x_0 y_0^2} = 2 x_0 + 4e-3 x_0^2 y_0
+    f = SeedPoly.term([(0, 2, 0)], 1.0, n=4)
+    g = (SeedPoly.term([(0, 0, 1)], 1.0, n=4)
+         + SeedPoly.term([(0, 1, 2)], 1e-3, n=4))
+    both = {((0, 1, 0),): 2.0, ((0, 2, 1),): 4e-3}
+    for prune_rel in (None, 1e-3):
+        assert (seed_bracket(f, g, prune_rel=prune_rel, floor=0.0)._terms
+                == seed_bracket(f, g, prune_rel=prune_rel)._terms == both)
+    # the cut is the larger of the floor and prune_rel * max |out|
+    assert seed_bracket(f, g, floor=4e-3)._terms == both
+    assert seed_bracket(f, g, floor=5e-3)._terms == {((0, 1, 0),): 2.0}
+    assert seed_bracket(f, g, prune_rel=1e-9,
+                        floor=5e-3)._terms == {((0, 1, 0),): 2.0}
+    assert seed_bracket(f, g, prune_rel=3e-3,
+                        floor=1e-9)._terms == {((0, 1, 0),): 2.0}
+    assert seed_bracket(f, g, floor=3.0).is_zero()
+
+
 def test_seed_bracket_h_omega_zeta0_commute():
     from kgchain import linear_normalize
     lnf = linear_normalize(0.05, 8)

@@ -9,6 +9,7 @@ from kgchain import (
     SeedPoly,
     extract_gdnls,
     invert_lie_omega,
+    left_align,
     lie_omega,
     lie_transform_apply,
     linear_normalize,
@@ -322,3 +323,37 @@ def test_cyclic_symmetry_of_outputs():
         full = realize(seed, 6)
         assert cyclic_shift(full, 1).max_coeff_diff(full) \
             <= 1e-12 * max(full.max_abs_coeff(), 1e-30)
+
+
+def test_normal_form_rejects_invalid_prune():
+    lnf = linear_normalize(0.05, 4)
+    for prune in (0.0, -1e-7, 1.0, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="prune_rel"):
+            normal_form(lnf, 1, prune_rel=prune)
+
+
+def test_pruned_normal_form_is_close_to_unpruned():
+    # The E/D brackets and the final chi_s/zeta_s cut below prune_rel of
+    # their own largest coefficient, the Neumann terms below
+    # NEUMANN_CUT * prune_rel of the series' first term.
+    lnf = linear_normalize(0.05, 6)
+    exact = normal_form(lnf, 2)
+    pruned = normal_form(lnf, 2, prune_rel=1e-7)
+    for got, want in zip(pruned.seq.chis + pruned.zetas,
+                         exact.seq.chis + exact.zetas):
+        want = left_align(want)
+        assert left_align(got).max_coeff_diff(want) \
+            <= 5e-7 * want.max_abs_coeff()
+
+
+def test_pruned_normal_form_does_not_depend_on_n():
+    # The Neumann floor is set by the solution's scale, which does not
+    # grow with N, so every cut falls in the same place at both sizes.
+    seeds = {}
+    for n in (16, 32):
+        res = normal_form(linear_normalize(0.05, n), 2, prune_rel=1e-7)
+        seeds[n] = [left_align(p)._terms for p in res.seq.chis + res.zetas]
+    for small, large in zip(seeds[16], seeds[32]):
+        assert set(small) == set(large)
+        top = max(abs(c) for c in small.values())
+        assert max(abs(small[k] - large[k]) for k in small) <= 1e-13 * top
