@@ -241,14 +241,11 @@ class SeedPoly:
     def max_abs_coeff(self) -> float:
         return max((abs(v) for v in self._terms.values()), default=0.0)
 
-    def prune(self, rel: float) -> "SeedPoly":
-        top = self.max_abs_coeff()
-        if top == 0.0:
-            return self
-        cut = rel * top
+    def prune(self, rel: float | None) -> "SeedPoly":
+        """Drop the coefficients below ``rel`` times the largest one."""
         return SeedPoly(self.kind, self.n,
-                        {k: v for k, v in self._terms.items()
-                         if abs(v) >= cut}, _skip_clean=True)
+                        _cleaned(self._terms, self.kind, rel),
+                        _skip_clean=True)
 
     def max_coeff_diff(self, other: "SeedPoly") -> float:
         self._check_compatible(other)
@@ -274,26 +271,35 @@ def _merge_exps(k1: ExpKey, k2: ExpKey) -> ExpKey:
     return tuple((s, ab[0], ab[1]) for s, ab in sorted(acc.items()))
 
 
-def _cleaned(raw: dict[ExpKey, complex], kind: str) -> dict[ExpKey, complex]:
-    """Drop negligible coefficients; canonicalise real-kind coefficients."""
-    top = max((abs(v) for v in raw.values()), default=0.0)
+def _check_cut(rel: float | None, floor: float = 0.0) -> None:
+    """The arguments :func:`_cleaned` accepts; NaN fails both tests."""
+    if not (rel is None or 0.0 < rel < 1.0) or not 0.0 <= floor < math.inf:
+        raise ValueError(f"prune_rel must be None or in (0, 1) and floor "
+                         f"finite and >= 0, got {rel!r} and {floor!r}")
+
+
+def _cleaned(raw: dict, kind: str, rel: float | None = None,
+             floor: float = 0.0) -> dict:
+    """The one coefficient cut: one scan finds the largest |c|, one pass
+    keeps every |c| >= max(max(PRUNE_REL, rel) * largest, floor) (NaN too,
+    so that it shows) and makes real-kind values real.  ``rel = None`` is
+    the plain clean.  Keys are monomial keys or packed words."""
+    _check_cut(rel, floor)
+    top = max(map(abs, raw.values()), default=0.0)
     if top == 0.0:
         return {}
-    cut = PRUNE_REL * top
-    out: dict[ExpKey, complex] = {}
-    if kind == REAL:
-        imag_cut = REAL_IMAG_TOL * top
-        for k, v in raw.items():
-            if abs(v) < cut:
-                continue
-            if abs(v.imag) > imag_cut:
-                raise CoordinateError(
-                    f"real-kind coefficient has imaginary part {v.imag:g}")
-            out[k] = complex(v.real, 0.0)
-    else:
-        for k, v in raw.items():
-            if abs(v) >= cut:
-                out[k] = v
+    cut = max(max(PRUNE_REL, rel or 0.0) * top, floor)
+    if kind != REAL:
+        return {k: v for k, v in raw.items() if not abs(v) < cut}
+    imag_cut = REAL_IMAG_TOL * top
+    out = {}
+    for k, v in raw.items():
+        if abs(v) < cut:
+            continue
+        if abs(v.imag) > imag_cut:
+            raise CoordinateError(
+                f"real-kind coefficient has imaginary part {v.imag:g}")
+        out[k] = complex(v.real, 0.0)
     return out
 
 
@@ -485,19 +491,22 @@ def left_align(f: SeedPoly) -> SeedPoly:
     return SeedPoly(f.kind, f.n, acc, _skip_clean=True)
 
 
+def _parts_by_distance(f: SeedPoly, distance) -> dict[int, SeedPoly]:
+    """The terms of ``f`` grouped by ``distance(key, n)``, nearest first."""
+    out: dict[int, dict[ExpKey, complex]] = {}
+    for k, c in f._terms.items():
+        out.setdefault(distance(k, f.n), {})[k] = c
+    return {m: SeedPoly(f.kind, f.n, t, _skip_clean=True)
+            for m, t in sorted(out.items())}
+
+
 def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
     """Split into parts of exact interaction distance m, each left aligned.
 
     The parts are disjoint and re-sum to (a reseeding of) the input.
     """
-    g = left_align(f)
-    out: dict[int, dict[ExpKey, complex]] = {}
-    for k, c in g._terms.items():
-        m = _arc([s for s, _, _ in k], g.n)[1]
-        part = out.setdefault(m, {})
-        part[k] = part.get(k, 0.0) + c
-    return {m: SeedPoly(g.kind, g.n, t, _skip_clean=True)
-            for m, t in sorted(out.items())}
+    return _parts_by_distance(
+        left_align(f), lambda k, n: _arc([s for s, _, _ in k], n)[1])
 
 
 @dataclass(frozen=True)
@@ -524,9 +533,9 @@ def envelope_constant(pairs: Iterable[tuple[int, float]],
     return best
 
 
-def fit_decay(parts: dict[int, SeedPoly] | Iterable[tuple[int, float]],
-              radius: float = 1.0) -> DecayProfile:
-    """Fit a valid decay envelope to per-distance norms.
+def fit_decay(parts: dict[int, SeedPoly] | Iterable[tuple[int, float]]
+              ) -> DecayProfile:
+    """Fit a valid decay envelope to per-distance norms (at radius 1).
 
     The rate is the smallest log-slope from the first nonzero part (so the
     envelope anchored there is tight); the constant is then the tight
@@ -534,7 +543,7 @@ def fit_decay(parts: dict[int, SeedPoly] | Iterable[tuple[int, float]],
     envelope for every m rather than a regression.
     """
     if isinstance(parts, dict):
-        pairs = [(m, poly_norm(p, radius)) for m, p in sorted(parts.items())]
+        pairs = [(m, poly_norm(p, 1.0)) for m, p in sorted(parts.items())]
     else:
         pairs = sorted(parts)
     nz = [(m, v) for m, v in pairs if v > 0.0]

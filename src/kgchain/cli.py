@@ -158,6 +158,7 @@ CHECKS = {
     "tol": (lambda v: v > 0, "must be positive"),
     "prune": (lambda v: v is None or 0 < v < 1,
               "must be a number with 0 < prune < 1"),
+    "energy": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
 }
 
 
@@ -298,6 +299,8 @@ def cmd_simulate(args) -> int:
         base.validate()
         ladder = [float(x) for x in str(cfg["ladder"]).split(",")] \
             if cfg["ladder"] else None
+        if ladder:
+            dyn.ladder_configs(base, ladder)
     except ValueError as exc:
         raise CliError(str(exc))
     res = _normal_form(cfg)

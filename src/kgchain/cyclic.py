@@ -29,6 +29,7 @@ from .chainpoly import (
     sum_polys,
     _arc,
     _cleaned,
+    _parts_by_distance,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -121,17 +122,17 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     another frame would store some orbits under other keys and move
     per-key pruning.
 
-    The kernel's only approximations are the 1e-15 clean, relative to the
-    largest raw output coefficient, and one prune of the raw words below
-    max(``prune_rel`` * that coefficient, ``floor``); ``floor`` is an
-    absolute cut set by the caller.  Then each kept word is rotated so
-    that its covering arc starts at site 0, and each aligned word is
+    The kernel's only approximation is one cut of the raw words by
+    :func:`kgchain.chainpoly._cleaned`, which makes every coefficient cut:
+    it keeps |c| >= max(max(1e-15, ``prune_rel``) * largest |c|, ``floor``),
+    so a ``prune_rel`` below 1e-15 (or None) acts as the 1e-15 clean, and it
+    raises ``ValueError`` unless ``prune_rel`` is None or in (0, 1) and the
+    absolute ``floor`` is finite and >= 0.  Then each kept word is rotated
+    so that its covering arc starts at site 0, and each aligned word is
     unpacked once.
     """
     f._check_compatible(g)
     n = f.n
-    if not f._terms or not g._terms:
-        return SeedPoly.zero(f.kind, n)
     if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
         raise ValueError("exponent too large for the packed bracket")
     width = _SLOT_BITS * n
@@ -162,11 +163,7 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
                     w = kfm + rots[u - s]
                     acc[w] = acc.get(w, 0.0) + c1 * cg
 
-    kept = _cleaned(acc, f.kind)
-    if kept and (prune_rel or floor):
-        cut = max((prune_rel or 0.0) * max(abs(v) for v in kept.values()),
-                  floor)
-        kept = {w: v for w, v in kept.items() if abs(v) >= cut}
+    kept = _cleaned(acc, f.kind, prune_rel, floor)
 
     # left alignment: rotate each word by minus its arc start
     ones = sum(1 << (_SLOT_BITS * x) for x in range(n))
@@ -229,14 +226,7 @@ def symmetric_distance(k: ExpKey, n: int) -> int:
 
 def symmetric_parts(f: SeedPoly) -> dict[int, SeedPoly]:
     """Centred decay decomposition: parts indexed by window half-width."""
-    g = symmetric_align(f)
-    out: dict[int, dict[ExpKey, complex]] = {}
-    for k, c in g._terms.items():
-        m = symmetric_distance(k, g.n)
-        part = out.setdefault(m, {})
-        part[k] = part.get(k, 0.0) + c
-    return {m: SeedPoly(g.kind, g.n, t, _skip_clean=True)
-            for m, t in sorted(out.items())}
+    return _parts_by_distance(symmetric_align(f), symmetric_distance)
 
 
 # -- Hamiltonian vector fields ---------------------------------------------

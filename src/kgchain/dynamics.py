@@ -53,6 +53,9 @@ class SimConfig:
         return int(round(steps))
 
     def validate(self):
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got "
+                             f"{self.radius!r}")
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
         lam_max = 1.0 + 4.0 * self.a
@@ -149,11 +152,12 @@ def integrate_kg(cfg: SimConfig) -> Trajectory:
     ``guard_margin``, the largest sampled relative energy error over
     ``energy_guard``.
     """
+    cfg.validate()
     return _integrate_strang([cfg])[0]
 
 
 def _integrate_strang(cfgs: list[SimConfig]) -> list[Trajectory]:
-    """:func:`integrate_kg` for a batch of configurations that differ only
+    """:func:`integrate_kg` for validated configurations that differ only
     in their initial states (radius, norm, seed, initial condition) and
     guards; the chain, the step and the sampling are those of ``cfgs[0]``.
 
@@ -162,8 +166,6 @@ def _integrate_strang(cfgs: list[SimConfig]) -> list[Trajectory]:
     as a trajectory integrated alone, so its results are bit for bit those
     of :func:`integrate_kg` on its configuration.
     """
-    for c in cfgs:
-        c.validate()
     cfg = cfgs[0]
     n = cfg.n
     rot = _ModeRotation(build_A(cfg.a, n).spectrum, cfg.dt)
@@ -306,6 +308,18 @@ def observables(traj: Trajectory, res: NormalFormResult,
     return series
 
 
+def ladder_configs(base_cfg: SimConfig,
+                   ladder: list[float]) -> list[SimConfig]:
+    """The validated configurations of a ladder, by decreasing radius."""
+    if len(set(ladder)) < max(len(ladder), 2):
+        raise ValueError("ladder needs at least two amplitudes, all distinct")
+    cfgs = [replace(base_cfg, radius=radius)
+            for radius in sorted(ladder, reverse=True)]
+    for c in cfgs:
+        c.validate()
+    return cfgs
+
+
 def drift_experiment(base_cfg: SimConfig, ladder: list[float],
                      res: NormalFormResult,
                      orders: tuple[int, ...] | None = None) -> dict:
@@ -319,16 +333,14 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
     The ladder is integrated in one batched pass; its trajectories are bit
     for bit those of :func:`integrate_kg` on each radius.
     """
-    if len(ladder) < 2:
-        raise ValueError("ladder needs at least two amplitudes")
+    cfgs = ladder_configs(base_cfg, ladder)
     lnf = res.lnf
     sig0 = lnf.sigma0 if math.isfinite(lnf.sigma0) else 50.0
     c_z0 = envelope_constant(_norm_pairs(lnf.zeta0), sig0)
     c_h1 = envelope_constant(_norm_pairs(lnf.h1), lnf.sigma1
                              if math.isfinite(lnf.sigma1) else 25.0)
 
-    trajs = _integrate_strang([replace(base_cfg, radius=radius)
-                               for radius in sorted(ladder, reverse=True)])
+    trajs = _integrate_strang(cfgs)
     rows = []
     for traj in trajs:
         radius = traj.config.radius

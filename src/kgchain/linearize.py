@@ -195,27 +195,24 @@ def linear_normalize(a: float, n: int) -> LinearNF:
                     row_quarter_inv=quarter_inv.row, h1_mmax=h1_mmax)
 
 
-def apply_linear(nf: LinearNF, state: np.ndarray) -> np.ndarray:
-    """(x, y) -> (q, p) = (A^{1/4} x, A^{-1/4} y), via the DFT."""
+def _apply_rows(nf: LinearNF, state: np.ndarray, row_first: np.ndarray,
+                row_second: np.ndarray) -> np.ndarray:
+    """The circulant of each row on its block of ``state``, via the DFT."""
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != 2 * nf.n:
         raise ValueError("state length must be 2N")
-    x, y = state[..., :nf.n], state[..., nf.n:]
-    lam_q = np.fft.fft(nf.row_quarter)
-    lam_p = np.fft.fft(nf.row_quarter_inv)
-    q = np.fft.ifft(lam_q * np.fft.fft(x, axis=-1), axis=-1).real
-    p = np.fft.ifft(lam_p * np.fft.fft(y, axis=-1), axis=-1).real
-    return np.concatenate([q, p], axis=-1)
+    return np.concatenate(
+        [np.fft.ifft(np.fft.fft(row) * np.fft.fft(block, axis=-1),
+                     axis=-1).real
+         for row, block in ((row_first, state[..., :nf.n]),
+                            (row_second, state[..., nf.n:]))], axis=-1)
+
+
+def apply_linear(nf: LinearNF, state: np.ndarray) -> np.ndarray:
+    """(x, y) -> (q, p) = (A^{1/4} x, A^{-1/4} y), via the DFT."""
+    return _apply_rows(nf, state, nf.row_quarter, nf.row_quarter_inv)
 
 
 def apply_linear_inverse(nf: LinearNF, state: np.ndarray) -> np.ndarray:
     """(q, p) -> (x, y) = (A^{-1/4} q, A^{1/4} p)."""
-    state = np.asarray(state, dtype=float)
-    if state.shape[-1] != 2 * nf.n:
-        raise ValueError("state length must be 2N")
-    q, p = state[..., :nf.n], state[..., nf.n:]
-    lam_q = np.fft.fft(nf.row_quarter_inv)
-    lam_p = np.fft.fft(nf.row_quarter)
-    x = np.fft.ifft(lam_q * np.fft.fft(q, axis=-1), axis=-1).real
-    y = np.fft.ifft(lam_p * np.fft.fft(p, axis=-1), axis=-1).real
-    return np.concatenate([x, y], axis=-1)
+    return _apply_rows(nf, state, nf.row_quarter_inv, nf.row_quarter)

@@ -42,6 +42,7 @@ from .chainpoly import (
     sum_polys,
     to_complex,
     to_real,
+    _check_cut,
 )
 from .cyclic import seed_bracket, symmetric_parts
 from .linearize import LinearNF, linear_normalize
@@ -154,6 +155,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     is about (mu/Omega)^l smaller than the first, so a cut relative to
     each term alone would keep a full-width tail at every l.
     """
+    _check_cut(prune_rel)
     if psi.kind != BIRKHOFF:
         psi = to_complex(psi)
     if zeta0.kind != BIRKHOFF:
@@ -166,8 +168,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         return SeedPoly.zero(BIRKHOFF, psi.n), zeta
 
     term = invert_lie_omega(g, omega)
-    floor = (0.0 if prune_rel is None
-             else NEUMANN_CUT * prune_rel * term.max_abs_coeff())
+    floor = NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
     total = term
     prev_norm = poly_norm(term, 1.0)
     growth = 0
@@ -211,7 +212,6 @@ class NormalFormResult:
     seq: GeneratingSequence
     zetas: list[SeedPoly]          # zeta_1..zeta_r, real kind
     remainder: list[SeedPoly]      # seeds h^(r)_s for s = r+1.., real kind
-    s_max: int
     soft: bool
     tol: float
     # internals reused by remainder/bound computations (real kind)
@@ -283,6 +283,7 @@ class _LieEngine:
     """
 
     def __init__(self, chis: list[SeedPoly], prune_rel: float | None):
+        _check_cut(prune_rel)
         self.chis = chis
         self.prune = prune_rel
         self._memo: dict[tuple, SeedPoly] = {}
@@ -328,12 +329,9 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if prune_rel is not None and not 0 < prune_rel < 1:
-        raise ValueError(f"prune_rel must be in (0, 1), got {prune_rel!r}")
     omega = lnf.omega
     h1_real = lnf.h1.scaled(-1.0) if soft else lnf.h1
-    if prune_rel is not None:
-        h1_real = h1_real.prune(prune_rel)
+    h1_real = h1_real.prune(prune_rel)      # raises on a bad prune_rel
     zeta0_b = to_complex(lnf.zeta0)
 
     # The recursion runs in real coordinates (far fewer terms); only the
@@ -352,31 +350,26 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
             for l in range(1, s):
                 parts.append(engine.e_apply(s - l, zetas[l - 1], l)
                              .scaled(l / s))
-            psi = sum_polys(parts).scaled(-1.0)
-        if prune_rel is not None:
-            psi = psi.prune(prune_rel)
+            psi = sum_polys(parts).scaled(-1.0).prune(prune_rel)
         try:
             chi_t, zeta_b = solve_homological(to_complex(psi), zeta0_b,
                                               omega, tol=tol,
                                               prune_rel=prune_rel)
         except NeumannDivergenceError as exc:
             raise NeumannDivergenceError(s) from exc
-        chi = to_real(chi_t.scaled(-1.0))   # L_{H0} chi_s = Z_s - Psi_s
-        zeta = to_real(zeta_b)
-        if prune_rel is not None:
-            chi = chi.prune(prune_rel)
-            zeta = zeta.prune(prune_rel)
+        # L_{H0} chi_s = Z_s - Psi_s
+        chi = to_real(chi_t.scaled(-1.0)).prune(prune_rel)
+        zeta = to_real(zeta_b).prune(prune_rel)
         chis.append(chi)
         zetas.append(zeta)
         ranges.append(psi - zeta)
 
     res = NormalFormResult(
         lnf=lnf, seq=GeneratingSequence(order, chis), zetas=zetas,
-        remainder=[], s_max=order, soft=soft, tol=tol, _h1=h1_real,
-        _ranges=ranges, _prune_rel=prune_rel)
+        remainder=[], soft=soft, tol=tol, _h1=h1_real, _ranges=ranges,
+        _prune_rel=prune_rel)
     if s_max is not None:
         res.remainder = remainder_head(res, s_max)
-        res.s_max = s_max
     return res
 
 
@@ -407,24 +400,18 @@ def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
                         inverse: bool = False) -> SeedPoly:
     """Graded application of T (or its D-series inverse) up to degree_cap.
 
-    ``f`` is in the coordinate kind of the generating sequence (real);
-    another kind raises ``CoordinateError`` at the first bracket.
+    Each E_s (or D_s) image of the degree-d0 part of ``f`` is homogeneous
+    of degree d0 + 2s, so the images with d0 + 2s <= ``degree_cap`` are
+    exactly the terms up to that degree.  ``f`` is in the coordinate kind
+    of the generating sequence (real); another kind raises
+    ``CoordinateError`` at the first bracket.
     """
     chis = seq.seq.chis if isinstance(seq, NormalFormResult) else seq.chis
     engine = _LieEngine(chis, prune_rel)
     op = engine.d_apply if inverse else engine.e_apply
-    parts = []
-    for d0, piece in sorted(f.graded_parts().items()):
-        if d0 > degree_cap:
-            continue
-        s = 0
-        while d0 + 2 * s <= degree_cap:
-            term = op(s, piece, d0)
-            parts.append(SeedPoly(term.kind, term.n,
-                                  {k: v for k, v in term._terms.items()
-                                   if sum(a + b for _, a, b in k)
-                                   <= degree_cap}, _skip_clean=True))
-            s += 1
+    parts = [op(s, piece, d0)
+             for d0, piece in sorted(f.graded_parts().items())
+             for s in range((degree_cap - d0) // 2 + 1)]
     return sum_polys(parts, kind=f.kind, n=f.n)
 
 

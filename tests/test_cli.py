@@ -181,6 +181,35 @@ def test_simulate_zero_dt_is_usage_error(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--n", "6", "--horizon", "1",
                 "--ladder", "0.1,x", "--out", str(tmp_path)]) == 2
     assert "could not convert" in capsys.readouterr().err
+    # every ladder row is a radius, and a ladder has two or more, distinct
+    for ladder, message in (("0.1,nan", "radius must be finite"),
+                            ("0.1,inf", "radius must be finite"),
+                            ("0.1,0", "radius must be finite"),
+                            ("0.1,-0.05", "radius must be finite"),
+                            ("0.1", "at least two amplitudes"),
+                            ("0.1,0.05,0.1", "all distinct")):
+        assert run(["simulate", "--n", "6", "--horizon", "1",
+                    "--ladder", ladder, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_gdnls_rejects_invalid_energy(tmp_path, capsys, monkeypatch):
+    import kgchain.normalform as nf
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("normal form solved before input validation")
+
+    monkeypatch.setattr(nf, "normal_form", unreachable)
+    out = str(tmp_path / "out")
+    for value in ("nan", "inf", "-0.1"):
+        assert run(["gdnls", "--n", "6", "--energy", value,
+                    "--out", out]) == 2
+        assert "energy: must be finite and >= 0" in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"energy": "0.1"}))
+    assert run(["gdnls", "--config", str(cfgfile), "--out", out]) == 2
+    assert not os.path.exists(out)
 
 
 def test_simulate_deterministic(tmp_path):

@@ -44,6 +44,9 @@ def test_config_validation():
         SimConfig(norm="l1").validate()
     with pytest.raises(ValueError):
         SimConfig(dt=0.0).validate()
+    for radius in (0.0, -0.05, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            SimConfig(radius=radius).validate()
 
 
 def test_initial_state_norms():

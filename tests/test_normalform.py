@@ -28,6 +28,7 @@ from kgchain import (
 from kgchain.normalform import (
     GeneratingSequence,
     KernelLeakageError,
+    _LieEngine,
     homological_residual,
     remainder_head,
 )
@@ -330,6 +331,55 @@ def test_normal_form_rejects_invalid_prune():
     for prune in (0.0, -1e-7, 1.0, 2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="prune_rel"):
             normal_form(lnf, 1, prune_rel=prune)
+
+
+def test_every_cut_rejects_invalid_prune():
+    # One function makes every coefficient cut; every entry point rejects
+    # a bad prune_rel or floor, also where nothing would be cut.
+    lnf = linear_normalize(0.05, 4)
+    res = normal_form(lnf, 1)
+    f, chi = res.normal_form_seed(), res.seq.chis[0]
+    zero = SeedPoly.zero(REAL, 4)
+    h1, zeta0 = to_complex(lnf.h1), to_complex(lnf.zeta0)
+    kernel = project_kernel(h1)             # solved without a bracket
+    for prune in (math.nan, math.inf, 0.0, 1.0, -1e-7):
+        calls = [lambda: f.prune(prune), lambda: zero.prune(prune),
+                 lambda: seed_bracket(chi, f, prune_rel=prune),
+                 lambda: seed_bracket(zero, zero, prune_rel=prune),
+                 lambda: solve_homological(h1, zeta0, lnf.omega,
+                                           prune_rel=prune),
+                 lambda: solve_homological(kernel, zeta0, lnf.omega,
+                                           prune_rel=prune),
+                 lambda: lie_transform_apply(res, f, 6, prune_rel=prune),
+                 lambda: lie_transform_apply(res, f, 2, prune_rel=prune)]
+        for call in calls:
+            with pytest.raises(ValueError, match="prune_rel"):
+                call()
+    for floor in (math.nan, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="floor"):
+            seed_bracket(chi, f, floor=floor)
+    # a prune_rel below the 1e-15 clean is that clean
+    assert f.prune(1e-20)._terms == f._terms
+    assert seed_bracket(chi, f, prune_rel=1e-20)._terms \
+        == seed_bracket(chi, f)._terms
+
+
+def test_lie_transform_images_are_homogeneous():
+    # E_s and D_s raise the degree of a homogeneous seed by exactly 2s,
+    # so lie_transform_apply keeps every term of the images it adds.
+    res = normal_form(linear_normalize(0.05, 5), 2, s_max=3,
+                      prune_rel=1e-6)
+    engine = _LieEngine(res.seq.chis, 1e-6)
+    pieces = res.normal_form_seed().graded_parts()
+    assert sorted(pieces) == [2, 4, 6, 8]
+    for d0, piece in pieces.items():
+        for s in range((8 - d0) // 2 + 1):
+            for op in (engine.e_apply, engine.d_apply):
+                assert op(s, piece, d0).degrees() == [d0 + 2 * s]
+    for inverse in (False, True):
+        out = lie_transform_apply(res, res.normal_form_seed(), 8,
+                                  prune_rel=1e-6, inverse=inverse)
+        assert out.degrees() == [2, 4, 6, 8]
 
 
 def test_pruned_normal_form_is_close_to_unpruned():
