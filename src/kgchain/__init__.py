@@ -13,7 +13,6 @@ from .chainpoly import (
     DecayProfile,
     Monomial,
     SeedPoly,
-    SupportInfo,
     decay_decompose,
     fit_decay,
     left_align,
@@ -22,7 +21,6 @@ from .chainpoly import (
     reality_defect,
     seed_from_dict,
     seed_to_dict,
-    support_info,
     to_complex,
     to_real,
 )
@@ -33,8 +31,6 @@ from .cyclic import (
     field_seed,
     realize,
     seed_bracket,
-    symmetric_align,
-    symmetric_parts,
 )
 from .linearize import (
     Circulant,

@@ -458,22 +458,7 @@ def reality_defect(f: SeedPoly) -> float:
     return worst
 
 
-# -- support, alignment, decay --------------------------------------------
-
-@dataclass(frozen=True)
-class SupportInfo:
-    """Support set, interaction distance and alignment of a polynomial."""
-    sites: tuple[int, ...]
-    distance: int
-    left_aligned: bool
-
-
-def support_info(f: SeedPoly) -> SupportInfo:
-    sites = sorted({s for k in f._terms for s, _, _ in k})
-    if not sites:
-        return SupportInfo((), 0, True)
-    return SupportInfo(tuple(sites), _arc(sites, f.n)[1], sites[0] == 0)
-
+# -- alignment, decay ------------------------------------------------------
 
 def left_align(f: SeedPoly) -> SeedPoly:
     """Shift every monomial so its minimal covering arc starts at site 0.
@@ -491,22 +476,20 @@ def left_align(f: SeedPoly) -> SeedPoly:
     return SeedPoly(f.kind, f.n, acc, _skip_clean=True)
 
 
-def _parts_by_distance(f: SeedPoly, distance) -> dict[int, SeedPoly]:
-    """The terms of ``f`` grouped by ``distance(key, n)``, nearest first."""
-    out: dict[int, dict[ExpKey, complex]] = {}
-    for k, c in f._terms.items():
-        out.setdefault(distance(k, f.n), {})[k] = c
-    return {m: SeedPoly(f.kind, f.n, t, _skip_clean=True)
-            for m, t in sorted(out.items())}
-
-
 def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
     """Split into parts of exact interaction distance m, each left aligned.
 
-    The parts are disjoint and re-sum to (a reseeding of) the input.
+    The interaction distance of a term is the length of its minimal
+    covering arc (:func:`_arc`), the one distance kgchain measures: it
+    depends on the cyclic function only, not on the frame its keys are
+    stored in.  The parts, nearest first, are disjoint and re-sum to (a
+    reseeding of) the input.
     """
-    return _parts_by_distance(
-        left_align(f), lambda k, n: _arc([s for s, _, _ in k], n)[1])
+    out: dict[int, dict[ExpKey, complex]] = {}
+    for k, c in left_align(f)._terms.items():
+        out.setdefault(_arc([s for s, _, _ in k], f.n)[1], {})[k] = c
+    return {m: SeedPoly(f.kind, f.n, t, _skip_clean=True)
+            for m, t in sorted(out.items())}
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,12 @@ def _constants(res: nf.NormalFormResult, cfg: dict):
 
 def cmd_normalize(args) -> int:
     cfg = resolve_config(args)
-    s_max = cfg["smax"] or cfg["order"] + 1
+    s_max = cfg["smax"]
+    if s_max is None:
+        s_max = cfg["order"] + 1
+    elif not isinstance(s_max, int) or s_max < cfg["order"] + 1:
+        raise CliError(f"smax: must be an integer >= order+1 = "
+                       f"{cfg['order'] + 1}, got {s_max!r}")
     res = _normal_form(cfg, s_max=s_max)
     rec, advisory, report = _constants(res, cfg)
     out = cfg["out"]
@@ -310,9 +315,10 @@ def cmd_simulate(args) -> int:
             # the files carry H_Omega and Z only: no J series
             report = dyn.drift_experiment(base, ladder, res, orders=())
             trajs = report.pop("trajectories")
+            # repr names distinct radii apart
             for row, traj in zip(report["ladder"], trajs):
                 write_trajectory_csv(
-                    os.path.join(out, f"trajectory-R{row['radius']:g}.csv"),
+                    os.path.join(out, f"trajectory-R{row['radius']!r}.csv"),
                     traj)
             _dump_json(os.path.join(out, "scaling.json"), _sanitize(report))
             if args.json:

@@ -29,7 +29,6 @@ from .chainpoly import (
     sum_polys,
     _arc,
     _cleaned,
-    _parts_by_distance,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -184,49 +183,6 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
         aligned[w] = aligned.get(w, 0.0) + v
     return SeedPoly(f.kind, n, {_unpack(w): v for w, v in aligned.items()},
                     _skip_clean=True)
-
-
-def symmetric_align(f: SeedPoly) -> SeedPoly:
-    """Reseed so every monomial sits in a window centred on site 0.
-
-    Site residues above N/2 are read as negative sites; a monomial whose
-    covering arc misses site 0 is shifted so the arc ends there, and a
-    monomial supported entirely on non-negative sites is mirrored to the
-    non-positive side (the canonical representative).  The realization is
-    unchanged; the per-monomial window half-width max |site| is the
-    symmetric interaction distance, which is the sharper measure used for
-    the centred decay decomposition.
-    """
-    n = f.n
-    half = n // 2
-    acc: dict[ExpKey, complex] = {}
-    for k, c in f._terms.items():
-        sites = [s for s, _, _ in k]
-        start, dist = _arc(sites, n)
-        # Shift so the arc contains site 0 whenever it does not already.
-        arc = {(start + d) % n for d in range(dist + 1)}
-        if 0 not in arc:
-            shift = (start + dist) % n
-            k = tuple(sorted(((s - shift) % n, a, b) for s, a, b in k))
-            sites = [s for s, _, _ in k]
-        centred = [s if s <= half else s - n for s in sites]
-        if centred and min(centred) >= 0 and max(centred) > 0:
-            # strictly right-sided: mirror so the far site lands on 0
-            shift = max(centred)
-            k = tuple(sorted(((s - shift) % n, a, b) for s, a, b in k))
-        acc[k] = acc.get(k, 0.0) + c
-    return SeedPoly(f.kind, n, acc, _skip_clean=True)
-
-
-def symmetric_distance(k: ExpKey, n: int) -> int:
-    """Window half-width max |site| with sites read as centred residues."""
-    half = n // 2
-    return max((s if s <= half else n - s for s, _, _ in k), default=0)
-
-
-def symmetric_parts(f: SeedPoly) -> dict[int, SeedPoly]:
-    """Centred decay decomposition: parts indexed by window half-width."""
-    return _parts_by_distance(symmetric_align(f), symmetric_distance)
 
 
 # -- Hamiltonian vector fields ---------------------------------------------

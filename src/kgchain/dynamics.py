@@ -56,6 +56,9 @@ class SimConfig:
         if not 0 < self.radius < math.inf:
             raise ValueError(f"radius must be finite and positive, got "
                              f"{self.radius!r}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got "
+                             f"{self.horizon!r}")
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
         lam_max = 1.0 + 4.0 * self.a

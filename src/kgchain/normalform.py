@@ -33,9 +33,11 @@ import numpy as np
 from .chainpoly import (
     BIRKHOFF,
     REAL,
+    CoordinateError,
     DecayProfile,
     ExpKey,
     SeedPoly,
+    decay_decompose,
     fit_decay,
     poly_norm,
     seed_to_dict,
@@ -44,7 +46,7 @@ from .chainpoly import (
     to_real,
     _check_cut,
 )
-from .cyclic import seed_bracket, symmetric_parts
+from .cyclic import seed_bracket
 from .linearize import LinearNF, linear_normalize
 
 
@@ -83,10 +85,15 @@ def _imbalance(key: ExpKey) -> int:
     return sum(b - a for _, a, b in key)
 
 
+def _check_birkhoff(f: SeedPoly, name: str) -> None:
+    """L_Omega is diagonal in the Birkhoff coordinates only."""
+    if f.kind != BIRKHOFF:
+        raise CoordinateError(f"{name} expects a Birkhoff-kind polynomial")
+
+
 def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
     """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k."""
-    if f.kind != BIRKHOFF:
-        f = to_complex(f)
+    _check_birkhoff(f, "lie_omega")
     acc = {}
     for k, c in f._terms.items():
         d = _imbalance(k)
@@ -96,16 +103,14 @@ def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
 
 
 def project_kernel(f: SeedPoly) -> SeedPoly:
-    if f.kind != BIRKHOFF:
-        f = to_complex(f)
+    _check_birkhoff(f, "project_kernel")
     return SeedPoly(BIRKHOFF, f.n,
                     {k: c for k, c in f._terms.items() if _imbalance(k) == 0},
                     _skip_clean=True)
 
 
 def project_range(f: SeedPoly) -> SeedPoly:
-    if f.kind != BIRKHOFF:
-        f = to_complex(f)
+    _check_birkhoff(f, "project_range")
     return SeedPoly(BIRKHOFF, f.n,
                     {k: c for k, c in f._terms.items() if _imbalance(k) != 0},
                     _skip_clean=True)
@@ -117,8 +122,7 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     A kernel component above ``KERNEL_LEAK_TOL`` (relative to ||g||_1) is
     an error; a smaller one is float noise and is dropped.
     """
-    if g.kind != BIRKHOFF:
-        g = to_complex(g)
+    _check_birkhoff(g, "invert_lie_omega")
     total = poly_norm(g, 1.0)
     kernel_mass = sum(abs(c) for k, c in g._terms.items()
                       if _imbalance(k) == 0)
@@ -156,13 +160,11 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     each term alone would keep a full-width tail at every l.
     """
     _check_cut(prune_rel)
-    if psi.kind != BIRKHOFF:
-        psi = to_complex(psi)
-    if zeta0.kind != BIRKHOFF:
-        zeta0 = to_complex(zeta0)
+    _check_birkhoff(psi, "solve_homological")
+    _check_birkhoff(zeta0, "solve_homological")
 
     zeta = project_kernel(psi)
-    g = psi - zeta
+    g = project_range(psi)
     scale = poly_norm(psi, 1.0)
     if g.is_zero():
         return SeedPoly.zero(BIRKHOFF, psi.n), zeta
@@ -425,7 +427,7 @@ class GdnlsModel:
     mu: float
     omega: float
     b: np.ndarray                       # quadratic couplings b_1..b_{N/2}
-    zeta1_parts: dict[int, SeedPoly]    # symmetric-aligned quartic parts
+    zeta1_parts: dict[int, SeedPoly]    # by covering-arc length
     zeta1_profile: DecayProfile
     zeta1: SeedPoly
     k_seed: SeedPoly                    # h_Omega + zeta_0 + zeta_1
@@ -459,7 +461,7 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
         raise ValueError("GdNLS extraction needs order >= 1")
     lnf = res.lnf
     zeta1 = res.zetas[0]
-    parts = symmetric_parts(zeta1)
+    parts = decay_decompose(zeta1)
     profile = fit_decay(parts)
     k_seed = lnf.h_omega + lnf.zeta0 + zeta1
     reference = {

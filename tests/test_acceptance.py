@@ -29,7 +29,6 @@ from kgchain import (
     seed_bracket,
     spectrum_formula,
     standard_dnls,
-    symmetric_parts,
     to_complex,
     to_real,
     verify_decay_bounds,
@@ -220,7 +219,7 @@ def test_ac08_decay_envelopes():
     assert prof0.check()
     assert prof0.sigma >= lnf.sigma0 - 0.05
     z1 = to_real(project_kernel(to_complex(lnf.h1)))
-    prof1 = fit_decay(symmetric_parts(z1))
+    prof1 = fit_decay(decay_decompose(z1))
     assert prof1.check()
     assert prof1.sigma >= lnf.sigma0 - 0.1
     mu = lnf.mu
@@ -230,7 +229,7 @@ def test_ac08_decay_envelopes():
     assert worst_ratio <= 1.5
     report("AC-8 decay envelopes",
            f"sigma(zeta0) = {prof0.sigma:.3f} >= {lnf.sigma0 - 0.05:.3f}, "
-           f"sigma(zeta1,sym) = {prof1.sigma:.3f} >= "
+           f"sigma(zeta1) = {prof1.sigma:.3f} >= "
            f"{lnf.sigma0 - 0.1:.3f}, max b-ratio {worst_ratio:.3f}")
 
 

@@ -17,7 +17,6 @@ from kgchain import (
     seed_bracket,
     seed_from_dict,
     seed_to_dict,
-    support_info,
     to_complex,
     to_real,
 )
@@ -136,15 +135,8 @@ def test_coordinate_kind_errors(rng):
 
 def test_support_and_left_align():
     f = SeedPoly.term([(3, 1, 0), (5, 1, 0)], 1.0, n=8)
-    info = support_info(f)
-    assert info.sites == (3, 5)
-    assert info.distance == 2
-    assert not info.left_aligned
     la = left_align(f)
     assert la.coeff([(0, 1, 0), (2, 1, 0)]) == 1.0
-    const = SeedPoly.term([], 2.5, n=8)
-    cinfo = support_info(const)
-    assert cinfo.sites == () and cinfo.distance == 0 and cinfo.left_aligned
 
 
 def test_covering_arc_tie_rule():
@@ -156,7 +148,6 @@ def test_covering_arc_tie_rule():
     assert keys(left_align(tie)) == [((0, 0, 1), (4, 1, 0))]
     wrap = SeedPoly.term([(1, 1, 0), (7, 0, 1)], 1.0, n=8)
     assert keys(left_align(wrap)) == [((0, 0, 1), (2, 1, 0))]
-    assert support_info(wrap).distance == 2
     assert list(decay_decompose(wrap)) == [2]
 
 
@@ -221,7 +212,6 @@ def test_empty_polynomial_is_valid_everywhere():
     assert poly_norm(z, 2.0) == 0.0
     assert poisson_bracket(z, z).is_zero()
     assert decay_decompose(z) == {}
-    assert support_info(z).distance == 0
 
 
 def test_real_kind_rejects_complex_coefficients():

@@ -126,6 +126,25 @@ def test_gdnls_outputs(tmp_path, monkeypatch):
     assert ref["two_step_quartic"] == pytest.approx(0.0375, abs=1e-16)
 
 
+def test_normalize_rejects_invalid_smax(tmp_path, capsys, monkeypatch):
+    import kgchain.normalform as nf
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("normal form solved before input validation")
+
+    monkeypatch.setattr(nf, "normal_form", unreachable)
+    out = str(tmp_path / "out")
+    for order, smax in (("1", "0"), ("1", "1"), ("2", "2"), ("1", "-3")):
+        assert run(["normalize", "--n", "4", "--order", order,
+                    "--smax", smax, "--out", out]) == 2
+        assert "smax: must be an integer >= order+1" \
+            in capsys.readouterr().err
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"smax": 2.5}))
+    assert run(["normalize", "--config", str(cfgfile), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
 def test_gdnls_decoupled_empty_couplings(tmp_path):
     out = str(tmp_path)
     assert run(["gdnls", "--n", "8", "--a", "0", "--out", out]) == 0
@@ -167,6 +186,17 @@ def test_simulate_ladder(tmp_path, monkeypatch):
         assert open(name, "rb").read() == direct.read_bytes()
 
 
+def test_simulate_ladder_names_each_radius_apart(tmp_path):
+    # radii that print alike at six digits still get a file each
+    out = str(tmp_path / "out")
+    assert run(["simulate", "--n", "6", "--horizon", "2",
+                "--ladder", "0.1,0.1000001", "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "scaling.json")))
+    assert len(report["ladder"]) == 2
+    assert sorted(f for f in os.listdir(out) if f.endswith(".csv")) == \
+        ["trajectory-R0.1.csv", "trajectory-R0.1000001.csv"]
+
+
 def test_simulate_zero_dt_is_usage_error(tmp_path, capsys, monkeypatch):
     # usage errors are reported before the normal form is solved
     import kgchain.normalform as nf
@@ -178,6 +208,14 @@ def test_simulate_zero_dt_is_usage_error(tmp_path, capsys, monkeypatch):
     assert run(["simulate", "--n", "6", "--dt", "0", "--horizon", "1",
                 "--out", str(tmp_path)]) == 2
     assert "dt must be nonzero" in capsys.readouterr().err
+    for horizon in ("inf", "nan", "-1", "0"):
+        assert run(["simulate", "--n", "6", "--horizon", horizon,
+                    "--out", str(tmp_path)]) == 2
+        assert "horizon must be finite and positive" \
+            in capsys.readouterr().err
+    assert run(["simulate", "--n", "6", "--horizon", "0",
+                "--ladder", "0.1,0.05", "--out", str(tmp_path)]) == 2
+    assert "horizon must be finite and positive" in capsys.readouterr().err
     assert run(["simulate", "--n", "6", "--horizon", "1",
                 "--ladder", "0.1,x", "--out", str(tmp_path)]) == 2
     assert "could not convert" in capsys.readouterr().err

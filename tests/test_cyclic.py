@@ -14,8 +14,6 @@ from kgchain import (
     poly_norm,
     realize,
     seed_bracket,
-    symmetric_align,
-    symmetric_parts,
 )
 from kgchain.cyclic import (
     FieldEvaluator,
@@ -178,31 +176,6 @@ def test_seed_bracket_norm_extensive(rng):
                        1.0)
              for n in (8, 16, 32)]
     assert max(norms) - min(norms) <= 1e-14 * max(norms)
-
-
-def test_symmetric_align_example():
-    f = SeedPoly.term([(0, 1, 0), (3, 1, 0)], 1.0, n=8)
-    sa = symmetric_align(f)
-    assert realize(sa, 8).max_coeff_diff(realize(f, 8)) <= 1e-14
-    parts = symmetric_parts(f)
-    assert list(parts) == [3]
-
-
-def test_symmetric_align_realization(rng):
-    for _ in range(10):
-        f = random_seed_poly(rng, n=8, max_sites=8)
-        assert realize(symmetric_align(f), 8).max_coeff_diff(
-            realize(f, 8)) <= 1e-13
-
-
-def test_symmetric_h1_parts_decay():
-    # centred expansion of the transformed quartic keeps the full rate
-    from kgchain import linear_normalize
-    lnf = linear_normalize(0.05, 16)
-    parts = symmetric_parts(lnf.h1)
-    prof = fit_decay(parts)
-    assert prof.check()
-    assert prof.sigma >= lnf.sigma0 - 0.1
 
 
 def test_field_seed_harmonic():

@@ -17,7 +17,6 @@ from kgchain import (
     spectrum_formula,
 )
 from kgchain.chainpoly import REAL, decay_decompose, fit_decay
-from kgchain.cyclic import symmetric_parts
 
 from oracles import from_seedpoly, p_max_diff
 
@@ -123,12 +122,9 @@ def test_zeta0_norm_extensive():
 
 def test_h1_decay_classes():
     lnf = linear_normalize(0.05, 16)
-    left = fit_decay(decay_decompose(lnf.h1))
-    assert left.check()
-    assert left.sigma >= lnf.sigma1
-    sym = fit_decay(symmetric_parts(lnf.h1))
-    assert sym.check()
-    assert sym.sigma >= lnf.sigma0 - 0.1
+    prof = fit_decay(decay_decompose(lnf.h1))
+    assert prof.check()
+    assert prof.sigma >= lnf.sigma0 - 0.1
 
 
 def test_apply_linear_roundtrip_and_limits(rng):

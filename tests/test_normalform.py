@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from kgchain import (
     BIRKHOFF,
     NeumannDivergenceError,
     SeedPoly,
+    cyclic_shift,
     extract_gdnls,
     invert_lie_omega,
     left_align,
@@ -33,7 +35,6 @@ from kgchain.normalform import (
     remainder_head,
 )
 from kgchain.chainpoly import REAL, CoordinateError, decay_decompose
-from kgchain.cyclic import symmetric_parts
 
 from conftest import random_seed_poly
 from oracles import (
@@ -74,6 +75,19 @@ def test_invert_lie_omega():
     with pytest.raises(KernelLeakageError):
         invert_lie_omega(SeedPoly.term([(0, 1, 1)], 1.0, kind=BIRKHOFF,
                                        n=4), omega)
+
+
+def test_l_omega_operators_reject_real_seeds():
+    lnf = linear_normalize(0.05, 4)
+    real, omega = lnf.h1, lnf.omega
+    calls = [lambda: lie_omega(real, omega), lambda: project_kernel(real),
+             lambda: project_range(real),
+             lambda: invert_lie_omega(real, omega),
+             lambda: solve_homological(real, to_complex(lnf.zeta0), omega),
+             lambda: solve_homological(to_complex(real), lnf.zeta0, omega)]
+    for call in calls:
+        with pytest.raises(CoordinateError, match="Birkhoff"):
+            call()
 
 
 def test_invert_is_right_inverse(rng):
@@ -264,12 +278,28 @@ def test_extract_gdnls_limits_and_structure():
     k_full = realize(model.k_seed, 8)
     h_om = realize(lnf.h_omega, 8)
     assert poisson_bracket(h_om, k_full).max_abs_coeff() <= 1e-12
-    # symmetric quartic parts obey the (2 mu)^m envelope
+    # the quartic parts obey the (2 mu)^m envelope
     prof = model.zeta1_profile
     assert prof.check()
     assert prof.sigma >= lnf.sigma0 - 0.1
     assert "dnls_onsite_display" in model.reference
     assert "dnls_onsite_kernel_average" in model.reference
+
+
+def test_gdnls_parts_are_a_property_of_zeta1():
+    # every reseeding of the same cyclic Z_1 gives the same decay data; the
+    # part norms differ only by summation order (1.0e-15 relative at most)
+    res = normal_form(linear_normalize(0.05, 8), 1)
+    z1 = res.zetas[0]
+    want = extract_gdnls(res).to_dict()
+    norms, prof = want["zeta1_part_norms"], want["zeta1_profile"]
+    for seed in [cyclic_shift(z1, l) for l in range(1, 8)] + [left_align(z1)]:
+        got = extract_gdnls(dataclasses.replace(res, zetas=[seed])).to_dict()
+        assert got["zeta1_part_norms"] == pytest.approx(norms, rel=1e-14,
+                                                        abs=0.0)
+        for key in ("c", "sigma"):
+            assert got["zeta1_profile"][key] == pytest.approx(
+                prof[key], rel=1e-15, abs=0.0)
 
 
 def test_standard_dnls_coefficients_and_oracle():
