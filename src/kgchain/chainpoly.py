@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # Relative coefficient threshold applied after arithmetic: keeps float noise
 # from filling in, stays far below every test tolerance.

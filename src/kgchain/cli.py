@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -148,6 +149,17 @@ DEFAULTS = {
 }
 
 
+# key -> (type its value must have, its name); a key whose default is None
+# may also be null.  bool is a type of its own, not an integer.
+TYPES = {
+    **dict.fromkeys(("n", "order", "seed", "smax"),
+                    (numbers.Integral, "an integer")),
+    **dict.fromkeys(("a", "radius", "tol", "prune", "sigma_star", "energy",
+                     "dt", "horizon"), (numbers.Real, "a real number")),
+    "soft": (bool, "true or false"),
+    **dict.fromkeys(("norm", "out", "initial"), (str, "a string")),
+}
+
 # key -> (test a value must pass, message when it fails); written so that
 # NaN fails every test
 CHECKS = {
@@ -183,14 +195,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    for key, (ok, message) in CHECKS.items():
-        if not hasattr(args, key):
+    for key, (kind, name) in TYPES.items():
+        val = cfg[key]
+        if not hasattr(args, key) or (val is None and DEFAULTS[key] is None):
             continue
-        try:
-            good = ok(cfg[key])
-        except TypeError:
-            good = False
-        if not good:
+        if (isinstance(val, bool) != (kind is bool)
+                or not isinstance(val, kind)):
+            raise CliError(f"{key}: must be {name}, got {val!r}")
+    for key, (ok, message) in CHECKS.items():
+        if hasattr(args, key) and not ok(cfg[key]):
             raise CliError(f"{key}: {message}")
     return cfg
 
@@ -232,7 +245,7 @@ def cmd_normalize(args) -> int:
     s_max = cfg["smax"]
     if s_max is None:
         s_max = cfg["order"] + 1
-    elif not isinstance(s_max, int) or s_max < cfg["order"] + 1:
+    elif s_max < cfg["order"] + 1:
         raise CliError(f"smax: must be an integer >= order+1 = "
                        f"{cfg['order'] + 1}, got {s_max!r}")
     res = _normal_form(cfg, s_max=s_max)

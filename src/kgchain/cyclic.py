@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chainpoly import (
-    BIRKHOFF,
     REAL,
     CoordinateError,
     ExpKey,
     SeedPoly,
+    left_align,
     poly_norm,
     sum_polys,
     _arc,
@@ -116,10 +116,14 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     is one contact, so no shift set is built.  f's entries are grouped by
     exponent pair, which fixes the factor for the whole group.
 
-    The words stay in f's frame.  The covering-arc rule breaks ties
-    between equal largest gaps by the frame (sites {0, 4} at N = 8), so
-    another frame would store some orbits under other keys and move
-    per-key pruning.
+    Every shift of g is summed, so the frame each key of g is stored in
+    cannot change the result: g's keys are first merged per orbit by
+    :func:`kgchain.chainpoly.left_align`, which moves only the order of
+    summation, so the cost follows the orbits of g, not its keys.  f is not
+    merged: the words stay in f's frame, and f's frame fixes the output
+    keys.  The covering-arc rule breaks ties between equal largest gaps by
+    the frame (sites {0, 4} at N = 8), so another frame of f would store
+    some orbits under other keys and move per-key pruning.
 
     The kernel's only approximation is one cut of the raw words by
     :func:`kgchain.chainpoly._cleaned`, which makes every coefficient cut:
@@ -131,6 +135,7 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     unpacked once.
     """
     f._check_compatible(g)
+    g = left_align(g)
     n = f.n
     if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
         raise ValueError("exponent too large for the packed bracket")

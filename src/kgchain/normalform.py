@@ -25,14 +25,12 @@ positive kernel average (Z_1 = (3/32)(q^2+p^2)^2 for the unit oscillator).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chainpoly import (
     BIRKHOFF,
-    REAL,
     CoordinateError,
     DecayProfile,
     ExpKey,
@@ -47,7 +45,7 @@ from .chainpoly import (
     _check_cut,
 )
 from .cyclic import seed_bracket
-from .linearize import LinearNF, linear_normalize
+from .linearize import LinearNF
 
 
 class NormalFormError(RuntimeError):

@@ -306,6 +306,45 @@ def test_verify_config_validates_only_keys_it_reads(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_config_values_are_type_checked(tmp_path, capsys, monkeypatch):
+    # a config value of the wrong JSON type is a usage error, reported
+    # before the solve
+    import kgchain.normalform as nf
+
+    class Solved(Exception):
+        pass
+
+    def solve(*args, **kwargs):
+        raise Solved
+
+    monkeypatch.setattr(nf, "normal_form", solve)
+    cfgfile = tmp_path / "cfg.json"
+    out = str(tmp_path / "out")
+    for cmd, cfg, message in (
+            ("simulate", {"horizon": "2"}, "horizon: must be a real number"),
+            ("normalize", {"order": 1.5}, "order: must be an integer"),
+            ("normalize", {"n": True}, "n: must be an integer"),
+            ("normalize", {"smax": 3.0}, "smax: must be an integer"),
+            ("simulate", {"seed": "7"}, "seed: must be an integer"),
+            ("simulate", {"dt": None}, "dt: must be a real number"),
+            ("simulate", {"radius": False}, "radius: must be a real number"),
+            ("normalize", {"soft": 1}, "soft: must be true or false"),
+            ("simulate", {"norm": 2}, "norm: must be a string"),
+            ("verify", {"a": "0.05"}, "a: must be a real number")):
+        cfgfile.write_text(json.dumps(cfg))
+        where = [] if cmd == "verify" else ["--out", out]
+        assert run([cmd, "--config", str(cfgfile), *where]) == 2
+        assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # an integer is a real number, and null stands for a None default
+    for cmd, cfg in (("simulate", {"horizon": 2}),
+                     ("normalize", {"prune": None, "smax": None,
+                                    "sigma_star": None, "soft": True})):
+        cfgfile.write_text(json.dumps(cfg))
+        with pytest.raises(Solved):
+            run([cmd, "--config", str(cfgfile), "--out", out])
+
+
 def test_verify_json(capsys):
     assert run(["verify", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

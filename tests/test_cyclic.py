@@ -122,6 +122,53 @@ def test_seed_bracket_keys_match_shift_sum(rng):
         assert ours.max_coeff_diff(ref) <= 1e-13 * top
 
 
+def _reframed(g, rng):
+    """g with each term in its own random frame, and its first term split
+    over two frames with coefficients that sum to the original."""
+    acc = {}
+    for i, (k, c) in enumerate(g._terms.items()):
+        parts = [(c, int(rng.integers(g.n)))]
+        if i == 0:
+            t = float(rng.uniform(0.2, 0.8))
+            parts = [(t * c, parts[0][1]), ((1 - t) * c,
+                                            int(rng.integers(g.n)))]
+        for cc, l in parts:
+            for kk, v in cyclic_shift(SeedPoly(g.kind, g.n, {k: cc}),
+                                      l)._terms.items():
+                acc[kk] = acc.get(kk, 0.0) + v
+    return SeedPoly(g.kind, g.n, acc, _skip_clean=True)
+
+
+def test_seed_bracket_ignores_the_frames_of_g(rng):
+    # The kernel sums every shift of g, so the frame each key of g is
+    # stored in (and how an orbit's coefficient is split over frames)
+    # moves only the order of summation: the keys stay, the values move
+    # by rounding, pruned or not.  The keys stay exactly because g is
+    # merged per orbit before the sum: unmerged, a cancellation residual
+    # can land above the 1e-15 clean in one framing and below it in the
+    # other (n = 4 here gives 5.6e-17 against a largest output of 0.036).
+    from kgchain import to_complex
+    for n in range(3, 9):
+        for _ in range(8):
+            f = random_seed_poly(rng, n=n, max_sites=n)
+            g = random_seed_poly(rng, n=n, max_sites=n)
+            if g.is_zero():
+                continue
+            for ff, gg in ((f, g), (to_complex(f), to_complex(g))):
+                moved = _reframed(gg, rng)
+                for prune_rel in (None, 1e-2):
+                    ours = seed_bracket(ff, gg, prune_rel=prune_rel)
+                    other = seed_bracket(ff, moved, prune_rel=prune_rel)
+                    assert set(other._terms) == set(ours._terms)
+                    top = ours.max_abs_coeff()
+                    assert ours.max_coeff_diff(other) <= 1e-13 * top
+    # the overflow check still sees g's exponents
+    f = SeedPoly.term([(0, 40, 1)], 1.0, n=4)
+    g = _reframed(SeedPoly.term([(1, 30, 2)], 1.0, n=4), rng)
+    with pytest.raises(ValueError, match="exponent too large"):
+        seed_bracket(f, g)
+
+
 def test_seed_bracket_exponent_overflow():
     # an output exponent must fit its 6-bit field of the packed word
     f = SeedPoly.term([(0, 40, 1)], 1.0, n=4)

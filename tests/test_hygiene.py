@@ -1,0 +1,53 @@
+"""Source hygiene of the package, checked with the standard library only."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kgchain"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line (``__future__`` excluded)."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name read in the module, quoted annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        # a quoted annotation such as "SeedPoly" or "list[Monomial]"
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used(tree)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported(tree).items()
+                   if name not in used]
+    assert not unused, "imported but never used: " + ", ".join(unused)
