@@ -16,6 +16,7 @@ from .chainpoly import (
     decay_decompose,
     fit_decay,
     left_align,
+    norm_pairs,
     poisson_bracket,
     poly_norm,
     reality_defect,

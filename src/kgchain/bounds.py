@@ -19,9 +19,8 @@ from .chainpoly import (
     BIRKHOFF,
     DecayProfile,
     SeedPoly,
-    decay_decompose,
     envelope_constant,
-    poly_norm,
+    norm_pairs,
     to_complex,
 )
 from .cyclic import FieldEvaluator, field_norm, field_norm_decay_bound, field_seed
@@ -36,16 +35,12 @@ class SigmaWindowError(ValueError):
     """The window [max(ln 4, sigma_0/4), sigma_1) is empty or missed."""
 
 
-def _norm_pairs(f: SeedPoly) -> list[tuple[int, float]]:
-    return [(m, poly_norm(p, 1.0)) for m, p in decay_decompose(f).items()]
-
-
 def _norm_pairs_complex(f: SeedPoly) -> list[tuple[int, float]]:
     """Per-distance norms in the complex frame, where the homological
     estimates of the construction live."""
     if f.kind != BIRKHOFF:
         f = to_complex(f)
-    return _norm_pairs(f)
+    return norm_pairs(f)
 
 
 @dataclass
@@ -248,7 +243,7 @@ def deformation_bound(res, radius: float, rec: ConstantsRecord,
         fs = field_seed(res.seq.chis[s - 1])
         fn = field_norm(fs, rs_prev)
         sig = rec.sigma_seq[s - 1]
-        c_meas = envelope_constant(_norm_pairs(res.seq.chis[s - 1]), sig)
+        c_meas = envelope_constant(norm_pairs(res.seq.chis[s - 1]), sig)
         lemma = field_norm_decay_bound(c_meas, sig, 2 * s + 2, rs_prev)
         steps.append({"s": s, "radius": rs_prev, "field_norm": fn,
                       "per_step_bound": (1.0 + E) * fn,

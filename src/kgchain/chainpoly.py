@@ -492,6 +492,12 @@ def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
             for m, t in sorted(out.items())}
 
 
+def norm_pairs(f: SeedPoly) -> list[tuple[int, float]]:
+    """(m, ||f^(m)||_1) per interaction distance m, nearest first: the
+    per-distance norms, at radius 1, that decay envelopes are read from."""
+    return [(m, poly_norm(p, 1.0)) for m, p in decay_decompose(f).items()]
+
+
 @dataclass(frozen=True)
 class DecayProfile:
     """Envelope ||f^(m)||_1 <= C exp(-sigma m), valid for every listed m."""
@@ -516,19 +522,16 @@ def envelope_constant(pairs: Iterable[tuple[int, float]],
     return best
 
 
-def fit_decay(parts: dict[int, SeedPoly] | Iterable[tuple[int, float]]
-              ) -> DecayProfile:
-    """Fit a valid decay envelope to per-distance norms (at radius 1).
+def fit_decay(pairs: Iterable[tuple[int, float]]) -> DecayProfile:
+    """Fit a valid decay envelope to per-distance norms (m, ||f^(m)||_1),
+    such as :func:`norm_pairs` gives.
 
     The rate is the smallest log-slope from the first nonzero part (so the
     envelope anchored there is tight); the constant is then the tight
     envelope constant at that rate, which makes the profile a valid
     envelope for every m rather than a regression.
     """
-    if isinstance(parts, dict):
-        pairs = [(m, poly_norm(p, 1.0)) for m, p in sorted(parts.items())]
-    else:
-        pairs = sorted(parts)
+    pairs = sorted(pairs)
     nz = [(m, v) for m, v in pairs if v > 0.0]
     if not nz:
         return DecayProfile(tuple(pairs), 0.0, 1.0, "empty")

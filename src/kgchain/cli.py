@@ -1,9 +1,11 @@
 """Command-line interface: normalize, gdnls, simulate, bounds, verify.
 
 Configuration can come from flags or from a JSON config file; flags
-override the file.  All numeric output is serialized as shortest
-round-trip-exact decimals, and repeated runs with the same configuration
-produce byte-identical files (writes are atomic).
+override the file.  Each key is declared once, in ``OPTIONS``, and every
+value a command reads passes its row's checks before any work.  All
+numeric output is serialized as shortest round-trip-exact decimals, and
+repeated runs with the same configuration produce byte-identical files
+(writes are atomic).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 numerical divergence.
@@ -20,6 +22,7 @@ import numbers
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +49,8 @@ def _write_atomic(path: str, text: str):
 
 
 def _dump_json(path: str, obj):
-    _write_atomic(path, json.dumps(obj, sort_keys=True, indent=2,
-                                   allow_nan=True) + "\n")
+    _write_atomic(path, json.dumps(_sanitize(obj), sort_keys=True, indent=2)
+                  + "\n")
 
 
 def write_trajectory_csv(path, traj: dyn.Trajectory):
@@ -84,127 +87,140 @@ class CliError(Exception):
         self.code = code
 
 
+class Option(NamedTuple):
+    """One configuration key.  ``kind`` is the flag's type (int, float, str
+    or bool) or a tuple of the allowed strings; ``ok`` is the range test a
+    value must pass (NaN fails every one), ``message`` says why it failed.
+    A key whose default is None may also be null."""
+    default: object
+    kind: type | tuple
+    ok: Callable[[object], bool] | None = None
+    message: str = ""
+    help: str | None = None
+
+
+OPTIONS = {
+    "n": Option(8, int, lambda v: v >= 1, "chain size must be >= 1"),
+    "a": Option(0.05, float, lambda v: 0 <= v < math.inf,
+                "must be finite and >= 0"),
+    "order": Option(1, int, lambda v: v >= 1, "must be >= 1"),
+    "out": Option(".", str),
+    "tol": Option(1e-12, float, lambda v: 0 < v < math.inf,
+                  "must be finite and positive"),
+    "soft": Option(False, bool),
+    "prune": Option(None, float, lambda v: 0 < v < 1,
+                    "must be a number with 0 < prune < 1",
+                    "engine coefficient truncation override"),
+    "radius": Option(0.05, float, lambda v: 0 < v < math.inf,
+                     "must be finite and positive"),
+    "norm": Option("l2", ("l2", "linf")),
+    "seed": Option(0, int, lambda v: v >= 0, "must be >= 0"),
+    "sigma_star": Option(None, float, math.isfinite,
+                         "must be null or finite"),
+    # smax >= order + 1 is checked by ``normalize``, which knows the order
+    "smax": Option(None, int),
+    "energy": Option(0.1, float, lambda v: 0 <= v < math.inf,
+                     "must be finite and >= 0",
+                     "scaled-energy parameter of the two-step pipeline"),
+    # dt and horizon are checked by SimConfig.validate
+    "dt": Option(0.01, float),
+    "horizon": Option(100.0, float),
+    "ladder": Option(None, str, help="comma-separated amplitude ladder"),
+    "initial": Option("uniform-random-phase",
+                      ("single-site", "uniform-random-phase")),
+}
+
+# the JSON type a value of each flag type must have, and its name; bool is
+# a type of its own, not an integer
+_TYPES = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a real number"),
+          str: (str, "a string"), bool: (bool, "true or false")}
+
+_ENGINE = ("n", "a", "order", "out", "tol", "soft", "prune")
+
+# command -> (help, the keys it reads)
+COMMANDS = {
+    "normalize": ("compute the resonant normal form",
+                  _ENGINE + ("sigma_star", "smax")),
+    "gdnls": ("extract the GdNLS first-order model", _ENGINE + ("energy",)),
+    "simulate": ("integrate the chain and measure adiabatic drift",
+                 _ENGINE + ("radius", "norm", "seed", "dt", "horizon",
+                            "ladder", "initial")),
+    "bounds": ("constants and bound verification",
+               _ENGINE + ("radius", "norm", "seed", "sigma_star")),
+    "verify": ("run the invariant suite", ("a", "seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per COMMANDS entry: --config, a flag per key (unset
+    = None), --json, and --inject-fault for ``verify``."""
     ap = argparse.ArgumentParser(
         prog="kgchain",
         description="Extensive resonant normal forms for periodic "
                     "Klein-Gordon chains")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    flags = {
-        "n": {"type": int}, "a": {"type": float}, "order": {"type": int},
-        "radius": {"type": float}, "norm": {"choices": ["l2", "linf"]},
-        "out": {}, "seed": {"type": int}, "tol": {"type": float},
-        "soft": {"action": "store_true", "default": None},
-        "prune": {"type": float,
-                  "help": "engine coefficient truncation override"},
-    }
-
-    def common(p, *names):
-        """--config, --json and the named flags of ``flags``, unset = None."""
+    for command, (help_, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="JSON config file; flags override")
-        for name in names:
-            p.add_argument(f"--{name}", **flags[name])
+        for key in keys:
+            opt = OPTIONS[key]
+            if opt.kind is bool:
+                kind = {"action": "store_true", "default": None}
+            elif isinstance(opt.kind, tuple):
+                kind = {"choices": opt.kind}
+            else:
+                kind = {"type": opt.kind}
+            p.add_argument("--" + key.replace("_", "-"), help=opt.help,
+                           **kind)
         p.add_argument("--json", action="store_true",
                        help="print machine-readable results to stdout")
-
-    engine = ("n", "a", "order", "out", "tol", "soft", "prune")
-
-    p = sub.add_parser("normalize", help="compute the resonant normal form")
-    common(p, *engine)
-    p.add_argument("--sigma-star", type=float, default=None)
-    p.add_argument("--smax", type=int, default=None)
-
-    p = sub.add_parser("gdnls", help="extract the GdNLS first-order model")
-    common(p, *engine)
-    p.add_argument("--energy", type=float, default=None,
-                   help="scaled-energy parameter of the two-step pipeline")
-
-    p = sub.add_parser("simulate", help="integrate the chain and measure "
-                                        "adiabatic drift")
-    common(p, *engine, "radius", "norm", "seed")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--ladder", default=None,
-                   help="comma-separated amplitude ladder")
-    p.add_argument("--initial", default=None,
-                   choices=["single-site", "uniform-random-phase"])
-
-    p = sub.add_parser("bounds", help="constants and bound verification")
-    common(p, *engine, "radius", "norm", "seed")
-    p.add_argument("--sigma-star", type=float, default=None)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    common(p, "a", "seed")
-    p.add_argument("--inject-fault", default=None, choices=FAULT_HOOKS,
-                   help="perturb one named check (testing aid)")
+        if command == "verify":
+            p.add_argument("--inject-fault", default=None,
+                           choices=FAULT_HOOKS,
+                           help="perturb one named check (testing aid)")
     return ap
 
 
-DEFAULTS = {
-    "n": 8, "a": 0.05, "order": 1, "radius": 0.05, "norm": "l2",
-    "out": ".", "seed": 0, "tol": 1e-12, "soft": False, "prune": None,
-    "sigma_star": None, "smax": None, "energy": 0.1, "dt": 0.01,
-    "horizon": 100.0, "ladder": None, "initial": "uniform-random-phase",
-}
-
-
-# key -> (type its value must have, its name); a key whose default is None
-# may also be null.  bool is a type of its own, not an integer.
-TYPES = {
-    **dict.fromkeys(("n", "order", "seed", "smax"),
-                    (numbers.Integral, "an integer")),
-    **dict.fromkeys(("a", "radius", "tol", "prune", "sigma_star", "energy",
-                     "dt", "horizon"), (numbers.Real, "a real number")),
-    "soft": (bool, "true or false"),
-    **dict.fromkeys(("norm", "out", "initial"), (str, "a string")),
-}
-
-# key -> (test a value must pass, message when it fails); written so that
-# NaN fails every test
-CHECKS = {
-    "n": (lambda v: v >= 1, "chain size must be >= 1"),
-    "a": (lambda v: v >= 0, "coupling must be nonnegative"),
-    "order": (lambda v: v >= 1, "must be >= 1"),
-    "radius": (lambda v: v > 0, "must be positive"),
-    "tol": (lambda v: v > 0, "must be positive"),
-    "prune": (lambda v: v is None or 0 < v < 1,
-              "must be a number with 0 < prune < 1"),
-    "energy": (lambda v: 0 <= v < math.inf, "must be finite and >= 0"),
-}
+def _checked(key: str, val):
+    """``val`` if it passes the row of ``key``: type, choices, range."""
+    opt = OPTIONS[key]
+    if val is None and opt.default is None:
+        return val
+    choices = opt.kind if isinstance(opt.kind, tuple) else None
+    kind, name = _TYPES[str if choices else opt.kind]
+    if isinstance(val, bool) != (kind is bool) or not isinstance(val, kind):
+        raise CliError(f"{key}: must be {name}, got {val!r}")
+    if choices and val not in choices:
+        raise CliError(f"{key}: must be one of {list(choices)}, "
+                       f"got {val!r}")
+    if opt.ok and not opt.ok(val):
+        raise CliError(f"{key}: {opt.message}")
+    return val
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then flags.
+    """The command's keys: defaults, then the config file, then flags.
 
-    A command reads exactly the keys it has flags for, and only those are
-    validated; a config file may hold any known key.
+    A config file may hold any key of OPTIONS; the command reads and checks
+    exactly the keys COMMANDS gives it, each against its row.
     """
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    file_cfg = {}
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"config: cannot read {args.config}: {exc}")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(OPTIONS)
         if unknown:
             raise CliError(f"config: unknown keys {sorted(unknown)}")
-        cfg.update(file_cfg)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key, (kind, name) in TYPES.items():
-        val = cfg[key]
-        if not hasattr(args, key) or (val is None and DEFAULTS[key] is None):
-            continue
-        if (isinstance(val, bool) != (kind is bool)
-                or not isinstance(val, kind)):
-            raise CliError(f"{key}: must be {name}, got {val!r}")
-    for key, (ok, message) in CHECKS.items():
-        if hasattr(args, key) and not ok(cfg[key]):
-            raise CliError(f"{key}: {message}")
+    cfg = {}
+    for key in COMMANDS[args.command][1]:
+        val = getattr(args, key)
+        if val is None:
+            val = file_cfg.get(key, OPTIONS[key].default)
+        cfg[key] = _checked(key, val)
     return cfg
 
 
@@ -240,8 +256,7 @@ def _constants(res: nf.NormalFormResult, cfg: dict):
     return rec, advisory, bounds_mod.verify_decay_bounds(res, rec)
 
 
-def cmd_normalize(args) -> int:
-    cfg = resolve_config(args)
+def cmd_normalize(cfg: dict, args) -> tuple[int, dict]:
     s_max = cfg["smax"]
     if s_max is None:
         s_max = cfg["order"] + 1
@@ -257,15 +272,15 @@ def cmd_normalize(args) -> int:
         step["sigma"] = rec.sigma_seq[s] if rec else None
     payload = {"params": {k: cfg[k] for k in
                           ("n", "a", "order", "tol", "soft")}}
-    payload.update(_sanitize(nf_dict))
+    payload.update(nf_dict)
     _dump_json(os.path.join(out, "normalform.json"), payload)
-    _dump_json(os.path.join(out, "bounds-report.json"), _sanitize(report))
+    _dump_json(os.path.join(out, "bounds-report.json"), report)
     lines = [f"normal form: n={cfg['n']} a={cfg['a']} order={cfg['order']}",
              f"Omega = {res.lnf.omega!r}  mu = {res.lnf.mu!r}",
              f"advisory: {advisory}"]
     for s, z in enumerate(res.zetas, 1):
-        prof = cp.fit_decay(cp.decay_decompose(z))
-        chi_prof = cp.fit_decay(cp.decay_decompose(res.seq.chis[s - 1]))
+        prof = cp.fit_decay(cp.norm_pairs(z))
+        chi_prof = cp.fit_decay(cp.norm_pairs(res.seq.chis[s - 1]))
         lines.append(f"zeta_{s}: {z.num_terms()} terms, "
                      f"norm {cp.poly_norm(z, 1.0)!r}, "
                      f"decay fit (C={prof.c:.4e}, sigma={prof.sigma:.4f})")
@@ -279,14 +294,10 @@ def cmd_normalize(args) -> int:
     for adv in report.get("advisories", []):
         lines.append(f"[ADVISORY] {adv}")
     _write_atomic(os.path.join(out, "summary.txt"), "\n".join(lines) + "\n")
-    if args.json:
-        print(json.dumps(_sanitize({"advisory": advisory,
-                                    "bounds": report}), sort_keys=True))
-    return 0
+    return 0, {"advisory": advisory, "bounds": report}
 
 
-def cmd_gdnls(args) -> int:
-    cfg = resolve_config(args)
+def cmd_gdnls(cfg: dict, args) -> tuple[int, dict]:
     res = _normal_form(cfg)
     model = nf.extract_gdnls(res)
     std = nf.standard_dnls(cfg["a"], cfg["energy"], min(cfg["n"], 8)) \
@@ -298,16 +309,11 @@ def cmd_gdnls(args) -> int:
         std.coeff_quartic if std else 0.0
     payload["reference"]["two_step_expected"] = \
         [cfg["a"] / 2.0, 3.0 * cfg["energy"] / 8.0]
-    _dump_json(os.path.join(cfg["out"], "gdnls.json"), _sanitize(payload))
-    if args.json:
-        print(json.dumps(_sanitize({"b": list(model.b),
-                                    "reference": payload["reference"]}),
-                         sort_keys=True))
-    return 0
+    _dump_json(os.path.join(cfg["out"], "gdnls.json"), payload)
+    return 0, {"b": list(model.b), "reference": payload["reference"]}
 
 
-def cmd_simulate(args) -> int:
-    cfg = resolve_config(args)
+def cmd_simulate(cfg: dict, args) -> tuple[int, dict]:
     base = dyn.SimConfig(n=cfg["n"], a=cfg["a"], radius=cfg["radius"],
                          norm=cfg["norm"], dt=cfg["dt"],
                          horizon=cfg["horizon"], order=cfg["order"],
@@ -315,7 +321,7 @@ def cmd_simulate(args) -> int:
                          soft=cfg["soft"])
     try:
         base.validate()
-        ladder = [float(x) for x in str(cfg["ladder"]).split(",")] \
+        ladder = [float(x) for x in cfg["ladder"].split(",")] \
             if cfg["ladder"] else None
         if ladder:
             dyn.ladder_configs(base, ladder)
@@ -333,38 +339,25 @@ def cmd_simulate(args) -> int:
                 write_trajectory_csv(
                     os.path.join(out, f"trajectory-R{row['radius']!r}.csv"),
                     traj)
-            _dump_json(os.path.join(out, "scaling.json"), _sanitize(report))
-            if args.json:
-                print(json.dumps(_sanitize(
-                    {"slope_H_Omega": report["slope_H_Omega"],
-                     "monotone": report["monotone_H_Omega"]}),
-                    sort_keys=True))
-        else:
-            traj = dyn.integrate_kg(base)
-            dyn.observables(traj, res, orders=())
-            write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
-            if args.json:
-                print(json.dumps(_sanitize(
-                    {"max_energy_error":
-                     float(np.max(traj.energy_error))}), sort_keys=True))
+            _dump_json(os.path.join(out, "scaling.json"), report)
+            return 0, {"slope_H_Omega": report["slope_H_Omega"],
+                       "monotone": report["monotone_H_Omega"]}
+        traj = dyn.integrate_kg(base)
+        dyn.observables(traj, res, orders=())
+        write_trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
+        return 0, {"max_energy_error": float(np.max(traj.energy_error))}
     except dyn.IntegratorError as exc:
         raise CliError(f"integrator: {exc}", code=3)
-    return 0
 
 
-def cmd_bounds(args) -> int:
-    cfg = resolve_config(args)
+def cmd_bounds(cfg: dict, args) -> tuple[int, dict]:
     res = _normal_form(cfg, s_max=cfg["order"] + 1)
     rec, _, report = _constants(res, cfg)
     if rec is not None:
         report["deformation"] = bounds_mod.deformation_bound(
             res, cfg["radius"], rec, seed=cfg["seed"], norm=cfg["norm"])
-    _dump_json(os.path.join(cfg["out"], "bounds-report.json"),
-               _sanitize(report))
-    if args.json:
-        print(json.dumps(_sanitize({"all_pass": report["all_pass"]}),
-                         sort_keys=True))
-    return 0
+    _dump_json(os.path.join(cfg["out"], "bounds-report.json"), report)
+    return 0, {"all_pass": report["all_pass"]}
 
 
 # -- verify -------------------------------------------------------------------
@@ -501,33 +494,33 @@ def _verify_checks(cfg: dict, fault: str | None):
     return checks
 
 
-def cmd_verify(args) -> int:
-    cfg = resolve_config(args)
+def cmd_verify(cfg: dict, args) -> tuple[int, dict]:
     checks = _verify_checks(cfg, args.inject_fault)
     rows = [{"name": name, "value": float(val), "tolerance": tol,
              "pass": bool(val <= tol)} for name, val, tol in checks]
     ok = all(r["pass"] for r in rows)
-    if args.json:
-        print(json.dumps(_sanitize({"checks": rows, "all_pass": ok}),
-                         sort_keys=True))
-    else:
+    if not args.json:
         width = max(len(r["name"]) for r in rows)
         for r in rows:
             print(f"[{'PASS' if r['pass'] else 'FAIL'}] "
                   f"{r['name']:<{width}}  {r['value']:.3e} "
                   f"(tol {r['tolerance']:g})")
         print("all checks passed" if ok else "FAILURES present")
-    return 0 if ok else 1
+    return (0 if ok else 1), {"checks": rows, "all_pass": ok}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # each takes the resolved config and the flags and returns its exit
+    # code and its --json payload
     handlers = {"normalize": cmd_normalize, "gdnls": cmd_gdnls,
                 "simulate": cmd_simulate, "bounds": cmd_bounds,
                 "verify": cmd_verify}
     try:
-        return handlers[args.command](args)
+        code, payload = handlers[args.command](resolve_config(args), args)
+        if args.json:
+            print(json.dumps(_sanitize(payload), sort_keys=True))
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

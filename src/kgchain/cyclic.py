@@ -125,14 +125,15 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     the frame (sites {0, 4} at N = 8), so another frame of f would store
     some orbits under other keys and move per-key pruning.
 
-    The kernel's only approximation is one cut of the raw words by
-    :func:`kgchain.chainpoly._cleaned`, which makes every coefficient cut:
-    it keeps |c| >= max(max(1e-15, ``prune_rel``) * largest |c|, ``floor``),
-    so a ``prune_rel`` below 1e-15 (or None) acts as the 1e-15 clean, and it
-    raises ``ValueError`` unless ``prune_rel`` is None or in (0, 1) and the
-    absolute ``floor`` is finite and >= 0.  Then each kept word is rotated
-    so that its covering arc starts at site 0, and each aligned word is
-    unpacked once.
+    The kernel cuts the raw words by :func:`kgchain.chainpoly._cleaned`,
+    which makes every coefficient cut: it keeps |c| >= max(max(1e-15,
+    ``prune_rel``) * largest |c|, ``floor``), so a ``prune_rel`` below
+    1e-15 (or None) acts as the 1e-15 clean, and it raises ``ValueError``
+    unless ``prune_rel`` is None or in (0, 1) and the absolute ``floor`` is
+    finite and >= 0.  Then each kept word is rotated so that its covering
+    arc starts at site 0, and each aligned word is unpacked once.  Kept
+    words that align onto one key merge and may cancel, so the output gets
+    the 1e-15 clean of every SeedPoly.
     """
     f._check_compatible(g)
     g = left_align(g)
@@ -186,8 +187,7 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
             shift = _SLOT_BITS * start
             w = ((w << (width - shift)) | (w >> shift)) & word_mask
         aligned[w] = aligned.get(w, 0.0) + v
-    return SeedPoly(f.kind, n, {_unpack(w): v for w, v in aligned.items()},
-                    _skip_clean=True)
+    return SeedPoly(f.kind, n, {_unpack(w): v for w, v in aligned.items()})
 
 
 # -- Hamiltonian vector fields ---------------------------------------------

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import _norm_pairs
-from .chainpoly import envelope_constant
+from .chainpoly import envelope_constant, norm_pairs
 from .cyclic import FieldEvaluator, RealizedEvaluator
 from .linearize import LinearNF, apply_linear, build_A
 from .normalform import GdnlsModel, NormalFormResult
@@ -61,6 +60,8 @@ class SimConfig:
                              f"{self.horizon!r}")
         if self.dt == 0:
             raise ValueError("dt must be nonzero")
+        if not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt!r}")
         lam_max = 1.0 + 4.0 * self.a
         if abs(self.dt) * math.sqrt(lam_max) >= 0.5:
             raise ValueError("dt too large: dt * max frequency must be < 0.5")
@@ -339,8 +340,8 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
     cfgs = ladder_configs(base_cfg, ladder)
     lnf = res.lnf
     sig0 = lnf.sigma0 if math.isfinite(lnf.sigma0) else 50.0
-    c_z0 = envelope_constant(_norm_pairs(lnf.zeta0), sig0)
-    c_h1 = envelope_constant(_norm_pairs(lnf.h1), lnf.sigma1
+    c_z0 = envelope_constant(norm_pairs(lnf.zeta0), sig0)
+    c_h1 = envelope_constant(norm_pairs(lnf.h1), lnf.sigma1
                              if math.isfinite(lnf.sigma1) else 25.0)
 
     trajs = _integrate_strang(cfgs)

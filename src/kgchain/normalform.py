@@ -37,6 +37,7 @@ from .chainpoly import (
     SeedPoly,
     decay_decompose,
     fit_decay,
+    norm_pairs,
     poly_norm,
     seed_to_dict,
     sum_polys,
@@ -436,8 +437,8 @@ class GdnlsModel:
         return {
             "n": self.n, "a": self.a, "mu": self.mu, "omega": self.omega,
             "b": list(self.b),
-            "zeta1_part_norms": {str(m): poly_norm(p, 1.0)
-                                 for m, p in self.zeta1_parts.items()},
+            "zeta1_part_norms": {str(m): v
+                                 for m, v in self.zeta1_profile.pairs},
             "zeta1_profile": {"c": self.zeta1_profile.c,
                               "sigma": self.zeta1_profile.sigma,
                               "pairs": [list(p)
@@ -460,7 +461,7 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
     lnf = res.lnf
     zeta1 = res.zetas[0]
     parts = decay_decompose(zeta1)
-    profile = fit_decay(parts)
+    profile = fit_decay(norm_pairs(zeta1))
     k_seed = lnf.h_omega + lnf.zeta0 + zeta1
     reference = {
         "dnls_coupling": lnf.mu / 2.0,

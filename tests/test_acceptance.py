@@ -33,7 +33,7 @@ from kgchain import (
     to_real,
     verify_decay_bounds,
 )
-from kgchain.chainpoly import REAL, decay_decompose
+from kgchain.chainpoly import REAL, decay_decompose, norm_pairs
 from kgchain.cyclic import FieldEvaluator, field_norm, field_seed
 from kgchain.normalform import project_kernel
 
@@ -215,11 +215,11 @@ def test_ac07_extensivity():
 
 def test_ac08_decay_envelopes():
     lnf = linear_normalize(0.05, 32)
-    prof0 = fit_decay(decay_decompose(lnf.zeta0))
+    prof0 = fit_decay(norm_pairs(lnf.zeta0))
     assert prof0.check()
     assert prof0.sigma >= lnf.sigma0 - 0.05
     z1 = to_real(project_kernel(to_complex(lnf.h1)))
-    prof1 = fit_decay(decay_decompose(z1))
+    prof1 = fit_decay(norm_pairs(z1))
     assert prof1.check()
     assert prof1.sigma >= lnf.sigma0 - 0.1
     mu = lnf.mu

@@ -18,7 +18,7 @@ from kgchain import (
     verify_decay_bounds,
 )
 from kgchain.bounds import LN4, sigma_window
-from kgchain.chainpoly import decay_decompose
+from kgchain.chainpoly import decay_decompose, norm_pairs
 from kgchain.cyclic import FieldEvaluator, field_norm, field_seed
 
 from conftest import random_homogeneous
@@ -185,8 +185,8 @@ def test_bracket_decay_bound_validates_measurement(rng):
     for _ in range(50):
         f = random_homogeneous(rng, int(rng.integers(2, 4)), n=n)
         g = random_homogeneous(rng, int(rng.integers(2, 4)), n=n)
-        pf = fit_decay(decay_decompose(f))
-        pg = fit_decay(decay_decompose(g))
+        pf = fit_decay(norm_pairs(f))
+        pg = fit_decay(norm_pairs(g))
         sigma_out = 0.5 * min(pf.sigma, pg.sigma)
         pred = bracket_decay_bound(pf, pg, f.max_degree(), g.max_degree(),
                                    sigma_out=sigma_out)

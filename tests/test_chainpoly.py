@@ -11,6 +11,7 @@ from kgchain import (
     fit_decay,
     left_align,
     linear_normalize,
+    norm_pairs,
     poisson_bracket,
     poly_norm,
     reality_defect,
@@ -184,7 +185,7 @@ def test_decay_parts_resum(rng):
 def test_zeta0_envelope_rate():
     # numeric decay of the square-root coupling entries at a = 0.05
     lnf = linear_normalize(0.05, 16)
-    prof = fit_decay(decay_decompose(lnf.zeta0))
+    prof = fit_decay(norm_pairs(lnf.zeta0))
     assert prof.check()
     assert prof.sigma >= lnf.sigma0 - 0.1
 

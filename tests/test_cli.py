@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 
 import pytest
@@ -330,7 +332,23 @@ def test_config_values_are_type_checked(tmp_path, capsys, monkeypatch):
             ("simulate", {"radius": False}, "radius: must be a real number"),
             ("normalize", {"soft": 1}, "soft: must be true or false"),
             ("simulate", {"norm": 2}, "norm: must be a string"),
-            ("verify", {"a": "0.05"}, "a: must be a real number")):
+            ("verify", {"a": "0.05"}, "a: must be a real number"),
+            # ranges and choices hold for config values as for flags
+            ("normalize", {"a": math.inf}, "a: must be finite and >= 0"),
+            ("normalize", {"tol": math.inf},
+             "tol: must be finite and positive"),
+            ("simulate", {"seed": -1}, "seed: must be >= 0"),
+            ("verify", {"seed": -1}, "seed: must be >= 0"),
+            ("normalize", {"sigma_star": math.nan},
+             "sigma_star: must be null or finite"),
+            ("bounds", {"sigma_star": math.inf},
+             "sigma_star: must be null or finite"),
+            ("simulate", {"norm": "l1"}, "norm: must be one of"),
+            ("bounds", {"norm": "l1"}, "norm: must be one of"),
+            ("simulate", {"initial": "nope"}, "initial: must be one of"),
+            ("simulate", {"ladder": [0.1, 0.05]},
+             "ladder: must be a string"),
+            ("simulate", {"dt": math.nan}, "dt must be finite")):
         cfgfile.write_text(json.dumps(cfg))
         where = [] if cmd == "verify" else ["--out", out]
         assert run([cmd, "--config", str(cfgfile), *where]) == 2
@@ -343,6 +361,50 @@ def test_config_values_are_type_checked(tmp_path, capsys, monkeypatch):
         cfgfile.write_text(json.dumps(cfg))
         with pytest.raises(Solved):
             run([cmd, "--config", str(cfgfile), "--out", out])
+
+
+def test_flags_are_range_checked_before_the_solve(tmp_path, capsys,
+                                                  monkeypatch):
+    import kgchain.normalform as nf
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("normal form solved before input validation")
+
+    monkeypatch.setattr(nf, "normal_form", unreachable)
+    out = str(tmp_path / "out")
+    for cmd, flag, values, message in (
+            ("normalize", "--a", ("inf", "nan"), "a: must be finite and >= 0"),
+            ("verify", "--a", ("inf",), "a: must be finite and >= 0"),
+            ("normalize", "--tol", ("inf", "nan", "0"),
+             "tol: must be finite and positive"),
+            ("simulate", "--seed", ("-1",), "seed: must be >= 0"),
+            ("verify", "--seed", ("-1",), "seed: must be >= 0"),
+            ("normalize", "--sigma-star", ("nan", "inf", "-inf"),
+             "sigma_star: must be null or finite"),
+            ("bounds", "--sigma-star", ("nan", "inf"),
+             "sigma_star: must be null or finite"),
+            ("simulate", "--dt", ("nan", "inf"), "dt must be finite")):
+        where = [] if cmd == "verify" else ["--n", "4", "--out", out]
+        for value in values:
+            assert run([cmd, f"{flag}={value}", *where]) == 2
+            assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_parser_flags_are_the_command_keys():
+    from kgchain.cli import COMMANDS, OPTIONS, build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS)
+    for command, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        want = {"-h", "--help", "--config", "--json"} \
+            | {"--" + key.replace("_", "-") for key in COMMANDS[command][1]}
+        if command == "verify":
+            want.add("--inject-fault")
+        assert flags == want
+    assert set(OPTIONS) == {key for _, keys in COMMANDS.values()
+                            for key in keys}
 
 
 def test_verify_json(capsys):

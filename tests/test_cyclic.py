@@ -21,7 +21,7 @@ from kgchain.cyclic import (
     RealizedEvaluator,
     field_norm_decay_bound,
 )
-from kgchain.chainpoly import decay_decompose, fit_decay, sum_polys
+from kgchain.chainpoly import fit_decay, norm_pairs, sum_polys
 
 from conftest import random_homogeneous, random_seed_poly
 from oracles import (
@@ -177,6 +177,29 @@ def test_seed_bracket_exponent_overflow():
         seed_bracket(f, g)
 
 
+def test_seed_bracket_output_gets_the_clean(rng):
+    # Kept words that align onto one key merge after the cut and can
+    # cancel: x0 x1 and y0 y1 at N = 3 give two such exact zeros in the
+    # complex frame.  The output gets the 1e-15 clean of every SeedPoly.
+    from kgchain import to_complex
+    from kgchain.chainpoly import PRUNE_REL
+    f = to_complex(SeedPoly.term([(0, 1, 0), (1, 1, 0)], 1.0, n=3))
+    g = to_complex(SeedPoly.term([(0, 0, 1), (1, 0, 1)], 1.0, n=3))
+    cases = [(f, g)]
+    for n in range(2, 6):
+        for _ in range(10):
+            ff = random_seed_poly(rng, n=n, max_sites=n)
+            gg = random_seed_poly(rng, n=n, max_sites=n)
+            cases += [(ff, gg), (to_complex(ff), to_complex(gg))]
+    for ff, gg in cases:
+        out = seed_bracket(ff, gg)
+        top = out.max_abs_coeff()
+        assert all(abs(c) >= PRUNE_REL * top for _, c in out.terms())
+        full = poisson_bracket(realize(ff), realize(gg))
+        assert realize(out).max_coeff_diff(full) <= 1e-12 * max(top, 1.0)
+    assert seed_bracket(f, g).num_terms() == 4
+
+
 def test_seed_bracket_prune_keeps_the_answer():
     # The large terms of f and g bracket to zero, so the only output term
     # is also the largest; a prune relative to the output must keep it.
@@ -276,7 +299,7 @@ def test_field_norm_decay_bound(rng):
     # class members obey 4 r R^{r-1} C_f / (1-e^-sigma)^2
     n = 12
     f = random_homogeneous(rng, 4, n=n, max_sites=4)
-    prof = fit_decay(decay_decompose(f))
+    prof = fit_decay(norm_pairs(f))
     fs = field_seed(f)
     for radius in (0.5, 1.0, 2.0):
         bound = field_norm_decay_bound(prof.c, prof.sigma, 4, radius)

@@ -16,7 +16,7 @@ from kgchain import (
     realize,
     spectrum_formula,
 )
-from kgchain.chainpoly import REAL, decay_decompose, fit_decay
+from kgchain.chainpoly import REAL, decay_decompose, fit_decay, norm_pairs
 
 from oracles import from_seedpoly, p_max_diff
 
@@ -122,7 +122,7 @@ def test_zeta0_norm_extensive():
 
 def test_h1_decay_classes():
     lnf = linear_normalize(0.05, 16)
-    prof = fit_decay(decay_decompose(lnf.h1))
+    prof = fit_decay(norm_pairs(lnf.h1))
     assert prof.check()
     assert prof.sigma >= lnf.sigma0 - 0.1
 
