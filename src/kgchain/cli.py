@@ -212,6 +212,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"config: cannot read {args.config}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config: {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(OPTIONS)
         if unknown:
             raise CliError(f"config: unknown keys {sorted(unknown)}")

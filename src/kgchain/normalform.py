@@ -35,7 +35,6 @@ from .chainpoly import (
     DecayProfile,
     ExpKey,
     SeedPoly,
-    decay_decompose,
     fit_decay,
     norm_pairs,
     poly_norm,
@@ -426,8 +425,7 @@ class GdnlsModel:
     mu: float
     omega: float
     b: np.ndarray                       # quadratic couplings b_1..b_{N/2}
-    zeta1_parts: dict[int, SeedPoly]    # by covering-arc length
-    zeta1_profile: DecayProfile
+    zeta1_profile: DecayProfile         # norms per covering-arc length
     zeta1: SeedPoly
     k_seed: SeedPoly                    # h_Omega + zeta_0 + zeta_1
     reference: dict
@@ -460,7 +458,6 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
         raise ValueError("GdNLS extraction needs order >= 1")
     lnf = res.lnf
     zeta1 = res.zetas[0]
-    parts = decay_decompose(zeta1)
     profile = fit_decay(norm_pairs(zeta1))
     k_seed = lnf.h_omega + lnf.zeta0 + zeta1
     reference = {
@@ -470,9 +467,8 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
         "scaled_birkhoff_quadratic": lnf.a / 2.0,
     }
     return GdnlsModel(n=lnf.n, a=lnf.a, mu=lnf.mu, omega=lnf.omega,
-                      b=lnf.b, zeta1_parts=parts, zeta1_profile=profile,
-                      zeta1=zeta1, k_seed=k_seed, reference=reference,
-                      lnf=lnf)
+                      b=lnf.b, zeta1_profile=profile, zeta1=zeta1,
+                      k_seed=k_seed, reference=reference, lnf=lnf)
 
 
 # -- the standard two-step dNLS pipeline -------------------------------------

@@ -414,7 +414,7 @@ def test_verify_json(capsys):
     assert any(c["name"] == "kernel-purity" for c in payload["checks"])
 
 
-def test_config_file_and_flag_override(tmp_path):
+def test_config_file_and_flag_override(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"n": 6, "a": 0.02, "order": 1}))
     out = str(tmp_path / "out")
@@ -426,3 +426,7 @@ def test_config_file_and_flag_override(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"unknown_key": 1}))
     assert run(["normalize", "--config", str(bad), "--out", out]) == 2
+    for text in ("3", '["n"]'):
+        bad.write_text(text)
+        assert run(["normalize", "--config", str(bad), "--out", out]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err

@@ -264,7 +264,7 @@ def test_extract_gdnls_limits_and_structure():
     lnf0 = linear_normalize(0.0, 8)
     model0 = extract_gdnls(normal_form(lnf0, 1))
     assert np.allclose(model0.b, 0.0)
-    assert model0.zeta1_parts.keys() == {0}
+    assert [m for m, _ in model0.zeta1_profile.pairs] == [0]
 
     ratios = []
     for a in (0.01, 0.02, 0.05):
