@@ -4,9 +4,7 @@ Grading: grade s holds homogeneous polynomials of degree 2s+2, so the
 quadratic part H_0 = H_Omega + Z_0 sits at grade 0 and the quartic h_1 at
 grade 1.  The Lie transform of a generating sequence chi_1..chi_r is
 
-    T = sum_s E_s,   E_0 = Id,   E_s = sum_j (j/s) L_{chi_j} E_{s-j},
-
-and its inverse is built from D_0 = Id, D_s = -sum_j (j/s) D_{s-j} L_{chi_j}.
+    T = sum_s E_s,   E_0 = Id,   E_s = sum_j (j/s) L_{chi_j} E_{s-j}.
 
 Sign convention (fixed project-wide, pinned by the round-trip tests
 T(H_Omega + Z + remainder) = H): the homological equation solved at each
@@ -21,6 +19,10 @@ with Psi_1 = h_1 and, for s >= 2,
 With this arrangement the grade-s component of T(normal form) reproduces
 the original Hamiltonian, and the decoupled limit gives the classical
 positive kernel average (Z_1 = (3/32)(q^2+p^2)^2 for the unit oscillator).
+
+The remainder head continues this recursion past the order r: with
+chi_s = 0 and Z_s := Psi_s for s > r the equation holds trivially, so
+h^(r)_s = Psi_s, in which only chi_1..chi_r enter.
 """
 
 from __future__ import annotations
@@ -214,10 +216,11 @@ class NormalFormResult:
     remainder: list[SeedPoly]      # seeds h^(r)_s for s = r+1.., real kind
     soft: bool
     tol: float
-    # internals reused by remainder/bound computations (real kind)
+    # internals reused by remainder/bound computations (real kind); the
+    # construction's engine keeps its E_{s-l} Z_l memo for the remainder
     _h1: SeedPoly | None = None
-    _ranges: list[SeedPoly] | None = None   # Psi_s - Z_s = -L_{H0} chi_s
     _prune_rel: float | None = None
+    _engine: _LieEngine | None = field(default=None, repr=False, compare=False)
     # built on first use: transformed truncations, observable evaluators
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -273,13 +276,11 @@ class NormalFormResult:
 # -- the recursion ------------------------------------------------------------
 
 class _LieEngine:
-    """Seed-level E_s / D_s applications for one generating sequence.
+    """Seed-level E_s applications for one generating sequence.
 
-    Results are memoised under the recursion's own structure, which
-    collapses the shared sub-brackets of the triangular recursions: E_s f
-    under (s, root), and each L_{chi_j} image of the D recursion under
-    (root, path of j's).  Callers name the root that f stands for, and
-    must use one root per polynomial.
+    E_s f is memoised under (s, root), which collapses the shared
+    sub-brackets of the triangular recursion.  Callers name the root that
+    f stands for, and must use one root per polynomial.
     """
 
     def __init__(self, chis: list[SeedPoly], prune_rel: float | None):
@@ -302,18 +303,25 @@ class _LieEngine:
             self._memo[key] = sum_polys(parts, kind=f.kind, n=f.n)
         return self._memo[key]
 
-    def d_apply(self, s: int, f: SeedPoly, root,
-                path: tuple = ()) -> SeedPoly:
-        if s == 0:
-            return f
-        parts = []
-        for j in range(1, min(s, len(self.chis)) + 1):
-            key = ("L", root, path + (j,))
-            if key not in self._memo:
-                self._memo[key] = self.lie(j, f)
-            parts.append(self.d_apply(s - j, self._memo[key], root,
-                                      path + (j,)).scaled(-j / s))
-        return sum_polys(parts, kind=f.kind, n=f.n)
+
+def _psi(engine: _LieEngine, h1: SeedPoly, zetas: list[SeedPoly], s: int,
+         prune_rel: float | None) -> SeedPoly:
+    """Psi_s from Z_1..Z_{s-1}, Z_l under memo root l; past the order
+    chi_{s-1} = 0, so L_{chi_{s-1}} h_1 drops out."""
+    if s == 1:
+        return h1
+    parts = []
+    if s - 1 <= len(engine.chis):
+        parts.append(engine.lie(s - 1, h1).scaled((s - 1) / s))
+    for l in range(1, s):
+        parts.append(engine.e_apply(s - l, zetas[l - 1], l).scaled(l / s))
+    return sum_polys(parts).scaled(-1.0).prune(prune_rel)
+
+
+def _check_s_max(s_max, order: int) -> None:
+    if not isinstance(s_max, int) or s_max < order + 1:
+        raise ValueError(f"s_max must be an integer >= order+1 = "
+                         f"{order + 1}, got {s_max!r}")
 
 
 def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
@@ -329,6 +337,8 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if s_max is not None:
+        _check_s_max(s_max, order)
     omega = lnf.omega
     h1_real = lnf.h1.scaled(-1.0) if soft else lnf.h1
     h1_real = h1_real.prune(prune_rel)      # raises on a bad prune_rel
@@ -339,18 +349,10 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     # complex coordinates inside the solver.
     chis: list[SeedPoly] = []
     zetas: list[SeedPoly] = []
-    ranges: list[SeedPoly] = []
     engine = _LieEngine(chis, prune_rel)
 
     for s in range(1, order + 1):
-        if s == 1:
-            psi = h1_real
-        else:
-            parts = [engine.lie(s - 1, h1_real).scaled((s - 1) / s)]
-            for l in range(1, s):
-                parts.append(engine.e_apply(s - l, zetas[l - 1], l)
-                             .scaled(l / s))
-            psi = sum_polys(parts).scaled(-1.0).prune(prune_rel)
+        psi = _psi(engine, h1_real, zetas, s, prune_rel)
         try:
             chi_t, zeta_b = solve_homological(to_complex(psi), zeta0_b,
                                               omega, tol=tol,
@@ -358,58 +360,47 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
         except NeumannDivergenceError as exc:
             raise NeumannDivergenceError(s) from exc
         # L_{H0} chi_s = Z_s - Psi_s
-        chi = to_real(chi_t.scaled(-1.0)).prune(prune_rel)
-        zeta = to_real(zeta_b).prune(prune_rel)
-        chis.append(chi)
-        zetas.append(zeta)
-        ranges.append(psi - zeta)
+        chis.append(to_real(chi_t.scaled(-1.0)).prune(prune_rel))
+        zetas.append(to_real(zeta_b).prune(prune_rel))
 
     res = NormalFormResult(
         lnf=lnf, seq=GeneratingSequence(order, chis), zetas=zetas,
-        remainder=[], soft=soft, tol=tol, _h1=h1_real, _ranges=ranges,
-        _prune_rel=prune_rel)
+        remainder=[], soft=soft, tol=tol, _h1=h1_real,
+        _prune_rel=prune_rel, _engine=engine)
     if s_max is not None:
         res.remainder = remainder_head(res, s_max)
     return res
 
 
 def remainder_head(res: NormalFormResult, s_max: int) -> list[SeedPoly]:
-    """Seeds h^(r)_s of the remainder for s = r+1..s_max.
+    """Seeds h^(r)_s = Psi_s of the remainder for s = r+1..s_max.
 
-    Uses the inverse-transform operators: h^(r)_s = D_{s-1} h_1
-    - sum_{j<=r} (j/s) D_{s-j} (Psi_j - Z_j); the second factor is the
-    range part -L_{H_0} chi_j stored during the construction.
+    Continues the construction's recursion past the order r with
+    chi_s = 0 and Z_s := Psi_s, on the construction's engine, so the
+    E_{s-l} Z_l images it already holds are not bracketed again.
     """
     r = res.order
-    if s_max < r + 1:
-        raise ValueError("s_max must be at least order+1")
-    engine = _LieEngine(res.seq.chis, res._prune_rel)
-    out = []
+    _check_s_max(s_max, r)
+    zetas = list(res.zetas)
     for s in range(r + 1, s_max + 1):
-        parts = [engine.d_apply(s - 1, res._h1, 0)]
-        for j in range(1, r + 1):
-            parts.append(engine.d_apply(s - j, res._ranges[j - 1], j)
-                         .scaled(-j / s))
-        out.append(sum_polys(parts))
-    return out
+        zetas.append(_psi(res._engine, res._h1, zetas, s, res._prune_rel))
+    return zetas[r:]
 
 
 def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
                         f: SeedPoly, degree_cap: int,
-                        prune_rel: float | None = None,
-                        inverse: bool = False) -> SeedPoly:
-    """Graded application of T (or its D-series inverse) up to degree_cap.
+                        prune_rel: float | None = None) -> SeedPoly:
+    """Graded application of T up to degree_cap.
 
-    Each E_s (or D_s) image of the degree-d0 part of ``f`` is homogeneous
-    of degree d0 + 2s, so the images with d0 + 2s <= ``degree_cap`` are
-    exactly the terms up to that degree.  ``f`` is in the coordinate kind
-    of the generating sequence (real); another kind raises
-    ``CoordinateError`` at the first bracket.
+    Each E_s image of the degree-d0 part of ``f`` is homogeneous of degree
+    d0 + 2s, so the images with d0 + 2s <= ``degree_cap`` are exactly the
+    terms up to that degree.  ``f`` is in the coordinate kind of the
+    generating sequence (real); another kind raises ``CoordinateError`` at
+    the first bracket.
     """
     chis = seq.seq.chis if isinstance(seq, NormalFormResult) else seq.chis
     engine = _LieEngine(chis, prune_rel)
-    op = engine.d_apply if inverse else engine.e_apply
-    parts = [op(s, piece, d0)
+    parts = [engine.e_apply(s, piece, d0)
              for d0, piece in sorted(f.graded_parts().items())
              for s in range((degree_cap - d0) // 2 + 1)]
     return sum_polys(parts, kind=f.kind, n=f.n)

@@ -27,6 +27,7 @@ from kgchain import (
     to_complex,
     to_real,
 )
+from kgchain import normalform
 from kgchain.normalform import (
     GeneratingSequence,
     KernelLeakageError,
@@ -186,18 +187,12 @@ def test_kernel_purity_order2():
         assert poly_norm(project_kernel(cb), 1.0) <= 1e-12
 
 
-def test_lie_transform_identity_and_inverse(rng):
+def test_lie_transform_identity_and_coordinate_kind(rng):
     lnf = linear_normalize(0.05, 5)
     res = normal_form(lnf, 2)
     empty = GeneratingSequence(0, [])
     f = random_seed_poly(rng, n=5)
     assert lie_transform_apply(empty, f, 8).max_coeff_diff(f) == 0.0
-    tf = lie_transform_apply(res, f, 8)
-    back = lie_transform_apply(res.seq, tf, 8, inverse=True)
-    diff = back - f
-    low = {k: v for k, v in diff._terms.items()
-           if sum(a + b for _, a, b in k) <= 8}
-    assert max((abs(v) for v in low.values()), default=0.0) <= 1e-11
     # f is taken in the coordinates of chi (real); a Birkhoff f fails at
     # the first bracket
     with pytest.raises(CoordinateError):
@@ -246,12 +241,37 @@ def test_remainder_against_single_oscillator_oracle():
     assert p_max_diff(rem, deg6_oracle) <= 1e-11
 
 
-def test_remainder_degrees_and_smax():
+def test_remainder_degrees_and_smax(monkeypatch):
     lnf = linear_normalize(0.05, 5)
     res = normal_form(lnf, 1, s_max=3)
     assert [h.degrees() for h in res.remainder] == [[6], [8]]
-    with pytest.raises(ValueError):
-        remainder_head(res, 1)
+    for bad in (1, 2.0, 2.5):
+        with pytest.raises(ValueError, match="s_max"):
+            remainder_head(res, bad)
+
+    # a bad s_max is rejected before the first bracket
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("bracket taken before the s_max check")
+
+    monkeypatch.setattr(normalform, "seed_bracket", no_bracket)
+    for order, bad in ((2, 2), (2, 3.5), (1, "2"), (1, 0)):
+        with pytest.raises(ValueError, match="s_max"):
+            normal_form(lnf, order, s_max=bad)
+
+
+def test_next_zeta_is_the_kernel_part_of_the_remainder_head():
+    # Z_{r+1} = Pi_kernel(Psi_{r+1}) and h^(r)_{r+1} = Psi_{r+1}: the
+    # remainder head continues the recursion that builds the normal form
+    lnf = linear_normalize(0.05, 5)
+    for prune in (None, 1e-7):
+        head = normal_form(lnf, 1, s_max=2, prune_rel=prune).remainder[0]
+        want = normal_form(lnf, 2, prune_rel=prune).zetas[1]
+        got = to_real(project_kernel(to_complex(head))).prune(prune)
+        assert got.max_coeff_diff(want) <= 1e-15 * want.max_abs_coeff()
+    # a lazy continuation is the eager one, term for term
+    eager = normal_form(lnf, 1, s_max=3).remainder
+    lazy = remainder_head(normal_form(lnf, 1), 3)
+    assert [h._terms for h in lazy] == [h._terms for h in eager]
 
 
 def test_soft_sign_flag():
@@ -395,8 +415,8 @@ def test_every_cut_rejects_invalid_prune():
 
 
 def test_lie_transform_images_are_homogeneous():
-    # E_s and D_s raise the degree of a homogeneous seed by exactly 2s,
-    # so lie_transform_apply keeps every term of the images it adds.
+    # E_s raises the degree of a homogeneous seed by exactly 2s, so
+    # lie_transform_apply keeps every term of the images it adds.
     res = normal_form(linear_normalize(0.05, 5), 2, s_max=3,
                       prune_rel=1e-6)
     engine = _LieEngine(res.seq.chis, 1e-6)
@@ -404,16 +424,13 @@ def test_lie_transform_images_are_homogeneous():
     assert sorted(pieces) == [2, 4, 6, 8]
     for d0, piece in pieces.items():
         for s in range((8 - d0) // 2 + 1):
-            for op in (engine.e_apply, engine.d_apply):
-                assert op(s, piece, d0).degrees() == [d0 + 2 * s]
-    for inverse in (False, True):
-        out = lie_transform_apply(res, res.normal_form_seed(), 8,
-                                  prune_rel=1e-6, inverse=inverse)
-        assert out.degrees() == [2, 4, 6, 8]
+            assert engine.e_apply(s, piece, d0).degrees() == [d0 + 2 * s]
+    out = lie_transform_apply(res, res.normal_form_seed(), 8, prune_rel=1e-6)
+    assert out.degrees() == [2, 4, 6, 8]
 
 
 def test_pruned_normal_form_is_close_to_unpruned():
-    # The E/D brackets and the final chi_s/zeta_s cut below prune_rel of
+    # The E brackets and the final chi_s/zeta_s cut below prune_rel of
     # their own largest coefficient, the Neumann terms below
     # NEUMANN_CUT * prune_rel of the series' first term.
     lnf = linear_normalize(0.05, 6)
