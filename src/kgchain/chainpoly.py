@@ -133,15 +133,6 @@ class SeedPoly:
              kind: str = REAL, n: int | None = None) -> "SeedPoly":
         return cls(kind, n, {_ring_key(exps, n): complex(coeff)})
 
-    @classmethod
-    def from_terms(cls, pairs: Iterable[tuple[Monomial, complex]],
-                   kind: str = REAL, n: int | None = None) -> "SeedPoly":
-        acc: dict[ExpKey, complex] = {}
-        for m, c in pairs:
-            key = _ring_key(m.exps, n)
-            acc[key] = acc.get(key, 0.0) + complex(c)
-        return cls(kind, n, acc)
-
     # -- basic queries ---------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, complex]]:
@@ -420,9 +411,10 @@ def _convert(f: SeedPoly, site_table, out_kind: str) -> SeedPoly:
                     else:
                         nxt.append((key, coeff * w))
             partial = nxt
+        # each site of k adds at most one entry, in k's site order, so
+        # every key comes out sorted
         for key, coeff in partial:
-            kk = tuple(sorted(key))
-            acc[kk] = acc.get(kk, 0.0) + coeff
+            acc[key] = acc.get(key, 0.0) + coeff
     return SeedPoly(out_kind, f.n, acc)
 
 
@@ -504,7 +496,6 @@ class DecayProfile:
     pairs: tuple[tuple[int, float], ...]
     c: float
     sigma: float
-    method: str
 
     def check(self) -> bool:
         return all(v <= self.c * math.exp(-self.sigma * m) * (1 + 1e-12)
@@ -534,13 +525,13 @@ def fit_decay(pairs: Iterable[tuple[int, float]]) -> DecayProfile:
     pairs = sorted(pairs)
     nz = [(m, v) for m, v in pairs if v > 0.0]
     if not nz:
-        return DecayProfile(tuple(pairs), 0.0, 1.0, "empty")
+        return DecayProfile(tuple(pairs), 0.0, 1.0)
     m0, v0 = nz[0]
     slopes = [(math.log(v0) - math.log(v)) / (m - m0)
               for m, v in nz[1:] if m > m0]
     sigma = max(min(slopes), 1e-12) if slopes else 1.0
     c = envelope_constant(pairs, sigma)
-    return DecayProfile(tuple(pairs), c, sigma, "anchored-min-slope")
+    return DecayProfile(tuple(pairs), c, sigma)
 
 
 # -- JSON serialization ----------------------------------------------------

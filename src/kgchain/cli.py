@@ -353,7 +353,7 @@ def cmd_simulate(cfg: dict, args) -> tuple[int, dict]:
 
 
 def cmd_bounds(cfg: dict, args) -> tuple[int, dict]:
-    res = _normal_form(cfg, s_max=cfg["order"] + 1)
+    res = _normal_form(cfg)
     rec, _, report = _constants(res, cfg)
     if rec is not None:
         report["deformation"] = bounds_mod.deformation_bound(
@@ -391,8 +391,8 @@ def _verify_checks(cfg: dict, fault: str | None):
         if fault != name:
             return poly
         m, c = poly.terms()[0]
-        return poly + cp.SeedPoly.from_terms([(m, 1e-3 * (abs(c) + 1.0))],
-                                             kind=poly.kind, n=poly.n)
+        return poly + cp.SeedPoly.term(m.exps, 1e-3 * (abs(c) + 1.0),
+                                       kind=poly.kind, n=poly.n)
 
     # bracket antisymmetry + Jacobi
     f, g, h = rand_seed(5), rand_seed(5), rand_seed(5)

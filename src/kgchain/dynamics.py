@@ -339,10 +339,8 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
     """
     cfgs = ladder_configs(base_cfg, ladder)
     lnf = res.lnf
-    sig0 = lnf.sigma0 if math.isfinite(lnf.sigma0) else 50.0
-    c_z0 = envelope_constant(norm_pairs(lnf.zeta0), sig0)
-    c_h1 = envelope_constant(norm_pairs(lnf.h1), lnf.sigma1
-                             if math.isfinite(lnf.sigma1) else 25.0)
+    c_z0 = envelope_constant(norm_pairs(lnf.zeta0), lnf.sigma0)
+    c_h1 = envelope_constant(norm_pairs(lnf.h1), lnf.sigma1)
 
     trajs = _integrate_strang(cfgs)
     rows = []

@@ -204,7 +204,6 @@ def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,
 @dataclass
 class GeneratingSequence:
     """Seeds chi_1..chi_r of the Lie transform."""
-    order: int
     chis: list[SeedPoly]
 
 
@@ -217,24 +216,24 @@ class NormalFormResult:
     soft: bool
     tol: float
     # internals reused by remainder/bound computations (real kind); the
-    # construction's engine keeps its E_{s-l} Z_l memo for the remainder
+    # construction's engine holds the cut (prune) and keeps its E_{s-l} Z_l
+    # memo for the remainder
     _h1: SeedPoly | None = None
-    _prune_rel: float | None = None
     _engine: _LieEngine | None = field(default=None, repr=False, compare=False)
     # built on first use: transformed truncations, observable evaluators
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> int:
-        return self.seq.order
+        return len(self.seq.chis)
 
     def transformed_truncation(self, r: int) -> SeedPoly:
         """Seed of T_r(J_r), J_r = H_Omega + Z_0 + Z_1 + ... + Z_r, up to
         degree 2r+4: the truncation J_r read in the normal-form coordinates
         of order r, as a function of the linear coordinates.
 
-        T_r is the Lie transform of chi_1..chi_r, applied with the
-        result's own ``prune_rel``.  T_r(J_r) = H - T_r(R_r), and the
+        T_r is the Lie transform of chi_1..chi_r, applied with the cut of
+        the construction's engine.  T_r(J_r) = H - T_r(R_r), and the
         remainder R_r starts at degree 2r+4, so the cap keeps the leading
         term of the drift and drops O(R^{2r+6}).  Built on first use and
         memoised; :func:`normal_form` does not build it.
@@ -246,8 +245,8 @@ class NormalFormResult:
             j = sum_polys([self.lnf.h_omega, self.lnf.zeta0]
                           + self.zetas[:r])
             self._memo[key] = lie_transform_apply(
-                GeneratingSequence(r, self.seq.chis[:r]), j,
-                degree_cap=2 * r + 4, prune_rel=self._prune_rel)
+                GeneratingSequence(self.seq.chis[:r]), j,
+                degree_cap=2 * r + 4, prune_rel=self._engine.prune)
         return self._memo[key]
 
     def hamiltonian_seed(self) -> SeedPoly:
@@ -304,10 +303,11 @@ class _LieEngine:
         return self._memo[key]
 
 
-def _psi(engine: _LieEngine, h1: SeedPoly, zetas: list[SeedPoly], s: int,
-         prune_rel: float | None) -> SeedPoly:
-    """Psi_s from Z_1..Z_{s-1}, Z_l under memo root l; past the order
-    chi_{s-1} = 0, so L_{chi_{s-1}} h_1 drops out."""
+def _psi(engine: _LieEngine, h1: SeedPoly, zetas: list[SeedPoly],
+         s: int) -> SeedPoly:
+    """Psi_s from Z_1..Z_{s-1}, Z_l under memo root l, cut at the
+    engine's ``prune``; past the order chi_{s-1} = 0, so L_{chi_{s-1}} h_1
+    drops out."""
     if s == 1:
         return h1
     parts = []
@@ -315,7 +315,7 @@ def _psi(engine: _LieEngine, h1: SeedPoly, zetas: list[SeedPoly], s: int,
         parts.append(engine.lie(s - 1, h1).scaled((s - 1) / s))
     for l in range(1, s):
         parts.append(engine.e_apply(s - l, zetas[l - 1], l).scaled(l / s))
-    return sum_polys(parts).scaled(-1.0).prune(prune_rel)
+    return sum_polys(parts).scaled(-1.0).prune(engine.prune)
 
 
 def _check_s_max(s_max, order: int) -> None:
@@ -352,7 +352,7 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     engine = _LieEngine(chis, prune_rel)
 
     for s in range(1, order + 1):
-        psi = _psi(engine, h1_real, zetas, s, prune_rel)
+        psi = _psi(engine, h1_real, zetas, s)
         try:
             chi_t, zeta_b = solve_homological(to_complex(psi), zeta0_b,
                                               omega, tol=tol,
@@ -364,9 +364,8 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
         zetas.append(to_real(zeta_b).prune(prune_rel))
 
     res = NormalFormResult(
-        lnf=lnf, seq=GeneratingSequence(order, chis), zetas=zetas,
-        remainder=[], soft=soft, tol=tol, _h1=h1_real,
-        _prune_rel=prune_rel, _engine=engine)
+        lnf=lnf, seq=GeneratingSequence(chis), zetas=zetas,
+        remainder=[], soft=soft, tol=tol, _h1=h1_real, _engine=engine)
     if s_max is not None:
         res.remainder = remainder_head(res, s_max)
     return res
@@ -383,7 +382,7 @@ def remainder_head(res: NormalFormResult, s_max: int) -> list[SeedPoly]:
     _check_s_max(s_max, r)
     zetas = list(res.zetas)
     for s in range(r + 1, s_max + 1):
-        zetas.append(_psi(res._engine, res._h1, zetas, s, res._prune_rel))
+        zetas.append(_psi(res._engine, res._h1, zetas, s))
     return zetas[r:]
 
 
@@ -418,7 +417,6 @@ class GdnlsModel:
     b: np.ndarray                       # quadratic couplings b_1..b_{N/2}
     zeta1_profile: DecayProfile         # norms per covering-arc length
     zeta1: SeedPoly
-    k_seed: SeedPoly                    # h_Omega + zeta_0 + zeta_1
     reference: dict
     lnf: LinearNF = field(repr=False)   # linear normal form it came from
 
@@ -450,7 +448,6 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
     lnf = res.lnf
     zeta1 = res.zetas[0]
     profile = fit_decay(norm_pairs(zeta1))
-    k_seed = lnf.h_omega + lnf.zeta0 + zeta1
     reference = {
         "dnls_coupling": lnf.mu / 2.0,
         "dnls_onsite_display": 1.5,
@@ -459,7 +456,7 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
     }
     return GdnlsModel(n=lnf.n, a=lnf.a, mu=lnf.mu, omega=lnf.omega,
                       b=lnf.b, zeta1_profile=profile, zeta1=zeta1,
-                      k_seed=k_seed, reference=reference, lnf=lnf)
+                      reference=reference, lnf=lnf)
 
 
 # -- the standard two-step dNLS pipeline -------------------------------------
@@ -467,13 +464,9 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
 @dataclass
 class StandardDnls:
     """Outcome of the two-step resonant normalization of the scaled chain."""
-    a: float
-    energy: float
-    n: int
     z0: SeedPoly          # resonant quadratic a/2 sum |xi_{j+1}-xi_j|^2
     z1: SeedPoly          # resonant quartic 3E/8 sum |xi_j|^4
     chi0: SeedPoly        # removes the non-resonant quadratic part
-    hamiltonian: SeedPoly  # h_omega + z0 + z1 (Birkhoff kind)
     coeff_quadratic: float
     coeff_quartic: float
 
@@ -489,8 +482,6 @@ def standard_dnls(a: float, energy: float, n: int) -> StandardDnls:
     """
     if a <= 0 or energy < 0:
         raise ValueError("needs a > 0 and E >= 0")
-    h_omega_b = to_complex(SeedPoly.term([(0, 2, 0)], 0.5, n=n)
-                           + SeedPoly.term([(0, 0, 2)], 0.5, n=n))
     f0_real = (SeedPoly.term([(1, 2, 0)], a / 2, n=n)
                + SeedPoly.term([(0, 2, 0)], a / 2, n=n)
                + SeedPoly.term([(0, 1, 0), (1, 1, 0)], -a, n=n))
@@ -502,8 +493,7 @@ def standard_dnls(a: float, energy: float, n: int) -> StandardDnls:
 
     coeff_quadratic = _proportional_coefficient(z0, _dnls_quad_seed(n))
     coeff_quartic = _proportional_coefficient(z1, _dnls_quartic_seed(n))
-    return StandardDnls(a=a, energy=energy, n=n, z0=z0, z1=z1, chi0=chi0,
-                        hamiltonian=h_omega_b + z0 + z1,
+    return StandardDnls(z0=z0, z1=z1, chi0=chi0,
                         coeff_quadratic=coeff_quadratic,
                         coeff_quartic=coeff_quartic)
 

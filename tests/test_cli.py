@@ -275,6 +275,27 @@ def test_bounds_command(tmp_path, monkeypatch):
     assert "deformation" in report
 
 
+@pytest.mark.parametrize("a, heads", [(0.05, 0), (0.0, 0), (1e-3, 1)])
+def test_bounds_computes_the_remainder_head_only_when_read(
+        tmp_path, monkeypatch, a, heads):
+    # the decay checks read the head; the empty-window (a=0.05) and
+    # decoupled (a=0) runs have no decay checks, so they build none
+    import kgchain.bounds as bounds_mod
+    import kgchain.normalform as nf_mod
+    calls = []
+    head = nf_mod.remainder_head
+
+    def counted(res, s_max):
+        calls.append(s_max)
+        return head(res, s_max)
+
+    monkeypatch.setattr(nf_mod, "remainder_head", counted)
+    monkeypatch.setattr(bounds_mod, "remainder_head", counted)
+    assert run(["bounds", "--n", "6", "--a", str(a), "--order", "1",
+                "--radius", "0.01", "--out", str(tmp_path)]) == 0
+    assert len(calls) == heads
+
+
 def test_verify_pass_and_fault(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kgchain"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kgchain"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -51,3 +52,30 @@ def test_no_unused_imports():
                    for name, line in _imported(tree).items()
                    if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    """Names of the annotated fields declared in a class body."""
+    return [node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)]
+
+
+def _serializes_dict(cls: ast.ClassDef) -> bool:
+    """True when the class reads ``self.__dict__``, so every field is read."""
+    return any(isinstance(n, ast.Attribute) and n.attr == "__dict__"
+               for n in ast.walk(cls))
+
+
+def test_every_field_is_read():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{path.name}: {cls.name}.{name}"
+              for path, tree in trees.items() if path.parent == SRC
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              and not _serializes_dict(cls)
+              for name in _fields(cls) if name not in read]
+    assert not unread, "fields that nothing reads: " + ", ".join(unread)

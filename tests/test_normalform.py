@@ -190,7 +190,7 @@ def test_kernel_purity_order2():
 def test_lie_transform_identity_and_coordinate_kind(rng):
     lnf = linear_normalize(0.05, 5)
     res = normal_form(lnf, 2)
-    empty = GeneratingSequence(0, [])
+    empty = GeneratingSequence([])
     f = random_seed_poly(rng, n=5)
     assert lie_transform_apply(empty, f, 8).max_coeff_diff(f) == 0.0
     # f is taken in the coordinates of chi (real); a Birkhoff f fails at
@@ -295,7 +295,7 @@ def test_extract_gdnls_limits_and_structure():
 
     lnf = linear_normalize(0.05, 8)
     model = extract_gdnls(normal_form(lnf, 1))
-    k_full = realize(model.k_seed, 8)
+    k_full = realize(lnf.h_omega + lnf.zeta0 + model.zeta1, 8)
     h_om = realize(lnf.h_omega, 8)
     assert poisson_bracket(h_om, k_full).max_abs_coeff() <= 1e-12
     # the quartic parts obey the (2 mu)^m envelope
