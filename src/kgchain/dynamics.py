@@ -259,8 +259,8 @@ def observables(traj: Trajectory, res: NormalFormResult,
     2 rho + 4, evaluated at (q, p).  In the linear coordinates the
     coordinate map would be missing at O(R^4), the order of the whole J_0
     drift, and J_1 and J_2 would carry the same range term of chi_1.
-    Building T_rho costs brackets of chi_1 with quartic seeds, so
-    ``orders=()`` skips the J series.
+    T_rho(J_rho) = H - Psi_{rho+1} is read off the normal-form recursion,
+    and ``orders=()`` skips the J series.
 
     The evaluators are built once per normal form (memoised on ``res``)
     and share one per-site table per sample.

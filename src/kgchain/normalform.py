@@ -22,7 +22,8 @@ positive kernel average (Z_1 = (3/32)(q^2+p^2)^2 for the unit oscillator).
 
 The remainder head continues this recursion past the order r: with
 chi_s = 0 and Z_s := Psi_s for s > r the equation holds trivially, so
-h^(r)_s = Psi_s, in which only chi_1..chi_r enter.
+h^(r)_s = Psi_s, in which only chi_1..chi_r enter, and T_r(J_r) up to
+degree 2r+4 is H - Psi_{r+1}, with no Lie transform applied to J_r.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class NormalFormResult:
     tol: float
     # internals reused by remainder/bound computations (real kind); the
     # construction's engine holds the cut (prune) and keeps its E_{s-l} Z_l
-    # memo for the remainder
+    # memo for the remainder and T_r(J_r)
     _h1: SeedPoly | None = None
     _engine: _LieEngine | None = field(default=None, repr=False, compare=False)
     # built on first use: transformed truncations, observable evaluators
@@ -232,21 +233,18 @@ class NormalFormResult:
         degree 2r+4: the truncation J_r read in the normal-form coordinates
         of order r, as a function of the linear coordinates.
 
-        T_r is the Lie transform of chi_1..chi_r, applied with the cut of
-        the construction's engine.  T_r(J_r) = H - T_r(R_r), and the
-        remainder R_r starts at degree 2r+4, so the cap keeps the leading
-        term of the drift and drops O(R^{2r+6}).  Built on first use and
-        memoised; :func:`normal_form` does not build it.
+        T_r(J_r) = H - T_r(R_r), and R_r starts with h^(r)_{r+1} = Psi_{r+1}
+        at degree 2r+4, so the seed is exactly H_Omega + Z_0 + h_1 - Psi_{r+1}
+        and the cap drops O(R^{2r+6}).  Psi_{r+1} reads chi_1..chi_r, Z_1..Z_r
+        and the construction's h_1, on its engine's memo.  Built on first use
+        and memoised; :func:`normal_form` does not build it.
         """
-        if not 1 <= r <= self.order:
-            raise ValueError(f"order must be in 1..{self.order}")
+        _check_int("r", r, 1, self.order)
         key = ("T", r)
         if key not in self._memo:
-            j = sum_polys([self.lnf.h_omega, self.lnf.zeta0]
-                          + self.zetas[:r])
-            self._memo[key] = lie_transform_apply(
-                GeneratingSequence(self.seq.chis[:r]), j,
-                degree_cap=2 * r + 4, prune_rel=self._engine.prune)
+            psi = _psi(self._engine, self._h1, self.zetas, r + 1)
+            self._memo[key] = sum_polys([self.lnf.h_omega, self.lnf.zeta0,
+                                         self._h1, -psi])
         return self._memo[key]
 
     def hamiltonian_seed(self) -> SeedPoly:
@@ -318,10 +316,10 @@ def _psi(engine: _LieEngine, h1: SeedPoly, zetas: list[SeedPoly],
     return sum_polys(parts).scaled(-1.0).prune(engine.prune)
 
 
-def _check_s_max(s_max, order: int) -> None:
-    if not isinstance(s_max, int) or s_max < order + 1:
-        raise ValueError(f"s_max must be an integer >= order+1 = "
-                         f"{order + 1}, got {s_max!r}")
+def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
+    if not isinstance(value, int) or not low <= value <= high:
+        span = f">= {low}" if high == np.inf else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
@@ -335,10 +333,9 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     it (divergence is detected adaptively instead).  The order bound and
     the step rates come from :func:`kgchain.bounds.constants`.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_int("order", order, 1)
     if s_max is not None:
-        _check_s_max(s_max, order)
+        _check_int("s_max", s_max, order + 1)
     omega = lnf.omega
     h1_real = lnf.h1.scaled(-1.0) if soft else lnf.h1
     h1_real = h1_real.prune(prune_rel)      # raises on a bad prune_rel
@@ -379,7 +376,7 @@ def remainder_head(res: NormalFormResult, s_max: int) -> list[SeedPoly]:
     E_{s-l} Z_l images it already holds are not bracketed again.
     """
     r = res.order
-    _check_s_max(s_max, r)
+    _check_int("s_max", s_max, r + 1)
     zetas = list(res.zetas)
     for s in range(r + 1, s_max + 1):
         zetas.append(_psi(res._engine, res._h1, zetas, s))
@@ -389,7 +386,8 @@ def remainder_head(res: NormalFormResult, s_max: int) -> list[SeedPoly]:
 def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
                         f: SeedPoly, degree_cap: int,
                         prune_rel: float | None = None) -> SeedPoly:
-    """Graded application of T up to degree_cap.
+    """Graded application of T up to degree_cap: the reference that the
+    round-trip tests and the ``roundtrip`` benchmark use.
 
     Each E_s image of the degree-d0 part of ``f`` is homogeneous of degree
     d0 + 2s, so the images with d0 + 2s <= ``degree_cap`` are exactly the

@@ -35,7 +35,7 @@ from kgchain.normalform import (
     homological_residual,
     remainder_head,
 )
-from kgchain.chainpoly import REAL, CoordinateError, decay_decompose
+from kgchain.chainpoly import REAL, CoordinateError, decay_decompose, sum_polys
 
 from conftest import random_seed_poly
 from oracles import (
@@ -226,9 +226,42 @@ def test_transformed_truncation_is_h_below_the_remainder():
         head = diff.homogeneous_part(2 * r + 4) + realize(res.remainder[0],
                                                           5)
         assert head.max_abs_coeff() <= 1e-11
-        for bad in (0, r + 1):
-            with pytest.raises(ValueError):
+        for bad in (0, r + 1, 1.5, "1", None):
+            with pytest.raises(ValueError, match="^r must"):
                 res.transformed_truncation(bad)
+    # the Lie transform of J_r is the independent reference, below the
+    # order (r=1, read off the construction's memo) and at it (r=2)
+    for prune, tol in ((None, 1e-13), (1e-7, 5e-7)):
+        res = normal_form(lnf, 2, prune_rel=prune)
+        for r in (1, 2):
+            j = sum_polys([lnf.h_omega, lnf.zeta0] + res.zetas[:r])
+            ref = realize(lie_transform_apply(
+                GeneratingSequence(res.seq.chis[:r]), j, 2 * r + 4,
+                prune_rel=prune), 5)
+            got = realize(res.transformed_truncation(r), 5)
+            scale = 1.0 if prune is None else ref.max_abs_coeff()
+            assert got.max_coeff_diff(ref) <= tol * scale
+
+
+def test_transformed_truncation_brackets_only_l_chi_h1(monkeypatch):
+    # Psi_2 needs L_{chi_1} h_1 and E_1 Z_1; the construction's engine
+    # holds E_1 Z_1 (order 2 for Psi_2, order 1 for the remainder head)
+    lnf = linear_normalize(0.05, 5)
+    results = [normal_form(lnf, 2), normal_form(lnf, 1, s_max=2)]
+    calls = []
+    bracket = normalform.seed_bracket
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bracket(*args, **kwargs)
+
+    monkeypatch.setattr(normalform, "seed_bracket", counted)
+    for res in results:
+        calls.clear()
+        res.transformed_truncation(1)
+        assert len(calls) == 1
+        assert calls[0][0] is res.seq.chis[0]
+        assert calls[0][1] is res._h1
 
 
 def test_remainder_against_single_oscillator_oracle():
@@ -257,6 +290,10 @@ def test_remainder_degrees_and_smax(monkeypatch):
     for order, bad in ((2, 2), (2, 3.5), (1, "2"), (1, 0)):
         with pytest.raises(ValueError, match="s_max"):
             normal_form(lnf, order, s_max=bad)
+    # and so is a bad order
+    for bad in (0, 1.5, "2", None):
+        with pytest.raises(ValueError, match="order"):
+            normal_form(lnf, bad)
 
 
 def test_next_zeta_is_the_kernel_part_of_the_remainder_head():
