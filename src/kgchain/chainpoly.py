@@ -269,17 +269,24 @@ def _check_cut(rel: float | None, floor: float = 0.0) -> None:
                          f"finite and >= 0, got {rel!r} and {floor!r}")
 
 
+def _cut_level(top: float, rel: float | None = None,
+               floor: float = 0.0) -> float:
+    """The cut of :func:`_cleaned` below a largest |c| of ``top``: every
+    |c| >= max(max(PRUNE_REL, rel) * top, floor) is kept (NaN too, so that
+    it shows), and nothing when ``top`` is 0.  Checks the arguments."""
+    _check_cut(rel, floor)
+    if top == 0.0:
+        return math.inf
+    return max(max(PRUNE_REL, rel or 0.0) * top, floor)
+
+
 def _cleaned(raw: dict, kind: str, rel: float | None = None,
              floor: float = 0.0) -> dict:
     """The one coefficient cut: one scan finds the largest |c|, one pass
-    keeps every |c| >= max(max(PRUNE_REL, rel) * largest, floor) (NaN too,
-    so that it shows) and makes real-kind values real.  ``rel = None`` is
-    the plain clean.  Keys are monomial keys or packed words."""
-    _check_cut(rel, floor)
+    keeps the values that :func:`_cut_level` keeps and makes real-kind
+    values real.  ``rel = None`` is the plain clean."""
     top = max(map(abs, raw.values()), default=0.0)
-    if top == 0.0:
-        return {}
-    cut = max(max(PRUNE_REL, rel or 0.0) * top, floor)
+    cut = _cut_level(top, rel, floor)
     if kind != REAL:
         return {k: v for k, v in raw.items() if not abs(v) < cut}
     imag_cut = REAL_IMAG_TOL * top

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -24,11 +25,10 @@ from .chainpoly import (
     CoordinateError,
     ExpKey,
     SeedPoly,
-    left_align,
     poly_norm,
     sum_polys,
     _arc,
-    _cleaned,
+    _cut_level,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -58,44 +58,145 @@ def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
     return sum_polys(cyclic_shift(f, l) for l in range(f.n))
 
 
-# -- packed words ------------------------------------------------------------
+# -- lane words ---------------------------------------------------------------
 #
-# The seed kernel runs on packed words: the two block exponents of site s
-# occupy the 6-bit fields 2s and 2s+1 of a Python int, a 12-bit slot per
-# site of the ring, so "multiply two monomials and differentiate once in
-# each block at site u" is the single integer sum kf + kg - xi_u - eta_u.
-# Both canonical pairings at a common site give that word, with the
-# combined factor a1*b2 - b1*a2.  A shift of the ring is the rotation
-#     rot(w, r) = ((w << 12r) | (w >> 12(n-r))) & (2^(12n) - 1),
-# which takes every site x to x + r (mod n).
+# The seed kernel runs on lane words.  A monomial key becomes a row of one
+# byte per site, holding the first-block exponent in its low and the
+# second-block exponent in its high 4-bit field, or of two bytes per site,
+# one per block, when an output exponent may reach 16.  The row, padded to
+# whole 8-byte lanes, is read as little-endian uint64 lanes: one lane up
+# to N = 8 in the 1-byte layout, ceil(bytes / 8) lanes beyond.  No field
+# overflows, so adding two rows lane by lane adds their exponents site by
+# site, and "multiply two monomials and differentiate once in each block
+# at site u" is kf - unit(u) + kg, with unit(u) the word of xi_u eta_u.
+# The subtraction may borrow inside a lane and the addition repays it, so
+# both are made on whole lanes, mod 2^64.  A shift of the ring permutes
+# the sites of a row: rot(w, r) moves every site x of w to x + r (mod n).
 
-_PACK_BITS = 6
-_PACK_MASK = (1 << _PACK_BITS) - 1
-_SLOT_BITS = 2 * _PACK_BITS
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-
-
-def _pack(key: ExpKey) -> int:
-    word = 0
-    for s, a, b in key:
-        word |= (a | b << _PACK_BITS) << (_SLOT_BITS * s)
-    return word
-
-
-def _unpack(word: int) -> ExpKey:
-    out = []
-    while word:
-        s = ((word & -word).bit_length() - 1) // _SLOT_BITS  # lowest site
-        pos = _SLOT_BITS * s
-        out.append((s, (word >> pos) & _PACK_MASK,
-                    (word >> (pos + _PACK_BITS)) & _PACK_MASK))
-        word &= ~(_SLOT_MASK << pos)
-    return tuple(out)
+_CHUNK = 1 << 14        # contacts summed per step, which bounds the memory
+_MAX_EXPONENT = 63      # an exponent sum of f and g must stay below it
+_MIX = ((np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)),
+        (np.uint64(0x94D049BB133111EB), np.uint64(29)))
 
 
 def _max_exponent(f: SeedPoly) -> int:
     return max((max(max(a, b) for _, a, b in k) for k in f._terms if k),
                default=0)
+
+
+def _entries(f: SeedPoly):
+    """Term index and (site, a, b) of every site entry of f's keys."""
+    keys = list(f._terms)
+    lens = np.fromiter(map(len, keys), np.intp, len(keys))
+    ents = np.fromiter(chain.from_iterable(chain.from_iterable(keys)),
+                       np.intp, 3 * int(lens.sum())).reshape(-1, 3)
+    return np.repeat(np.arange(len(keys)), lens), ents
+
+
+def _rows(term, ents, count, layout):
+    """Site rows of ``count`` terms from their entries."""
+    sdt, bits, cols = layout
+    rows = np.zeros((count, cols), sdt)
+    rows[term, ents[:, 0]] = ents[:, 1] | ents[:, 2] << bits
+    return rows
+
+
+def _mix(words):
+    """A 64-bit mix of the lanes of each word, for sorting several lanes:
+    a bijective multiply-xorshift step after each lane is folded in."""
+    h = np.zeros(len(words), np.uint64)
+    for j in range(words.shape[1]):
+        h ^= words[:, j]
+        for mul, shift in _MIX:
+            h *= mul
+            h ^= h >> shift
+    return h
+
+
+def _differs(words):
+    """Whether each row of ``words`` differs from the row before it."""
+    new = words[1:, 0] != words[:-1, 0]
+    for j in range(1, words.shape[1]):
+        new |= words[1:, j] != words[:-1, j]
+    return new
+
+
+def _runs(words):
+    """The distinct rows of ``words``, sorted: the index of a row holding
+    each, and for each row the index of its distinct row.
+
+    One lane is sorted as it is; several are sorted by their mix, and when
+    two different rows share a mix, by the lanes themselves."""
+    key = words[:, 0] if words.shape[1] == 1 else _mix(words)
+    order = np.argsort(key)
+    new = _differs(words.take(order, axis=0))
+    if words.shape[1] > 1:
+        k = key.take(order)
+        if (new & (k[1:] == k[:-1])).any():
+            order = np.lexsort(words.T[::-1])
+            new = _differs(words.take(order, axis=0))
+    ids = np.zeros(len(words), np.intp)
+    np.cumsum(new, out=ids[1:])
+    inv = np.empty_like(ids)
+    inv[order] = ids
+    return np.concatenate((order[:1], order[1:][new])), inv
+
+
+def _grouped(words, vals):
+    """Distinct words, sorted, with the sum of the values of each.
+
+    The values are summed in their own order, so the sums do not depend
+    on how the sort orders equal words."""
+    first, inv = _runs(words)
+    sums = np.zeros(len(first), vals.dtype)
+    sums.real = np.bincount(inv, vals.real, len(first))
+    if vals.dtype == complex:
+        sums.imag = np.bincount(inv, vals.imag, len(first))
+    return words.take(first, axis=0), sums
+
+
+def _aligned(rows, n):
+    """Rows rotated so that each covering arc starts at site 0.
+
+    The arc start is found once per distinct occupancy pattern by
+    :func:`kgchain.chainpoly._arc`, which owns the tie rule."""
+    occ = rows != 0
+    first, inv = _runs(occ.astype(rows.dtype).view("<u8"))
+    start = np.array([_arc(np.flatnonzero(occ[i, :n]).tolist(), n)[0]
+                      for i in first], np.intp)[inv]
+    out = rows.copy()
+    for st in np.unique(start[start != 0]):
+        sel = start == st
+        out[sel, :n] = np.roll(rows[sel, :n], -st, axis=1)
+    return out
+
+
+def _merged(parts: list):
+    """:func:`_grouped` of the (words, values) parts, which it drops from
+    ``parts`` once they are joined."""
+    words = np.concatenate([w for w, _ in parts])
+    vals = np.concatenate([v for _, v in parts])
+    parts.clear()
+    return _grouped(words, vals)
+
+
+def _values(p: SeedPoly):
+    """The coefficients of p; real-kind ones are real, so as floats."""
+    vals = np.fromiter(p._terms.values(), complex, len(p._terms))
+    return vals.real.copy() if p.kind == REAL else vals
+
+
+def _keys(rows, n, bits):
+    """The monomial key of each site row."""
+    term, site = np.nonzero(rows[:, :n])
+    v = rows[term, site]
+    ents = list(zip(site.tolist(), (v & ((1 << bits) - 1)).tolist(),
+                    (v >> bits).tolist()))
+    keys, lo = [], 0
+    for hi in np.cumsum(np.bincount(term, minlength=len(rows))).tolist():
+        keys.append(tuple(ents[lo:hi]))
+        lo = hi
+    return keys
 
 
 def seed_bracket(f: SeedPoly, g: SeedPoly, *,
@@ -107,87 +208,103 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     so the cost is independent of N for short-range seeds; shifts are taken
     mod N, which keeps small-N wrap-around exact.
 
-    The sum over shifts is contact-driven, on the packed words above.  A
+    The sum over shifts is contact-driven, on the lane words above.  A
     contact is a site entry (u, a1, b1) of an f-term meeting a site entry
     (s, a2, b2) of a g-term: the shift tau^(s-u) carries site s of g onto
     site u, so the pair adds (a1 b2 - b1 a2) c_f c_g to the word
-    kf - xi_u - eta_u + rot(kg, u - s), where rot(w, r) moves every site x
-    of w to x + r (mod n).  Each (pair, shift, site) term of the shift sum
-    is one contact, so no shift set is built.  f's entries are grouped by
-    exponent pair, which fixes the factor for the whole group.
+    kf - unit(u) + rot(kg, u - s).  Each (pair, shift, site) term of the
+    shift sum is one contact, so no shift set is built; the rotations of g
+    that contacts use are gathered once per bracket.  Contacts are made
+    about ``_CHUNK`` at a time, as arrays; each chunk is sorted and summed
+    per word, and the chunk sums are merged whenever they outgrow the sum
+    merged so far, so merging costs O(C log C) for C contacts.
 
     Every shift of g is summed, so the frame each key of g is stored in
-    cannot change the result: g's keys are first merged per orbit by
-    :func:`kgchain.chainpoly.left_align`, which moves only the order of
-    summation, so the cost follows the orbits of g, not its keys.  f is not
-    merged: the words stay in f's frame, and f's frame fixes the output
-    keys.  The covering-arc rule breaks ties between equal largest gaps by
-    the frame (sites {0, 4} at N = 8), so another frame of f would store
-    some orbits under other keys and move per-key pruning.
+    cannot change the result: g's rows are first left aligned and summed
+    per orbit, by the same array alignment the output gets, which moves
+    only the order of summation, so the cost follows the orbits of g, not
+    its keys.  f is not merged: the words stay in f's frame, and f's frame
+    fixes the output keys.  The covering-arc rule breaks ties between
+    equal largest gaps by the frame (sites {0, 4} at N = 8), so another
+    frame of f would store some orbits under other keys and move per-key
+    pruning.
 
-    The kernel cuts the raw words by :func:`kgchain.chainpoly._cleaned`,
-    which makes every coefficient cut: it keeps |c| >= max(max(1e-15,
-    ``prune_rel``) * largest |c|, ``floor``), so a ``prune_rel`` below
-    1e-15 (or None) acts as the 1e-15 clean, and it raises ``ValueError``
-    unless ``prune_rel`` is None or in (0, 1) and the absolute ``floor`` is
-    finite and >= 0.  Then each kept word is rotated so that its covering
-    arc starts at site 0, and each aligned word is unpacked once.  Kept
-    words that align onto one key merge and may cancel, so the output gets
-    the 1e-15 clean of every SeedPoly.
+    The raw words get the cut of :func:`kgchain.chainpoly._cleaned`, whose
+    threshold :func:`kgchain.chainpoly._cut_level` gives: it keeps |c| >=
+    max(max(1e-15, ``prune_rel``) * largest |c|, ``floor``), so a
+    ``prune_rel`` below 1e-15 (or None) acts as the 1e-15 clean, and it
+    raises ``ValueError`` unless ``prune_rel`` is None or in (0, 1) and the
+    absolute ``floor`` is finite and >= 0.  Then each kept word is rotated
+    so that its covering arc starts at site 0; kept words that align onto
+    one word merge and may cancel, so they get the 1e-15 clean of every
+    SeedPoly, and only these words are turned into keys.  ``ValueError``
+    is raised as well when an exponent of f plus one of g reaches 63.
+    Real-kind coefficients are real, so they are summed as floats.
     """
     f._check_compatible(g)
-    g = left_align(g)
     n = f.n
-    if _max_exponent(f) + _max_exponent(g) >= _PACK_MASK:
+    fterm, fents = _entries(f)
+    gterm, gents = _entries(g)
+    top = fents[:, 1:].max(initial=0) + gents[:, 1:].max(initial=0)
+    if top >= _MAX_EXPONENT:
         raise ValueError("exponent too large for the packed bracket")
-    width = _SLOT_BITS * n
-    word_mask = (1 << width) - 1
-    # rot(w, r) = (w | w << width) >> rot_shift[r], masked
-    rot_shift = [width - _SLOT_BITS * r for r in range(n)]
+    sdt = np.dtype(np.uint8 if top < 16 else "<u2")
+    bits = 4 * sdt.itemsize
+    layout = (sdt, bits, -(-n * sdt.itemsize // 8) * 8 // sdt.itemsize)
+    cols = layout[2]
 
-    by_pair: dict[tuple[int, int], list] = {}
-    for k, c in f._terms.items():
-        kf = _pack(k)
-        for u, a1, b1 in k:
-            pos = _SLOT_BITS * u
-            by_pair.setdefault((a1, b1), []).append(
-                (kf - (1 << pos) - (1 << (pos + _PACK_BITS)), u, c))
+    # g merged per orbit, then its entries (j, s, a2, b2) and rotations
+    gw, cg = _grouped(_aligned(_rows(gterm, gents, len(g._terms), layout),
+                               n).view("<u8"), _values(g))
+    grows = gw.view(sdt)
+    gj, s = np.nonzero(grows[:, :n])
+    gv = grows[gj, s].astype(np.intp)
+    ga, gb, cg = gv & ((1 << bits) - 1), gv >> bits, cg[gj]
+    shifts = np.unique((np.unique(fents[:, 0])[:, None] - np.unique(s)) % n)
+    slot = np.full(n, -1, np.intp)
+    slot[shifts] = np.arange(len(shifts))
+    rots = np.zeros((len(grows), len(shifts), cols), sdt)
+    for k, r in enumerate(shifts):
+        rots[:, k, :n] = np.roll(grows[:, :n], r, axis=1)
+    rots = rots.reshape(-1, cols).view("<u8")
+    gslot = gj * len(shifts)
 
-    acc: dict[int, complex] = {}
-    for k2, c2 in g._terms.items():
-        kg = _pack(k2)
-        kg |= kg << width
-        rots = [(kg >> sh) & word_mask for sh in rot_shift]
-        for s, a2, b2 in k2:
-            for (a1, b1), ents in by_pair.items():
-                factor = a1 * b2 - b1 * a2
-                if not factor:
-                    continue
-                cg = c2 * factor
-                for kfm, u, c1 in ents:
-                    w = kfm + rots[u - s]
-                    acc[w] = acc.get(w, 0.0) + c1 * cg
+    # f's entries (u, a1, b1), each with its word less unit(u)
+    u, fa, fb = fents.T
+    unit = np.zeros((n, cols), sdt)
+    unit[np.arange(n), np.arange(n)] = 1 | 1 << bits
+    wfm = (_rows(fterm, fents, len(f._terms), layout).view("<u8").take(
+        fterm, axis=0) - unit.view("<u8").take(u, axis=0))
+    cf = _values(f)[fterm]
 
-    kept = _cleaned(acc, f.kind, prune_rel, floor)
+    parts, pending = [(wfm[:0], cf[:0])], 0     # the merged sum, then chunks
+    fstep = max(1, min(len(u), _CHUNK))
+    gstep = max(1, _CHUNK // fstep)
+    for p0 in range(0, len(u), fstep):
+        for q0 in range(0, len(s), gstep):
+            fac = (fa[p0:p0 + fstep, None] * gb[q0:q0 + gstep]
+                   - fb[p0:p0 + fstep, None] * ga[q0:q0 + gstep])
+            pi, qi = np.nonzero(fac)
+            fac = fac[pi, qi]
+            pi += p0
+            qi += q0
+            words = wfm.take(pi, axis=0) + rots.take(
+                gslot[qi] + slot[(u[pi] - s[qi]) % n], axis=0)
+            parts.append(_grouped(words, cf[pi] * (cg[qi] * fac)))
+            pending += len(parts[-1][0])
+            if pending > len(parts[0][0]):
+                parts, pending = [_merged(parts)], 0
+    raw, vals = _merged(parts)
 
-    # left alignment: rotate each word by minus its arc start
-    ones = sum(1 << (_SLOT_BITS * x) for x in range(n))
-    low = _PACK_MASK * ones
-    start_of: dict[int, int] = {}
-    aligned: dict[int, complex] = {}
-    for w, v in kept.items():
-        # bit 12x of occ is set iff site x carries an exponent
-        occ = (((w | (w >> _PACK_BITS)) & low) + low) >> _PACK_BITS & ones
-        start = start_of.get(occ)
-        if start is None:
-            start = _arc([x for x in range(n)
-                          if occ >> (_SLOT_BITS * x) & 1], n)[0]
-            start_of[occ] = start
-        if start:
-            shift = _SLOT_BITS * start
-            w = ((w << (width - shift)) | (w >> shift)) & word_mask
-        aligned[w] = aligned.get(w, 0.0) + v
-    return SeedPoly(f.kind, n, {_unpack(w): v for w, v in aligned.items()})
+    mag = np.abs(vals)
+    keep = ~(mag < _cut_level(mag.max(initial=0.0), prune_rel, floor))
+    raw, vals = _grouped(_aligned(raw[keep].view(sdt), n).view("<u8"),
+                         vals[keep])
+    mag = np.abs(vals)
+    keep = ~(mag < _cut_level(mag.max(initial=0.0)))
+    keys = _keys(raw[keep].view(sdt), n, bits)
+    return SeedPoly(f.kind, n, dict(zip(keys, vals[keep].astype(
+        complex).tolist())), _skip_clean=True)
 
 
 # -- Hamiltonian vector fields ---------------------------------------------

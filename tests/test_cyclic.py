@@ -170,11 +170,111 @@ def test_seed_bracket_ignores_the_frames_of_g(rng):
 
 
 def test_seed_bracket_exponent_overflow():
-    # an output exponent must fit its 6-bit field of the packed word
+    # the kernel takes exponent sums of f and g up to 62, no higher
     f = SeedPoly.term([(0, 40, 1)], 1.0, n=4)
     g = SeedPoly.term([(1, 30, 2)], 1.0, n=4)
     with pytest.raises(ValueError, match="exponent too large"):
         seed_bracket(f, g)
+
+
+def _shift_sum(f, g):
+    """The reference: {f, tau^l g} summed over every shift l, aligned."""
+    return left_align(sum_polys(poisson_bracket(f, cyclic_shift(g, l))
+                                for l in range(f.n)))
+
+
+def _assert_matches_shift_sum(f, g):
+    ours, ref = seed_bracket(f, g), _shift_sum(f, g)
+    top = max(ours.max_abs_coeff(), ref.max_abs_coeff())
+    assert ours.max_coeff_diff(ref) <= 1e-13 * top
+
+
+def test_seed_bracket_several_lanes(rng):
+    # One byte per site: N = 9 and 12 take two lanes, N = 17 three, and
+    # the last lane of each carries padding bytes.
+    from kgchain import to_complex
+    for n in (9, 12, 17):
+        for _ in range(6):
+            f = random_seed_poly(rng, n=n, max_sites=n)
+            g = random_seed_poly(rng, n=n, max_sites=n)
+            _assert_matches_shift_sum(f, g)
+            _assert_matches_shift_sum(to_complex(f), to_complex(g))
+
+
+def _seed_with_top_exponent(rng, n, top, terms=3):
+    """Random two-site terms, and x_0^top y_0, so that the largest
+    exponent is exactly ``top``."""
+    p = SeedPoly.term([(0, top, 1)], 0.5, n=n)
+    for _ in range(terms):
+        s = int(rng.integers(n))
+        t = (s + int(rng.integers(1, n))) % n
+        p = p + SeedPoly.term([(s, int(rng.integers(1, top + 1)),
+                                int(rng.integers(0, 3))),
+                               (t, int(rng.integers(0, 3)), 1)],
+                              float(rng.uniform(-1, 1)), n=n)
+    return p
+
+
+def test_seed_bracket_two_byte_layout(rng):
+    # exponent sums from 16 to 62 put two bytes on each site
+    for ef, eg in ((8, 8), (9, 12), (20, 20), (40, 22), (31, 31)):
+        for n in (3, 5, 9):
+            _assert_matches_shift_sum(_seed_with_top_exponent(rng, n, ef),
+                                      _seed_with_top_exponent(rng, n, eg))
+
+
+def test_seed_bracket_exponent_edge():
+    # 31 + 31 = 62 is taken, 32 + 31 = 63 is refused
+    g = SeedPoly.term([(1, 2, 31)], 1.0, n=4)
+    f = SeedPoly.term([(0, 31, 1)], 1.0, n=4)
+    _assert_matches_shift_sum(f, g)
+    assert seed_bracket(f, g).coeff([(0, 32, 31)]) == 31 * 31 - 2
+    with pytest.raises(ValueError, match="exponent too large"):
+        seed_bracket(SeedPoly.term([(0, 32, 1)], 1.0, n=4), g)
+
+
+def test_lane_grouping(rng, monkeypatch):
+    # _grouped sums each distinct word in the order the values come in, on
+    # one lane, on several lanes by their mix, and on several lanes sorted
+    # by the lanes themselves when different words share a mix.
+    from kgchain import cyclic
+    real_mix = cyclic._mix
+    for lanes in (1, 3):
+        words = rng.integers(0, 3, size=(300, lanes)).astype(np.uint64)
+        words[:, -1] <<= np.uint64(60)       # the top bits count too
+        for vals in (rng.uniform(-1, 1, 300),
+                     rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300)):
+            want = {}
+            for w, v in zip(map(tuple, words.tolist()), vals.tolist()):
+                want[w] = want.get(w, 0.0) + v
+            for mix in (real_mix, lambda w: w[:, 0].copy(),
+                        lambda w: np.zeros(len(w), np.uint64)):
+                monkeypatch.setattr(cyclic, "_mix", mix)
+                got_w, got_v = cyclic._grouped(words, vals)
+                got = list(zip(map(tuple, got_w.tolist()), got_v.tolist()))
+                assert dict(got) == want and len(got) == len(want)
+                if lanes == 1 or mix is not real_mix:
+                    assert [w for w, _ in got] == sorted(want)
+
+
+def test_seed_bracket_chunks_merge(rng, monkeypatch):
+    # Tiny chunks give the one-chunk result key for key, up to rounding;
+    # a call repeated gives the same items in the same order.
+    from kgchain import cyclic, to_complex
+    cases = []
+    for n in (4, 6, 9):
+        for _ in range(4):
+            f = random_seed_poly(rng, n=n, max_sites=n, terms=6)
+            g = random_seed_poly(rng, n=n, max_sites=n, terms=6)
+            cases += [(f, g), (to_complex(f), to_complex(g))]
+    whole = [seed_bracket(f, g, prune_rel=1e-3) for f, g in cases]
+    monkeypatch.setattr(cyclic, "_CHUNK", 7)
+    for (f, g), one in zip(cases, whole):
+        parts = seed_bracket(f, g, prune_rel=1e-3)
+        assert set(parts._terms) == set(one._terms)
+        assert parts.max_coeff_diff(one) <= 1e-13 * one.max_abs_coeff()
+        assert list(seed_bracket(f, g, prune_rel=1e-3)._terms.items()) \
+            == list(parts._terms.items())
 
 
 def test_seed_bracket_output_gets_the_clean(rng):
