@@ -73,7 +73,11 @@ def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
 # both are made on whole lanes, mod 2^64.  A shift of the ring permutes
 # the sites of a row: rot(w, r) moves every site x of w to x + r (mod n).
 
-_CHUNK = 1 << 14        # contacts summed per step, which bounds the memory
+# _CHUNK bounds the contact arrays of one step, not the whole memory: the
+# rotation table of g holds |g orbits| x |shifts used| rows of N sites, f
+# holds one word per site entry, and the merged sum grows with the
+# distinct words.
+_CHUNK = 1 << 14        # f-entry x g-entry pairs per step
 _MAX_EXPONENT = 63      # an exponent sum of f and g must stay below it
 _MIX = ((np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)),
         (np.uint64(0x94D049BB133111EB), np.uint64(29)))
@@ -277,7 +281,7 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
         fterm, axis=0) - unit.view("<u8").take(u, axis=0))
     cf = _values(f)[fterm]
 
-    parts, pending = [(wfm[:0], cf[:0])], 0     # the merged sum, then chunks
+    parts, pending = [], 0      # the merged sum, then the chunk sums after it
     fstep = max(1, min(len(u), _CHUNK))
     gstep = max(1, _CHUNK // fstep)
     for p0 in range(0, len(u), fstep):
@@ -291,10 +295,12 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
             words = wfm.take(pi, axis=0) + rots.take(
                 gslot[qi] + slot[(u[pi] - s[qi]) % n], axis=0)
             parts.append(_grouped(words, cf[pi] * (cg[qi] * fac)))
-            pending += len(parts[-1][0])
-            if pending > len(parts[0][0]):
-                parts, pending = [_merged(parts)], 0
-    raw, vals = _merged(parts)
+            if len(parts) > 1:
+                pending += len(parts[-1][0])
+                if pending > len(parts[0][0]):
+                    parts, pending = [_merged(parts)], 0
+    raw, vals = (_merged(parts) if len(parts) > 1 else parts[0] if parts
+                 else (wfm[:0], cf[:0]))
 
     mag = np.abs(vals)
     keep = ~(mag < _cut_level(mag.max(initial=0.0), prune_rel, floor))

@@ -98,6 +98,16 @@ def test_seed_bracket_equivalence(rng):
             assert lhs.max_coeff_diff(rhs) <= 1e-12
 
 
+def _assert_matches_shift_sum(f, g):
+    """seed_bracket against {f, tau^l g} summed over every shift l and
+    left aligned, key by key."""
+    ours = seed_bracket(f, g)
+    ref = left_align(sum_polys(poisson_bracket(f, cyclic_shift(g, l))
+                               for l in range(f.n)))
+    top = max(ours.max_abs_coeff(), ref.max_abs_coeff())
+    assert ours.max_coeff_diff(ref) <= 1e-13 * top
+
+
 def test_seed_bracket_keys_match_shift_sum(rng):
     # Key by key, not only after realization: left_align breaks ties
     # between equal largest gaps by the frame, so a kernel that builds the
@@ -109,17 +119,20 @@ def test_seed_bracket_keys_match_shift_sum(rng):
     for n in (4, 5, 6, 8):
         for _ in range(10):
             cases.append((random_seed_poly(rng, n=n, max_sites=n),
-                          random_seed_poly(rng, n=n, max_sites=n), n))
+                          random_seed_poly(rng, n=n, max_sites=n)))
     lnf = linear_normalize(0.05, 8)
     cases.append((to_complex(lnf.zeta0),
                   invert_lie_omega(project_range(to_complex(lnf.h1)),
-                                   lnf.omega), 8))
-    for f, g, n in cases:
-        ours = seed_bracket(f, g)
-        ref = left_align(sum_polys(poisson_bracket(f, cyclic_shift(g, l))
-                                   for l in range(n)))
-        top = max(ours.max_abs_coeff(), ref.max_abs_coeff())
-        assert ours.max_coeff_diff(ref) <= 1e-13 * top
+                                   lnf.omega)))
+    # One byte per site: N = 9 and 12 take two lanes, N = 17 three, and
+    # the last lane of each carries padding bytes.
+    for n in (9, 12, 17):
+        for _ in range(6):
+            f = random_seed_poly(rng, n=n, max_sites=n)
+            g = random_seed_poly(rng, n=n, max_sites=n)
+            cases += [(f, g), (to_complex(f), to_complex(g))]
+    for f, g in cases:
+        _assert_matches_shift_sum(f, g)
 
 
 def _reframed(g, rng):
@@ -175,30 +188,6 @@ def test_seed_bracket_exponent_overflow():
     g = SeedPoly.term([(1, 30, 2)], 1.0, n=4)
     with pytest.raises(ValueError, match="exponent too large"):
         seed_bracket(f, g)
-
-
-def _shift_sum(f, g):
-    """The reference: {f, tau^l g} summed over every shift l, aligned."""
-    return left_align(sum_polys(poisson_bracket(f, cyclic_shift(g, l))
-                                for l in range(f.n)))
-
-
-def _assert_matches_shift_sum(f, g):
-    ours, ref = seed_bracket(f, g), _shift_sum(f, g)
-    top = max(ours.max_abs_coeff(), ref.max_abs_coeff())
-    assert ours.max_coeff_diff(ref) <= 1e-13 * top
-
-
-def test_seed_bracket_several_lanes(rng):
-    # One byte per site: N = 9 and 12 take two lanes, N = 17 three, and
-    # the last lane of each carries padding bytes.
-    from kgchain import to_complex
-    for n in (9, 12, 17):
-        for _ in range(6):
-            f = random_seed_poly(rng, n=n, max_sites=n)
-            g = random_seed_poly(rng, n=n, max_sites=n)
-            _assert_matches_shift_sum(f, g)
-            _assert_matches_shift_sum(to_complex(f), to_complex(g))
 
 
 def _seed_with_top_exponent(rng, n, top, terms=3):
