@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .chainpoly import (
     BIRKHOFF,
@@ -234,6 +233,8 @@ def deformation_bound(res, radius: float, rec: ConstantsRecord,
     check composes the time-1 flows of the generating Hamiltonians,
     integrated to high accuracy, on random states with ||z|| <= 2R/3.
     """
+    from scipy.integrate import solve_ivp
+
     r = res.order
     n = res.lnf.n
     delta = radius / (3.0 * r)
@@ -257,31 +258,26 @@ def deformation_bound(res, radius: float, rec: ConstantsRecord,
             f"R = {radius:g} is not below R_* = {rec.r_star:g}; the "
             "deformation bound is outside its hypothesis")
 
+    def size(v):
+        return np.linalg.norm(v) if norm == "l2" else np.max(np.abs(v))
+
     rng = np.random.default_rng(seed)
     evaluators = [FieldEvaluator(c) for c in res.seq.chis]
     worst = 0.0
     per_step_worst = [0.0] * r
     for _ in range(samples):
         z0 = rng.normal(size=2 * n)
-        if norm == "l2":
-            z0 *= (2.0 * radius / 3.0) * rng.random() \
-                / np.linalg.norm(z0)
-        else:
-            z0 *= (2.0 * radius / 3.0) * rng.random() \
-                / np.max(np.abs(z0))
+        z0 *= (2.0 * radius / 3.0) * rng.random() / size(z0)
         z = z0.copy()
         for s in range(r, 0, -1):
             ev = evaluators[s - 1]
             sol = solve_ivp(lambda t, y: ev(y), (0.0, 1.0), z,
                             rtol=1e-12, atol=1e-14, method="DOP853")
             znew = sol.y[:, -1]
-            dev = (np.linalg.norm(znew - z) if norm == "l2"
-                   else np.max(np.abs(znew - z)))
-            per_step_worst[s - 1] = max(per_step_worst[s - 1], dev)
+            per_step_worst[s - 1] = max(per_step_worst[s - 1],
+                                        size(znew - z))
             z = znew
-        dev = (np.linalg.norm(z - z0) if norm == "l2"
-               else np.max(np.abs(z - z0)))
-        worst = max(worst, dev)
+        worst = max(worst, size(z - z0))
     sampled_pass = worst <= total_bound
     for s in range(1, r + 1):
         steps[s - 1]["sampled_worst"] = per_step_worst[s - 1]

@@ -12,6 +12,7 @@ the cyclic machinery itself lives in :mod:`kgchain.cyclic`.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -375,31 +376,27 @@ def poly_norm(f: SeedPoly, radius: float) -> float:
 _IPOW = (1.0, 1j, -1.0, -1j)
 
 
-def _site_to_complex(a: int, b: int) -> dict[tuple[int, int], complex]:
-    """Expansion of x^a y^b in (xi, eta), without the 2^(-(a+b)/2) factor."""
+@functools.cache
+def _site_table(a: int, b: int, unit: int) -> tuple:
+    """((first, second) exponents, weight) items of u^a v^b after
+    u = (p + unit*i q)/sqrt2, v = (unit*i p + q)/sqrt2, without the
+    2^(-(a+b)/2) factor.
+
+    unit = 1 takes (x, y) to (xi, eta); unit = -1 is the inverse.  The
+    inverse walks its inner sum backwards: the item order fixes the
+    summation order of ``_convert``, and so the last bits of its output.
+    """
     out: dict[tuple[int, int], complex] = {}
     for i in range(a + 1):
-        ca = comb(a, i) * _IPOW[(a - i) % 4]
-        for j in range(b + 1):
-            c = ca * comb(b, j) * _IPOW[j % 4]
+        ca = comb(a, i) * _IPOW[unit * (a - i) % 4]
+        for j in range(b + 1)[::unit]:
+            c = ca * comb(b, j) * _IPOW[unit * j % 4]
             key = (i + j, (a - i) + (b - j))
             out[key] = out.get(key, 0.0) + c
-    return out
+    return tuple(out.items())
 
 
-def _site_to_real(c: int, d: int) -> dict[tuple[int, int], complex]:
-    """Expansion of xi^c eta^d in (x, y), without the 2^(-(c+d)/2) factor."""
-    out: dict[tuple[int, int], complex] = {}
-    for i in range(c + 1):
-        ca = comb(c, i) * _IPOW[(-(c - i)) % 4]
-        for j in range(d + 1):
-            cc = ca * comb(d, j) * _IPOW[(-(d - j)) % 4]
-            key = (i + (d - j), (c - i) + j)
-            out[key] = out.get(key, 0.0) + cc
-    return out
-
-
-def _convert(f: SeedPoly, site_table, out_kind: str) -> SeedPoly:
+def _convert(f: SeedPoly, unit: int, out_kind: str) -> SeedPoly:
     acc: dict[ExpKey, complex] = {}
     for k, c in f._terms.items():
         deg = sum(a + b for _, a, b in k)
@@ -408,18 +405,12 @@ def _convert(f: SeedPoly, site_table, out_kind: str) -> SeedPoly:
         if deg % 2:
             scale *= 0.7071067811865476
         partial: list[tuple[ExpKey, complex]] = [((), c * scale)]
+        # a site's exponents sum to a + b > 0, so each site adds one
+        # entry, in k's site order, and every key comes out sorted
         for s, a, b in k:
-            table = site_table(a, b)
-            nxt: list[tuple[ExpKey, complex]] = []
-            for key, coeff in partial:
-                for (ea, eb), w in table.items():
-                    if ea or eb:
-                        nxt.append((key + ((s, ea, eb),), coeff * w))
-                    else:
-                        nxt.append((key, coeff * w))
-            partial = nxt
-        # each site of k adds at most one entry, in k's site order, so
-        # every key comes out sorted
+            partial = [(key + ((s, ea, eb),), coeff * w)
+                       for key, coeff in partial
+                       for (ea, eb), w in _site_table(a, b, unit)]
         for key, coeff in partial:
             acc[key] = acc.get(key, 0.0) + coeff
     return SeedPoly(out_kind, f.n, acc)
@@ -429,14 +420,14 @@ def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
     if f.kind != REAL:
         raise CoordinateError("to_complex expects a real-kind polynomial")
-    return _convert(f, _site_to_complex, BIRKHOFF)
+    return _convert(f, 1, BIRKHOFF)
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
     """Inverse substitution; raises if the result is not real."""
     if f.kind != BIRKHOFF:
         raise CoordinateError("to_real expects a Birkhoff-kind polynomial")
-    return _convert(f, _site_to_real, REAL)
+    return _convert(f, -1, REAL)
 
 
 def reality_defect(f: SeedPoly) -> float:

@@ -127,10 +127,8 @@ def _centered_weights(row: np.ndarray, n: int,
         w = float(row[m])
         if abs(w) < cutoff * lead:
             continue
-        if 2 * m == n:
-            out.append((m, w))
-        else:
-            out.append((m, w))
+        out.append((m, w))
+        if 2 * m != n:
             out.append((n - m, w))
     return out
 

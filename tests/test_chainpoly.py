@@ -25,7 +25,7 @@ from kgchain.chainpoly import envelope_constant
 from kgchain.cyclic import cyclic_shift
 
 from conftest import random_homogeneous, random_seed_poly
-from oracles import from_seedpoly, p_max_diff, p_poisson
+from oracles import from_seedpoly, p_birkhoff, p_max_diff, p_poisson
 
 
 def test_canonical_pair_bracket():
@@ -113,6 +113,28 @@ def test_complexification_roundtrip_and_reality(rng):
         fb = to_complex(f)
         assert reality_defect(fb) <= 1e-14 * max(fb.max_abs_coeff(), 1.0)
         assert to_real(fb).max_coeff_diff(f) <= 1e-14
+
+
+def test_to_complex_matches_dense_oracle(rng):
+    # The round trip cannot see forward and inverse site tables that are
+    # wrong in matching ways, so check the forward one against the dense
+    # substitution, on odd and even degrees with per-site exponents up to 5.
+    for n in (3, 5):
+        for parity in (0, 1):
+            f = SeedPoly.zero(n=n)
+            while f.num_terms() < 5:
+                sites = rng.choice(n, size=int(rng.integers(1, 4)),
+                                   replace=False)
+                ents = [(int(s), int(rng.integers(0, 6)),
+                         int(rng.integers(0, 6))) for s in sites]
+                deg = sum(a + b for _, a, b in ents)
+                if deg and deg % 2 == parity:
+                    f = f + SeedPoly.term(ents, float(rng.uniform(-1, 1)),
+                                          n=n)
+            fb = to_complex(f)
+            oracle = p_birkhoff(from_seedpoly(f, n), n)
+            assert p_max_diff(from_seedpoly(fb, n), oracle) \
+                <= 1e-13 * fb.max_abs_coeff()
 
 
 def test_coordinate_kind_errors(rng):

@@ -1,6 +1,9 @@
 """Source hygiene of the package, checked with the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +82,13 @@ def test_every_field_is_read():
               and not _serializes_dict(cls)
               for name in _fields(cls) if name not in read]
     assert not unread, "fields that nothing reads: " + ", ".join(unread)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # scipy.integrate serves only the sampled deformation check, and it is
+    # most of the import time of the package when loaded eagerly
+    code = ("import sys, kgchain; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env)
+    assert done.returncode == 0, "import kgchain loads scipy.integrate"
