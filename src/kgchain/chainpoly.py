@@ -22,7 +22,9 @@ from typing import Iterable
 # Relative coefficient threshold applied after arithmetic: keeps float noise
 # from filling in, stays far below every test tolerance.
 PRUNE_REL = 1e-15
-# Tolerance for declaring a coefficient real when the kind is "real".
+# Tolerance for declaring a coefficient real when the kind is "real", and a
+# Birkhoff-kind polynomial a real image in to_real (relative to the largest
+# |c| in both).
 REAL_IMAG_TOL = 1e-14
 
 REAL = "real"
@@ -396,9 +398,11 @@ def _site_table(a: int, b: int, unit: int) -> tuple:
     return tuple(out.items())
 
 
-def _convert(f: SeedPoly, unit: int, out_kind: str) -> SeedPoly:
+def _convert(terms: dict, unit: int) -> dict:
+    """The substitution of :func:`_site_table` on every term, summed per
+    output key."""
     acc: dict[ExpKey, complex] = {}
-    for k, c in f._terms.items():
+    for k, c in terms.items():
         deg = sum(a + b for _, a, b in k)
         # Exact power of 1/2 for even degree; odd degrees keep a sqrt(2).
         scale = 0.5 ** (deg // 2)
@@ -413,25 +417,75 @@ def _convert(f: SeedPoly, unit: int, out_kind: str) -> SeedPoly:
                        for (ea, eb), w in _site_table(a, b, unit)]
         for key, coeff in partial:
             acc[key] = acc.get(key, 0.0) + coeff
-    return SeedPoly(out_kind, f.n, acc)
+    return acc
 
 
 def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
     if f.kind != REAL:
         raise CoordinateError("to_complex expects a real-kind polynomial")
-    return _convert(f, 1, BIRKHOFF)
+    return SeedPoly(BIRKHOFF, f.n, _convert(f._terms, 1))
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
-    """Inverse substitution; raises if the result is not real."""
+    """Inverse substitution; raises unless ``f`` is the image of a real
+    polynomial (:func:`reality_defect` above ``REAL_IMAG_TOL`` times the
+    largest |c|).
+
+    The reality map takes the imbalance sector d = |k| - |j| onto -d and
+    each term's inverse image onto its complex conjugate.  So f is its
+    d = 0 terms plus a d > 0 half h plus the mirror of h, and the result
+    is the inverse image of the d = 0 terms plus 2 Re of that of h: only
+    the d >= 0 terms are expanded.
+    """
     if f.kind != BIRKHOFF:
         raise CoordinateError("to_real expects a Birkhoff-kind polynomial")
-    return _convert(f, -1, REAL)
+    defect = reality_defect(f)
+    if defect > REAL_IMAG_TOL * f.max_abs_coeff():
+        raise CoordinateError(f"to_real expects the image of a real "
+                              f"polynomial; reality defect {defect:g}")
+    kernel, half = _imbalance_sectors(f)
+    acc = _convert(kernel, -1)
+    for k, c in _convert(half, -1).items():
+        acc[k] = acc.get(k, 0.0) + 2.0 * c.real
+    return SeedPoly(REAL, f.n, acc)
+
+
+def _imbalance(key: ExpKey) -> int:
+    """|k| - |j|: total second-block minus first-block exponents."""
+    return sum(b - a for _, a, b in key)
+
+
+def _imbalance_sectors(f: SeedPoly) -> tuple[dict, dict]:
+    """The terms of ``f`` with imbalance d = 0 and with d > 0."""
+    kernel, half = {}, {}
+    for k, c in f._terms.items():
+        d = _imbalance(k)
+        if d == 0:
+            kernel[k] = c
+        elif d > 0:
+            half[k] = c
+    return kernel, half
+
+
+def mirror(f: SeedPoly) -> SeedPoly:
+    """The reality map: c xi^j eta^k goes to i^deg conj(c) xi^k eta^j.
+
+    An involution that takes the imbalance sector d onto -d; its fixed
+    points are the images of real polynomials.  Swapping the blocks keeps
+    a term's sites, so aligned keys stay aligned.
+    """
+    if f.kind != BIRKHOFF:
+        raise CoordinateError("mirror expects Birkhoff kind")
+    return SeedPoly(BIRKHOFF, f.n,
+                    {tuple((s, b, a) for s, a, b in k):
+                     _IPOW[sum(a + b for _, a, b in k) % 4] * c.conjugate()
+                     for k, c in f._terms.items()}, _skip_clean=True)
 
 
 def reality_defect(f: SeedPoly) -> float:
-    """Deviation from the reality condition b_{j,k} = i^s conj(b_{k,j}).
+    """Deviation from the reality condition b_{j,k} = i^s conj(b_{k,j}):
+    the largest |c| of f - mirror(f).
 
     Zero (up to roundoff) exactly when the polynomial is the image of a
     real polynomial.  For quadratics the condition reduces to the familiar
@@ -439,13 +493,10 @@ def reality_defect(f: SeedPoly) -> float:
     """
     if f.kind != BIRKHOFF:
         raise CoordinateError("reality_defect expects Birkhoff kind")
-    worst = 0.0
-    for k, c in f._terms.items():
-        deg = sum(a + b for _, a, b in k)
-        swapped = tuple((s, b, a) for s, a, b in k)
-        other = f._terms.get(swapped, 0.0)
-        worst = max(worst, abs(c - _IPOW[deg % 4] * other.conjugate()))
-    return worst
+    image = mirror(f)._terms
+    # a key of image that f lacks mirrors one of f that image lacks
+    return max((abs(c - image.get(k, 0.0)) for k, c in f._terms.items()),
+               default=0.0)
 
 
 # -- alignment, decay ------------------------------------------------------

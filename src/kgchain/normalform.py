@@ -36,16 +36,19 @@ from .chainpoly import (
     BIRKHOFF,
     CoordinateError,
     DecayProfile,
-    ExpKey,
     SeedPoly,
     fit_decay,
+    mirror,
     norm_pairs,
     poly_norm,
+    reality_defect,
     seed_to_dict,
     sum_polys,
     to_complex,
     to_real,
     _check_cut,
+    _imbalance,
+    _imbalance_sectors,
 )
 from .cyclic import seed_bracket
 from .linearize import LinearNF
@@ -77,14 +80,12 @@ NEUMANN_CUT = 1e-3
 # Kernel mass of an invert_lie_omega input, relative to its ||.||_1, that is
 # dropped as float noise; a larger one is an error.
 KERNEL_LEAK_TOL = 1e-12
+# Reality defect of a solve_homological input, relative to its largest |c|,
+# above which the input is not taken for a real image.
+REALITY_TOL = 1e-13
 
 
 # -- the diagonal operator L_Omega ------------------------------------------
-
-def _imbalance(key: ExpKey) -> int:
-    """|k| - |j|: total second-block minus first-block exponents."""
-    return sum(b - a for _, a, b in key)
-
 
 def _check_birkhoff(f: SeedPoly, name: str) -> None:
     """L_Omega is diagonal in the Birkhoff coordinates only."""
@@ -124,18 +125,18 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     an error; a smaller one is float noise and is dropped.
     """
     _check_birkhoff(g, "invert_lie_omega")
-    total = poly_norm(g, 1.0)
-    kernel_mass = sum(abs(c) for k, c in g._terms.items()
-                      if _imbalance(k) == 0)
-    if kernel_mass > KERNEL_LEAK_TOL * max(total, 1e-300):
-        raise KernelLeakageError(
-            f"input has kernel component of relative size "
-            f"{kernel_mass / max(total, 1e-300):.3e}")
-    acc = {}
+    acc, kernel_mass = {}, 0.0
     for k, c in g._terms.items():
         d = _imbalance(k)
         if d:
             acc[k] = c / (1j * omega * d)
+        else:
+            kernel_mass += abs(c)
+    total = poly_norm(g, 1.0)
+    if kernel_mass > KERNEL_LEAK_TOL * max(total, 1e-300):
+        raise KernelLeakageError(
+            f"input has kernel component of relative size "
+            f"{kernel_mass / max(total, 1e-300):.3e}")
     return SeedPoly(BIRKHOFF, g.n, acc, _skip_clean=True)
 
 
@@ -154,26 +155,49 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     (the operator-norm smallness that guarantees convergence no longer
     holds).
 
+    The series runs on the imbalance sector d = |k| - |j| > 0 alone, and
+    chi is that half plus its :func:`~kgchain.chainpoly.mirror`.  This is
+    exact for real images: Z_0 lies in the kernel of L_Omega (d = 0), so
+    L_Omega and L_{Z_0} keep d, and so does every term of the series; the
+    reality map takes sector d onto -d and commutes with both operators,
+    so the d < 0 half of the solution of a real psi is the mirror of its
+    d > 0 half.  A term's norm is twice its half's.  psi and zeta0 must be
+    real images (:func:`~kgchain.chainpoly.reality_defect` at most
+    ``REALITY_TOL`` times their largest |c|) and zeta0 must lie in the
+    kernel; otherwise ``CoordinateError`` is raised.
+
     With ``prune_rel`` set, every term's bracket drops its words below
     one absolute floor, ``NEUMANN_CUT * prune_rel`` times the largest
     coefficient of the first term, besides its own relative cut: term l
     is about (mu/Omega)^l smaller than the first, so a cut relative to
-    each term alone would keep a full-width tail at every l.
+    each term alone would keep a full-width tail at every l.  Both cuts
+    read the largest |c|, which the mirror keeps, so the half is cut as
+    the whole would be.
     """
     _check_cut(prune_rel)
     _check_birkhoff(psi, "solve_homological")
     _check_birkhoff(zeta0, "solve_homological")
+    for name, f in (("psi", psi), ("zeta0", zeta0)):
+        defect = reality_defect(f)
+        if defect > REALITY_TOL * f.max_abs_coeff():
+            raise CoordinateError(f"solve_homological expects {name} to be "
+                                  f"the image of a real polynomial; "
+                                  f"reality defect {defect:g}")
+    if not project_range(zeta0).is_zero():
+        raise CoordinateError("solve_homological expects zeta0 in the "
+                              "kernel of L_Omega")
 
-    zeta = project_kernel(psi)
-    g = project_range(psi)
+    kernel, half = _imbalance_sectors(psi)
+    zeta = SeedPoly(BIRKHOFF, psi.n, kernel, _skip_clean=True)
     scale = poly_norm(psi, 1.0)
-    if g.is_zero():
+    if not half:
         return SeedPoly.zero(BIRKHOFF, psi.n), zeta
 
-    term = invert_lie_omega(g, omega)
+    term = invert_lie_omega(SeedPoly(BIRKHOFF, psi.n, half,
+                                     _skip_clean=True), omega)
     floor = NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
     total = term
-    prev_norm = poly_norm(term, 1.0)
+    prev_norm = 2.0 * poly_norm(term, 1.0)
     growth = 0
     for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
@@ -182,15 +206,14 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
                                floor=floor)
         term = invert_lie_omega(bracket, omega).scaled(-1.0)
         total = total + term
-        norm = poly_norm(term, 1.0)
+        norm = 2.0 * poly_norm(term, 1.0)
         growth = growth + 1 if norm > prev_norm else 0
         if growth >= 3:
             raise NeumannDivergenceError(0)
         prev_norm = norm
     else:
         raise NeumannDivergenceError(0, "Neumann series did not settle")
-    chi = total
-    return chi, zeta
+    return total + mirror(total), zeta
 
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,
@@ -343,7 +366,9 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
 
     # The recursion runs in real coordinates (far fewer terms); only the
     # kernel/range splitting and the diagonal inversion go through the
-    # complex coordinates inside the solver.
+    # complex coordinates inside the solver, which iterates on the d > 0
+    # half of chi.  to_real expands the d >= 0 terms only, so neither
+    # layer works on the mirrored half.
     chis: list[SeedPoly] = []
     zetas: list[SeedPoly] = []
     engine = _LieEngine(chis, prune_rel)
@@ -357,7 +382,7 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
         except NeumannDivergenceError as exc:
             raise NeumannDivergenceError(s) from exc
         # L_{H0} chi_s = Z_s - Psi_s
-        chis.append(to_real(chi_t.scaled(-1.0)).prune(prune_rel))
+        chis.append(to_real(chi_t).scaled(-1.0).prune(prune_rel))
         zetas.append(to_real(zeta_b).prune(prune_rel))
 
     res = NormalFormResult(

@@ -21,7 +21,8 @@ from kgchain import (
     to_complex,
     to_real,
 )
-from kgchain.chainpoly import envelope_constant
+from kgchain.chainpoly import (BIRKHOFF, _convert, _imbalance,
+                               envelope_constant, mirror)
 from kgchain.cyclic import cyclic_shift
 
 from conftest import random_homogeneous, random_seed_poly
@@ -113,6 +114,37 @@ def test_complexification_roundtrip_and_reality(rng):
         fb = to_complex(f)
         assert reality_defect(fb) <= 1e-14 * max(fb.max_abs_coeff(), 1.0)
         assert to_real(fb).max_coeff_diff(f) <= 1e-14
+
+
+def test_mirror_is_the_reality_map(rng):
+    # an involution that takes sector d onto -d; f + mirror(f) is real
+    for _ in range(10):
+        fb = to_complex(random_seed_poly(rng, n=8)) \
+            + SeedPoly.term([(0, 2, 1), (2, 0, 3)], 0.3 - 0.7j,
+                            kind=BIRKHOFF, n=8)
+        assert mirror(mirror(fb))._terms == fb._terms
+        assert sorted(_imbalance(k) for k in mirror(fb)._terms) \
+            == sorted(-_imbalance(k) for k in fb._terms)
+        half = SeedPoly(BIRKHOFF, 8, {k: c for k, c in fb._terms.items()
+                                      if _imbalance(k) > 0})
+        assert reality_defect(half + mirror(half)) == 0.0
+
+
+def test_to_real_expands_half_of_a_real_image(rng):
+    # to_real expands the d >= 0 terms only; the reference expands all
+    for _ in range(10):
+        fb = to_complex(random_seed_poly(rng, n=8, terms=8, max_degree=6))
+        full = _convert(fb._terms, -1)
+        top = max(map(abs, full.values()), default=1.0)
+        got = to_real(fb)
+        assert set(got._terms) <= set(full)
+        assert max(abs(full[k] - got._terms.get(k, 0.0)) for k in full) \
+            <= 1e-13 * top
+    # a term without its mirror is not the image of a real polynomial
+    odd = fb + SeedPoly.term([(0, 2, 1), (2, 0, 3)], 1e-6, kind=BIRKHOFF,
+                             n=8)
+    with pytest.raises(CoordinateError, match="reality defect"):
+        to_real(odd)
 
 
 def test_to_complex_matches_dense_oracle(rng):

@@ -35,7 +35,8 @@ from kgchain.normalform import (
     homological_residual,
     remainder_head,
 )
-from kgchain.chainpoly import REAL, CoordinateError, decay_decompose, sum_polys
+from kgchain.chainpoly import (REAL, CoordinateError, _convert, _imbalance,
+                               decay_decompose, reality_defect, sum_polys)
 
 from conftest import random_seed_poly
 from oracles import (
@@ -124,6 +125,73 @@ def test_solve_homological_residual_realization():
         realize(to_real(chi), 6))
     target = realize(to_real(psi), 6) - realize(to_real(zeta), 6)
     assert full.max_coeff_diff(target) <= 1e-10
+
+
+def _full_sector_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
+    """The Neumann series on both imbalance sectors, with the solver's cuts
+    and stopping rule: the reference for the one-sector solve."""
+    term = invert_lie_omega(project_range(psi), omega)
+    floor = normalform.NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
+    total, scale = term, poly_norm(psi, 1.0)
+    while poly_norm(term, 1.0) > tol * scale:
+        term = invert_lie_omega(seed_bracket(zeta0, term, prune_rel=prune_rel,
+                                             floor=floor), omega).scaled(-1.0)
+        total = total + term
+    return total, project_kernel(psi)
+
+
+@pytest.mark.parametrize("n, prune", [(6, None), (8, 1e-7)])
+def test_one_sector_solve_matches_the_full_series(n, prune):
+    lnf = linear_normalize(0.05, n)
+    z0b = to_complex(lnf.zeta0)
+    psi = to_complex(remainder_head(normal_form(lnf, 1, prune_rel=prune),
+                                    2)[0])            # Psi_2
+    chi, zeta = solve_homological(psi, z0b, lnf.omega, prune_rel=prune)
+    ref_chi, ref_zeta = _full_sector_solve(psi, z0b, lnf.omega,
+                                           prune_rel=prune)
+    top = ref_chi.max_abs_coeff()
+    assert set(chi._terms) == set(ref_chi._terms)
+    assert chi.max_coeff_diff(ref_chi) <= 1e-13 * top
+    assert reality_defect(chi) <= 1e-14 * top
+    assert zeta._terms == ref_zeta._terms
+    # to_real expands the d > 0 half; the reference expands every term
+    full = _convert(chi._terms, -1)
+    real = to_real(chi)
+    assert max(abs(v - real._terms.get(k, 0.0)) for k, v in full.items()) \
+        <= 1e-13 * max(map(abs, full.values()))
+
+
+def test_solver_brackets_the_d_positive_half_only(monkeypatch):
+    lnf = linear_normalize(0.05, 6)
+    z0b = to_complex(lnf.zeta0)
+    operands = []
+    bracket = normalform.seed_bracket
+
+    def recorded(f, g, **kwargs):
+        operands.append(g)
+        return bracket(f, g, **kwargs)
+
+    monkeypatch.setattr(normalform, "seed_bracket", recorded)
+    chi, _ = solve_homological(to_complex(lnf.h1), z0b, lnf.omega)
+    assert operands
+    assert all(_imbalance(k) > 0 for g in operands for k in g._terms)
+    # and the returned chi is the whole: both sectors, mirror images
+    assert {_imbalance(k) > 0 for k in chi._terms} == {True, False}
+    assert reality_defect(chi) == 0.0
+
+
+def test_solver_rejects_a_psi_that_is_not_real():
+    lnf = linear_normalize(0.05, 6)
+    z0b = to_complex(lnf.zeta0)
+    psi = to_complex(lnf.h1)
+    lone = SeedPoly.term([(0, 1, 2), (1, 0, 1)], 1e-9, kind=BIRKHOFF, n=6)
+    assert _imbalance(next(iter(lone._terms))) > 0
+    with pytest.raises(CoordinateError, match="psi"):
+        solve_homological(psi + lone, z0b, lnf.omega)
+    # zeta0 must be a real image in the kernel of L_Omega too
+    for bad in (z0b + lone, z0b + lone + normalform.mirror(lone)):
+        with pytest.raises(CoordinateError, match="zeta0"):
+            solve_homological(psi, bad, lnf.omega)
 
 
 def test_k_operator_preserves_range(rng):
