@@ -453,7 +453,10 @@ def to_real(f: SeedPoly) -> SeedPoly:
 
 def _imbalance(key: ExpKey) -> int:
     """|k| - |j|: total second-block minus first-block exponents."""
-    return sum(b - a for _, a, b in key)
+    d = 0
+    for _, a, b in key:
+        d += b - a
+    return d
 
 
 def _imbalance_sectors(f: SeedPoly) -> tuple[dict, dict]:
@@ -477,10 +480,14 @@ def mirror(f: SeedPoly) -> SeedPoly:
     """
     if f.kind != BIRKHOFF:
         raise CoordinateError("mirror expects Birkhoff kind")
-    return SeedPoly(BIRKHOFF, f.n,
-                    {tuple((s, b, a) for s, a, b in k):
-                     _IPOW[sum(a + b for _, a, b in k) % 4] * c.conjugate()
-                     for k, c in f._terms.items()}, _skip_clean=True)
+    out = {}
+    for k, c in f._terms.items():
+        swapped, deg = [], 0
+        for s, a, b in k:
+            swapped.append((s, b, a))
+            deg += a + b
+        out[tuple(swapped)] = _IPOW[deg % 4] * c.conjugate()
+    return SeedPoly(BIRKHOFF, f.n, out, _skip_clean=True)
 
 
 def reality_defect(f: SeedPoly) -> float:
