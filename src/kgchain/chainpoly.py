@@ -23,8 +23,8 @@ from typing import Iterable
 # from filling in, stays far below every test tolerance.
 PRUNE_REL = 1e-15
 # Tolerance for declaring a coefficient real when the kind is "real", and a
-# Birkhoff-kind polynomial a real image in to_real (relative to the largest
-# |c| in both).
+# Birkhoff-kind polynomial a real image in _check_real_image (relative to
+# the largest |c| in both).
 REAL_IMAG_TOL = 1e-14
 
 REAL = "real"
@@ -94,6 +94,13 @@ def _check_chain_size(n) -> None:
         raise CoordinateError(f"a seed needs a chain size n >= 1, got {n!r}")
 
 
+def _check_kind(f: SeedPoly, kind: str, name: str) -> None:
+    """Raise unless ``f`` has coordinate kind ``kind``; ``name`` asks."""
+    if f.kind != kind:
+        word = "Birkhoff" if kind == BIRKHOFF else kind
+        raise CoordinateError(f"{name} expects a {word}-kind polynomial")
+
+
 def _ring_key(exps: Iterable[tuple[int, int, int]], n: int) -> ExpKey:
     """Monomial key of ``exps`` with its sites reduced mod n."""
     _check_chain_size(n)
@@ -153,17 +160,9 @@ class SeedPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degrees(self) -> list[int]:
-        return sorted({sum(a + b for _, a, b in k) for k in self._terms})
-
     def max_degree(self) -> int:
         return max((sum(a + b for _, a, b in k) for k in self._terms),
                    default=0)
-
-    def homogeneous_part(self, degree: int) -> "SeedPoly":
-        sub = {k: v for k, v in self._terms.items()
-               if sum(a + b for _, a, b in k) == degree}
-        return SeedPoly(self.kind, self.n, sub, _skip_clean=True)
 
     def graded_parts(self) -> dict[int, "SeedPoly"]:
         out: dict[int, dict[ExpKey, complex]] = {}
@@ -422,15 +421,13 @@ def _convert(terms: dict, unit: int) -> dict:
 
 def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
-    if f.kind != REAL:
-        raise CoordinateError("to_complex expects a real-kind polynomial")
+    _check_kind(f, REAL, "to_complex")
     return SeedPoly(BIRKHOFF, f.n, _convert(f._terms, 1))
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
     """Inverse substitution; raises unless ``f`` is the image of a real
-    polynomial (:func:`reality_defect` above ``REAL_IMAG_TOL`` times the
-    largest |c|).
+    polynomial (:func:`_check_real_image`).
 
     The reality map takes the imbalance sector d = |k| - |j| onto -d and
     each term's inverse image onto its complex conjugate.  So f is its
@@ -438,12 +435,7 @@ def to_real(f: SeedPoly) -> SeedPoly:
     is the inverse image of the d = 0 terms plus 2 Re of that of h: only
     the d >= 0 terms are expanded.
     """
-    if f.kind != BIRKHOFF:
-        raise CoordinateError("to_real expects a Birkhoff-kind polynomial")
-    defect = reality_defect(f)
-    if defect > REAL_IMAG_TOL * f.max_abs_coeff():
-        raise CoordinateError(f"to_real expects the image of a real "
-                              f"polynomial; reality defect {defect:g}")
+    _check_real_image(f, "to_real")
     kernel, half = _imbalance_sectors(f)
     acc = _convert(kernel, -1)
     for k, c in _convert(half, -1).items():
@@ -478,8 +470,7 @@ def mirror(f: SeedPoly) -> SeedPoly:
     points are the images of real polynomials.  Swapping the blocks keeps
     a term's sites, so aligned keys stay aligned.
     """
-    if f.kind != BIRKHOFF:
-        raise CoordinateError("mirror expects Birkhoff kind")
+    _check_kind(f, BIRKHOFF, "mirror")
     out = {}
     for k, c in f._terms.items():
         swapped, deg = [], 0
@@ -498,12 +489,22 @@ def reality_defect(f: SeedPoly) -> float:
     real polynomial.  For quadratics the condition reduces to the familiar
     antisymmetric form b_{j,k} = -conj(b_{k,j}).
     """
-    if f.kind != BIRKHOFF:
-        raise CoordinateError("reality_defect expects Birkhoff kind")
+    _check_kind(f, BIRKHOFF, "reality_defect")
     image = mirror(f)._terms
     # a key of image that f lacks mirrors one of f that image lacks
     return max((abs(c - image.get(k, 0.0)) for k, c in f._terms.items()),
                default=0.0)
+
+
+def _check_real_image(f: SeedPoly, name: str) -> None:
+    """Raise unless ``f`` is Birkhoff kind and the image of a real
+    polynomial, its :func:`reality_defect` at most ``REAL_IMAG_TOL`` times
+    its largest |c|; ``name`` asks (and names the operand of several)."""
+    _check_kind(f, BIRKHOFF, name)
+    defect = reality_defect(f)
+    if defect > REAL_IMAG_TOL * f.max_abs_coeff():
+        raise CoordinateError(f"{name} expects the image of a real "
+                              f"polynomial; reality defect {defect:g}")
 
 
 # -- alignment, decay ------------------------------------------------------

@@ -61,9 +61,8 @@ def write_trajectory_csv(path, traj: dyn.Trajectory):
     w.writerow(["t", "H", "H_Omega", "Z", "energy_error"])
     for i, t in enumerate(traj.times):
         w.writerow([repr(float(t)), repr(float(traj.energy[i])),
-                    repr(float(obs["H_Omega"][i]))
-                    if "H_Omega" in obs else "",
-                    repr(float(obs["Z"][i])) if "Z" in obs else "",
+                    repr(float(obs["H_Omega"][i])),
+                    repr(float(obs["Z"][i])),
                     repr(float(traj.energy_error[i]))])
     _write_atomic(path, buf.getvalue())
 
@@ -312,7 +311,7 @@ def cmd_gdnls(cfg: dict, args) -> tuple[int, dict]:
     payload["reference"]["two_step_expected"] = \
         [cfg["a"] / 2.0, 3.0 * cfg["energy"] / 8.0]
     _dump_json(os.path.join(cfg["out"], "gdnls.json"), payload)
-    return 0, {"b": list(model.b), "reference": payload["reference"]}
+    return 0, {"b": payload["b"], "reference": payload["reference"]}
 
 
 def cmd_simulate(cfg: dict, args) -> tuple[int, dict]:

@@ -28,6 +28,7 @@ from .chainpoly import (
     poly_norm,
     sum_polys,
     _arc,
+    _check_kind,
     _cut_level,
 )
 
@@ -379,8 +380,7 @@ class RealizedEvaluator:
     """
 
     def __init__(self, f: SeedPoly, *, shift_sign: int = -1, top: int = 0):
-        if f.kind != REAL:
-            raise CoordinateError("evaluation needs a real-kind polynomial")
+        _check_kind(f, REAL, "RealizedEvaluator")
         self.n = n = f.n
         terms = f.terms()
         width = max((len(m.exps) for m, _ in terms), default=1)

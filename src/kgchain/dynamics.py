@@ -241,6 +241,18 @@ def _sample_flow(cfgs: list[SimConfig], z: np.ndarray, advance,
             for b, c in enumerate(cfgs)]
 
 
+def _quadratic_parts(lnf: LinearNF, q: np.ndarray,
+                     p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H_Omega and Z_0 at stacked normalized coordinates (..., N)."""
+    h_omega = 0.5 * lnf.omega * np.sum(q * q + p * p, axis=-1)
+    # Z_0 in closed quadratic form: 1/2 (q.Bq + p.Bp) - H_Omega
+    lam_half = np.sqrt(lnf.circ.spectrum)
+    bq = np.fft.ifft(lam_half * np.fft.fft(q, axis=-1), axis=-1).real
+    bp = np.fft.ifft(lam_half * np.fft.fft(p, axis=-1), axis=-1).real
+    z0 = 0.5 * (np.sum(q * bq, axis=-1) + np.sum(p * bp, axis=-1)) - h_omega
+    return h_omega, z0
+
+
 def observables(traj: Trajectory, res: NormalFormResult,
                 orders: tuple[int, ...] | None = None) -> dict:
     """Series of H_Omega and the normal-form truncations along a trajectory.
@@ -273,15 +285,7 @@ def observables(traj: Trajectory, res: NormalFormResult,
     if orders is None:
         orders = tuple(range(res.order + 1))
     qp = apply_linear(lnf, traj.states)
-    q, p = qp[..., :n], qp[..., n:]
-    h_omega = 0.5 * lnf.omega * np.sum(q * q + p * p, axis=-1)
-
-    # Z_0 in closed quadratic form: 1/2 (q.Bq + p.Bp) - H_Omega
-    lam_half = np.sqrt(lnf.circ.spectrum)
-    bq = np.fft.ifft(lam_half * np.fft.fft(q, axis=-1), axis=-1).real
-    bp = np.fft.ifft(lam_half * np.fft.fft(p, axis=-1), axis=-1).real
-    z0 = 0.5 * (np.sum(q * bq, axis=-1) + np.sum(p * bp, axis=-1)) - h_omega
-
+    h_omega, z0 = _quadratic_parts(lnf, qp[..., :n], qp[..., n:])
     series = {"t": traj.times, "H": traj.energy,
               "H_Omega": h_omega, "Z0": z0,
               "energy_error": traj.energy_error}
@@ -398,10 +402,10 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     ``midpoint_iters + kicks`` times.
     """
     cfg.validate()
-    if cfg.n != model.n or cfg.a != model.a:
-        raise ValueError("configuration and GdNLS model parameters differ")
-    n = model.n
     lnf = model.lnf
+    if cfg.n != lnf.n or cfg.a != lnf.a:
+        raise ValueError("configuration and GdNLS model parameters differ")
+    n = lnf.n
     if state_qp is None:
         state_qp = apply_linear(lnf, initial_state(cfg, n))
     z = np.asarray(state_qp, dtype=float).reshape(1, 2, n)
@@ -445,9 +449,8 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
 
     traj = _sample_flow([cfg], z, advance, k_energy)[0]
     traj.stats.update(stats)
-    q, p = traj.states[..., :n], traj.states[..., n:]
-    traj.observables["H_Omega"] = 0.5 * model.omega * np.sum(
-        q * q + p * p, axis=-1)
+    traj.observables["H_Omega"] = _quadratic_parts(
+        lnf, traj.states[..., :n], traj.states[..., n:])[0]
     return traj
 
 

@@ -146,8 +146,8 @@ def linear_normalize(a: float, n: int) -> LinearNF:
     quarter_inv = circulant_power(circ, -0.25)
     omega = float(np.mean(np.sqrt(circ.spectrum)))
 
-    h_omega = (SeedPoly.term([(0, 2, 0)], 0.5 * omega, n=n)
-               + SeedPoly.term([(0, 0, 2)], 0.5 * omega, n=n))
+    h_omega = SeedPoly(REAL, n, {((0, 2, 0),): 0.5 * omega,
+                                 ((0, 0, 2),): 0.5 * omega})
 
     # zeta0^(m) = b_m [q_0 (q_m + q_{N-m}) + p_0 (p_m + p_{N-m})], b_m half
     # the off-diagonal entry of A^{1/2}; the distance-0 part is absorbed
@@ -156,15 +156,16 @@ def linear_normalize(a: float, n: int) -> LinearNF:
     row_cut = H1_COEFF_CUTOFF * abs(half.row[0])
     b = np.array([0.5 * half.row[m] if abs(half.row[m]) >= row_cut else 0.0
                   for m in range(1, n // 2 + 1)])
-    zeta0 = SeedPoly.zero(REAL, n)
+    terms = {}
     for m in range(1, n // 2 + 1):
         bm = float(b[m - 1])
         if bm == 0.0:
             continue
         partners = [m] if 2 * m == n else [m, n - m]
         for mm in partners:
-            zeta0 = zeta0 + SeedPoly.term([(0, 1, 0), (mm, 1, 0)], bm, n=n)
-            zeta0 = zeta0 + SeedPoly.term([(0, 0, 1), (mm, 0, 1)], bm, n=n)
+            terms[((0, 1, 0), (mm, 1, 0))] = bm
+            terms[((0, 0, 1), (mm, 0, 1))] = bm
+    zeta0 = SeedPoly(REAL, n, terms)
 
     # h1: substitute x_0 = sum_k w_k q_k into x_0^4 / 4; centred weights so
     # the seed keeps its natural window around site 0.

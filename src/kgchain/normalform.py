@@ -41,12 +41,13 @@ from .chainpoly import (
     mirror,
     norm_pairs,
     poly_norm,
-    reality_defect,
     seed_to_dict,
     sum_polys,
     to_complex,
     to_real,
     _check_cut,
+    _check_kind,
+    _check_real_image,
     _imbalance,
     _imbalance_sectors,
 )
@@ -80,22 +81,13 @@ NEUMANN_CUT = 1e-3
 # Kernel mass of an invert_lie_omega input, relative to its ||.||_1, that is
 # dropped as float noise; a larger one is an error.
 KERNEL_LEAK_TOL = 1e-12
-# Reality defect of a solve_homological input, relative to its largest |c|,
-# above which the input is not taken for a real image.
-REALITY_TOL = 1e-13
 
 
-# -- the diagonal operator L_Omega ------------------------------------------
-
-def _check_birkhoff(f: SeedPoly, name: str) -> None:
-    """L_Omega is diagonal in the Birkhoff coordinates only."""
-    if f.kind != BIRKHOFF:
-        raise CoordinateError(f"{name} expects a Birkhoff-kind polynomial")
-
+# -- the diagonal operator L_Omega, in the Birkhoff coordinates only --------
 
 def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
     """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k."""
-    _check_birkhoff(f, "lie_omega")
+    _check_kind(f, BIRKHOFF, "lie_omega")
     acc = {}
     for k, c in f._terms.items():
         d = _imbalance(k)
@@ -105,14 +97,14 @@ def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
 
 
 def project_kernel(f: SeedPoly) -> SeedPoly:
-    _check_birkhoff(f, "project_kernel")
+    _check_kind(f, BIRKHOFF, "project_kernel")
     return SeedPoly(BIRKHOFF, f.n,
                     {k: c for k, c in f._terms.items() if _imbalance(k) == 0},
                     _skip_clean=True)
 
 
 def project_range(f: SeedPoly) -> SeedPoly:
-    _check_birkhoff(f, "project_range")
+    _check_kind(f, BIRKHOFF, "project_range")
     return SeedPoly(BIRKHOFF, f.n,
                     {k: c for k, c in f._terms.items() if _imbalance(k) != 0},
                     _skip_clean=True)
@@ -124,15 +116,15 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     A kernel component above ``KERNEL_LEAK_TOL`` (relative to ||g||_1) is
     an error; a smaller one is float noise and is dropped.
     """
-    _check_birkhoff(g, "invert_lie_omega")
-    acc, kernel_mass = {}, 0.0
+    _check_kind(g, BIRKHOFF, "invert_lie_omega")
+    acc, kernel_mass, total = {}, 0.0, 0.0
     for k, c in g._terms.items():
+        total += abs(c)             # ||g||_1, as poly_norm(g, 1.0) sums it
         d = _imbalance(k)
         if d:
             acc[k] = c / (1j * omega * d)
         else:
             kernel_mass += abs(c)
-    total = poly_norm(g, 1.0)
     if kernel_mass > KERNEL_LEAK_TOL * max(total, 1e-300):
         raise KernelLeakageError(
             f"input has kernel component of relative size "
@@ -163,7 +155,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     so the d < 0 half of the solution of a real psi is the mirror of its
     d > 0 half.  A term's norm is twice its half's.  psi and zeta0 must be
     real images (:func:`~kgchain.chainpoly.reality_defect` at most
-    ``REALITY_TOL`` times their largest |c|) and zeta0 must lie in the
+    ``REAL_IMAG_TOL`` times their largest |c|) and zeta0 must lie in the
     kernel; otherwise ``CoordinateError`` is raised.
 
     With ``prune_rel`` set, every term's bracket drops its words below
@@ -175,14 +167,8 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     the whole would be.
     """
     _check_cut(prune_rel)
-    _check_birkhoff(psi, "solve_homological")
-    _check_birkhoff(zeta0, "solve_homological")
     for name, f in (("psi", psi), ("zeta0", zeta0)):
-        defect = reality_defect(f)
-        if defect > REALITY_TOL * f.max_abs_coeff():
-            raise CoordinateError(f"solve_homological expects {name} to be "
-                                  f"the image of a real polynomial; "
-                                  f"reality defect {defect:g}")
+        _check_real_image(f, f"solve_homological ({name})")
     if not project_range(zeta0).is_zero():
         raise CoordinateError("solve_homological expects zeta0 in the "
                               "kernel of L_Omega")
@@ -331,12 +317,13 @@ def _psi(engine: _LieEngine, h1: SeedPoly, zetas: list[SeedPoly],
     drops out."""
     if s == 1:
         return h1
+    # the weights carry Psi_s's minus sign: negation is exact
     parts = []
     if s - 1 <= len(engine.chis):
-        parts.append(engine.lie(s - 1, h1).scaled((s - 1) / s))
+        parts.append(engine.lie(s - 1, h1).scaled(-(s - 1) / s))
     for l in range(1, s):
-        parts.append(engine.e_apply(s - l, zetas[l - 1], l).scaled(l / s))
-    return sum_polys(parts).scaled(-1.0).prune(engine.prune)
+        parts.append(engine.e_apply(s - l, zetas[l - 1], l).scaled(-l / s))
+    return sum_polys(parts).prune(engine.prune)
 
 
 def _check_int(name: str, value, low: int, high: float = np.inf) -> None:
@@ -433,20 +420,15 @@ def lie_transform_apply(seq: GeneratingSequence | NormalFormResult,
 @dataclass
 class GdnlsModel:
     """First-order normal form K = H_Omega + Z_0 + Z_1 as a GdNLS chain."""
-    n: int
-    a: float
-    mu: float
-    omega: float
-    b: np.ndarray                       # quadratic couplings b_1..b_{N/2}
     zeta1_profile: DecayProfile         # norms per covering-arc length
     zeta1: SeedPoly
     reference: dict
-    lnf: LinearNF = field(repr=False)   # linear normal form it came from
+    lnf: LinearNF = field(repr=False)   # its chain and couplings b_m
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n, "a": self.a, "mu": self.mu, "omega": self.omega,
-            "b": list(self.b),
+            "n": self.lnf.n, "a": self.lnf.a, "mu": self.lnf.mu,
+            "omega": self.lnf.omega, "b": list(self.lnf.b),
             "zeta1_part_norms": {str(m): v
                                  for m, v in self.zeta1_profile.pairs},
             "zeta1_profile": {"c": self.zeta1_profile.c,
@@ -466,8 +448,6 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
     normalizations in circulation (the displayed 3/2 and the direct kernel
     average 3/32 of q^4/4; the structure, not the constant, is asserted).
     """
-    if res.order < 1:
-        raise ValueError("GdNLS extraction needs order >= 1")
     lnf = res.lnf
     zeta1 = res.zetas[0]
     profile = fit_decay(norm_pairs(zeta1))
@@ -477,8 +457,7 @@ def extract_gdnls(res: NormalFormResult) -> GdnlsModel:
         "dnls_onsite_kernel_average": 3.0 / 32.0,
         "scaled_birkhoff_quadratic": lnf.a / 2.0,
     }
-    return GdnlsModel(n=lnf.n, a=lnf.a, mu=lnf.mu, omega=lnf.omega,
-                      b=lnf.b, zeta1_profile=profile, zeta1=zeta1,
+    return GdnlsModel(zeta1_profile=profile, zeta1=zeta1,
                       reference=reference, lnf=lnf)
 
 
@@ -523,12 +502,11 @@ def standard_dnls(a: float, energy: float, n: int) -> StandardDnls:
 
 def _dnls_quad_seed(n: int) -> SeedPoly:
     """Seed of sum_j |xi_{j+1} - xi_j|^2 = i (xi_1-xi_0)(eta_1-eta_0)."""
-    p = SeedPoly.zero(BIRKHOFF, n)
-    p = p + SeedPoly.term([(1, 1, 1)], 1j, kind=BIRKHOFF, n=n)
-    p = p + SeedPoly.term([(0, 1, 1)], 1j, kind=BIRKHOFF, n=n)
-    p = p + SeedPoly.term([(1, 1, 0), (0, 0, 1)], -1j, kind=BIRKHOFF, n=n)
-    p = p + SeedPoly.term([(0, 1, 0), (1, 0, 1)], -1j, kind=BIRKHOFF, n=n)
-    return p
+    # one sum, not a dict: at N = 1 the four terms share one key and cancel
+    terms = (([(1, 1, 1)], 1j), ([(0, 1, 1)], 1j),
+             ([(1, 1, 0), (0, 0, 1)], -1j), ([(0, 1, 0), (1, 0, 1)], -1j))
+    return sum_polys(SeedPoly.term(exps, c, kind=BIRKHOFF, n=n)
+                     for exps, c in terms)
 
 
 def _dnls_quartic_seed(n: int) -> SeedPoly:
@@ -537,22 +515,12 @@ def _dnls_quartic_seed(n: int) -> SeedPoly:
 
 
 def _proportional_coefficient(f: SeedPoly, shape: SeedPoly) -> float:
-    """The scalar c with f = c * shape; raises if not proportional."""
-    if shape.is_zero():
-        if f.is_zero():
-            return 0.0
-        raise NormalFormError("shape is zero but polynomial is not")
-    ratios = []
-    for k, c in shape._terms.items():
-        ratios.append(f._terms.get(k, 0.0) / c)
-    c0 = ratios[0]
-    scale = max(abs(c0), 1e-300)
-    for rr in ratios[1:]:
-        if abs(rr - c0) > 1e-12 * scale:
-            raise NormalFormError("polynomial is not proportional to shape")
-    extra = set(f._terms) - set(shape._terms)
-    if any(abs(f._terms[k]) > 1e-12 * scale for k in extra):
-        raise NormalFormError("polynomial has terms outside the shape")
-    if abs(c0.imag) > 1e-12 * scale:
-        raise NormalFormError("proportionality constant is not real")
+    """The real scalar c0 with f = c0 * shape, read off shape's first term
+    (0 for a zero shape); raises unless f - c0 * shape and the imaginary
+    part of c0 are below 1e-12 |c0|."""
+    key, c = next(iter(shape._terms.items()), (None, 1.0))
+    c0 = f._terms.get(key, 0.0) / c
+    tol = 1e-12 * max(abs(c0), 1e-300)
+    if (f - shape.scaled(c0)).max_abs_coeff() > tol or abs(c0.imag) > tol:
+        raise NormalFormError("polynomial is not a real multiple of shape")
     return float(c0.real)

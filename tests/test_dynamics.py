@@ -295,8 +295,8 @@ def gdnls_reference(model, cfg, state_qp=None):
     """The GdNLS flow with its own step and sampling loop, as it was before
     it shared the Strang sampling loop; the reference that loop must match
     bit for bit."""
-    n = model.n
     lnf = model.lnf
+    n = lnf.n
     if state_qp is None:
         state_qp = apply_linear(lnf, initial_state(cfg, n))
     z = np.asarray(state_qp, dtype=float).copy()
@@ -389,8 +389,8 @@ def test_gdnls_couplings_vs_dnls():
     # b_1 = O(mu) while b_m for m >= 2 are O(mu^2)
     lnf = linear_normalize(0.05, 8)
     model = extract_gdnls(normal_form(lnf, 1))
-    assert abs(model.b[0]) == pytest.approx(0.25 * lnf.mu, rel=0.1)
-    assert all(abs(b) <= 2.0 * lnf.mu ** 2 for b in model.b[1:])
+    assert abs(model.lnf.b[0]) == pytest.approx(0.25 * lnf.mu, rel=0.1)
+    assert all(abs(b) <= 2.0 * lnf.mu ** 2 for b in model.lnf.b[1:])
 
 
 def test_trajectory_csv(tmp_path):

@@ -84,6 +84,26 @@ def test_every_field_is_read():
     assert not unread, "fields that nothing reads: " + ", ".join(unread)
 
 
+def _copies(call: ast.Call) -> list[str]:
+    """The ``k=obj.k`` arguments of a call that also passes ``x=obj``."""
+    passed = {kw.value.id for kw in call.keywords
+              if isinstance(kw.value, ast.Name)}
+    return [f"{kw.arg}={kw.value.value.id}.{kw.arg}" for kw in call.keywords
+            if isinstance(kw.value, ast.Attribute) and kw.value.attr == kw.arg
+            and isinstance(kw.value.value, ast.Name)
+            and kw.value.value.id in passed]
+
+
+def test_each_value_is_stored_once():
+    # a call that hands over obj and also obj.k as k stores k twice
+    copies = [f"{path.name}:{node.lineno}: {arg}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(),
+                                             filename=str(path)))
+              if isinstance(node, ast.Call) for arg in _copies(node)]
+    assert not copies, "values passed with their owner: " + ", ".join(copies)
+
+
 def test_import_does_not_load_scipy_integrate():
     # scipy.integrate serves only the sampled deformation check, and it is
     # most of the import time of the package when loaded eagerly

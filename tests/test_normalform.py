@@ -194,6 +194,20 @@ def test_solver_rejects_a_psi_that_is_not_real():
             solve_homological(psi, bad, lnf.omega)
 
 
+def test_solver_takes_real_images_at_the_conversion_tolerance():
+    # solve_homological's guard is REAL_IMAG_TOL, the one to_real uses: a
+    # defect of 5e-14 of the largest |c| is refused
+    lnf = linear_normalize(0.05, 6)
+    psi = to_complex(lnf.h1)
+    lone = SeedPoly.term([(0, 1, 2), (1, 0, 1)], 5e-14 * psi.max_abs_coeff(),
+                         kind=BIRKHOFF, n=6)
+    bad = psi + lone
+    top = bad.max_abs_coeff()
+    assert 1e-14 * top < reality_defect(bad) <= 1e-13 * top
+    with pytest.raises(CoordinateError, match="psi"):
+        solve_homological(bad, to_complex(lnf.zeta0), lnf.omega)
+
+
 def test_k_operator_preserves_range(rng):
     lnf = linear_normalize(0.05, 6)
     z0b = to_complex(lnf.zeta0)
@@ -291,8 +305,8 @@ def test_transformed_truncation_is_h_below_the_remainder():
         low = [abs(v) for k, v in diff._terms.items()
                if sum(a + b for _, a, b in k) < 2 * r + 4]
         assert max(low, default=0.0) <= 1e-11
-        head = diff.homogeneous_part(2 * r + 4) + realize(res.remainder[0],
-                                                          5)
+        head = diff.graded_parts()[2 * r + 4] + realize(res.remainder[0],
+                                                        5)
         assert head.max_abs_coeff() <= 1e-11
         for bad in (0, r + 1, 1.5, "1", None):
             with pytest.raises(ValueError, match="^r must"):
@@ -345,7 +359,7 @@ def test_remainder_against_single_oscillator_oracle():
 def test_remainder_degrees_and_smax(monkeypatch):
     lnf = linear_normalize(0.05, 5)
     res = normal_form(lnf, 1, s_max=3)
-    assert [h.degrees() for h in res.remainder] == [[6], [8]]
+    assert [sorted(h.graded_parts()) for h in res.remainder] == [[6], [8]]
     for bad in (1, 2.0, 2.5):
         with pytest.raises(ValueError, match="s_max"):
             remainder_head(res, bad)
@@ -388,14 +402,14 @@ def test_soft_sign_flag():
 def test_extract_gdnls_limits_and_structure():
     lnf0 = linear_normalize(0.0, 8)
     model0 = extract_gdnls(normal_form(lnf0, 1))
-    assert np.allclose(model0.b, 0.0)
+    assert np.allclose(model0.lnf.b, 0.0)
     assert [m for m, _ in model0.zeta1_profile.pairs] == [0]
 
     ratios = []
     for a in (0.01, 0.02, 0.05):
         lnf = linear_normalize(a, 8)
         model = extract_gdnls(normal_form(lnf, 1))
-        ratios.append(abs(model.b[0]) / lnf.mu)
+        ratios.append(abs(model.lnf.b[0]) / lnf.mu)
     assert all(0.2 <= r <= 0.3 for r in ratios)
 
     lnf = linear_normalize(0.05, 8)
@@ -529,9 +543,10 @@ def test_lie_transform_images_are_homogeneous():
     assert sorted(pieces) == [2, 4, 6, 8]
     for d0, piece in pieces.items():
         for s in range((8 - d0) // 2 + 1):
-            assert engine.e_apply(s, piece, d0).degrees() == [d0 + 2 * s]
+            assert sorted(engine.e_apply(s, piece, d0).graded_parts()) \
+                == [d0 + 2 * s]
     out = lie_transform_apply(res, res.normal_form_seed(), 8, prune_rel=1e-6)
-    assert out.degrees() == [2, 4, 6, 8]
+    assert sorted(out.graded_parts()) == [2, 4, 6, 8]
 
 
 def test_pruned_normal_form_is_close_to_unpruned():
