@@ -13,11 +13,14 @@ the cyclic machinery itself lives in :mod:`kgchain.cyclic`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable
+
+import numpy as np
 
 # Relative coefficient threshold applied after arithmetic: keeps float noise
 # from filling in, stays far below every test tolerance.
@@ -378,51 +381,96 @@ _IPOW = (1.0, 1j, -1.0, -1j)
 
 
 @functools.cache
-def _site_table(a: int, b: int, unit: int) -> tuple:
-    """((first, second) exponents, weight) items of u^a v^b after
-    u = (p + unit*i q)/sqrt2, v = (unit*i p + q)/sqrt2, without the
-    2^(-(a+b)/2) factor.
+def _site_matrix(m: int, unit: int) -> np.ndarray:
+    """u^a v^(m-a) after u = (p + unit*i q)/sqrt2, v = (unit*i p + q)/sqrt2,
+    without the 2^(-m/2) factor, for a = 0..m: entry [a, e] is the weight
+    of p^e q^(m-e).
 
     unit = 1 takes (x, y) to (xi, eta); unit = -1 is the inverse.  The
-    inverse walks its inner sum backwards: the item order fixes the
-    summation order of ``_convert``, and so the last bits of its output.
+    entries are Gaussian integers, exact in floating point.
     """
-    out: dict[tuple[int, int], complex] = {}
-    for i in range(a + 1):
-        ca = comb(a, i) * _IPOW[unit * (a - i) % 4]
-        for j in range(b + 1)[::unit]:
-            c = ca * comb(b, j) * _IPOW[unit * j % 4]
-            key = (i + j, (a - i) + (b - j))
-            out[key] = out.get(key, 0.0) + c
-    return tuple(out.items())
+    out = np.zeros((m + 1, m + 1), complex)
+    for a in range(m + 1):
+        for i in range(a + 1):
+            for j in range(m - a + 1):
+                out[a, i + j] += (comb(a, i) * comb(m - a, j)
+                                  * _IPOW[unit * (a - i + j) % 4])
+    out.flags.writeable = False
+    return out
 
 
-def _convert(terms: dict, unit: int) -> dict:
-    """The substitution of :func:`_site_table` on every term, summed per
-    output key."""
-    acc: dict[ExpKey, complex] = {}
-    for k, c in terms.items():
-        deg = sum(a + b for _, a, b in k)
-        # Exact power of 1/2 for even degree; odd degrees keep a sqrt(2).
-        scale = 0.5 ** (deg // 2)
-        if deg % 2:
-            scale *= 0.7071067811865476
-        partial: list[tuple[ExpKey, complex]] = [((), c * scale)]
-        # a site's exponents sum to a + b > 0, so each site adds one
-        # entry, in k's site order, and every key comes out sorted
+@functools.cache
+def _site_entries(s: int, m: int) -> tuple:
+    """The key entries of site s at total degree m, in the column order of
+    :func:`_site_matrix`."""
+    return tuple((s, e, m - e) for e in range(m + 1))
+
+
+def _convert(items: Iterable[tuple[ExpKey, complex]],
+             unit: int) -> tuple[list[ExpKey], np.ndarray]:
+    """The substitution of :func:`_site_matrix` on every term: the output
+    keys, and their coefficients in one array.
+
+    A term's output keys depend only on its pattern, its sites s and their
+    total degrees m_s = a + b, and every pattern maps onto itself.  So the
+    terms of a pattern fill a dense tensor with one axis of length m_s + 1
+    per site, indexed by a, which is contracted with the site matrices axis
+    by axis, all patterns of one shape (the m_s in site order) at once.
+    Each output key is built once, by a product over the pattern's sites.
+    """
+    rows: dict[tuple, int] = {}         # pattern -> row
+    cells_row, cells_at, coeffs = [], [], []
+    for k, c in items:
+        pat, at = [], 0
         for s, a, b in k:
-            partial = [(key + ((s, ea, eb),), coeff * w)
-                       for key, coeff in partial
-                       for (ea, eb), w in _site_table(a, b, unit)]
-        for key, coeff in partial:
-            acc[key] = acc.get(key, 0.0) + coeff
-    return acc
+            pat.append((s, a + b))
+            at = at * (a + b + 1) + a   # C order over the pattern's axes
+        cells_row.append(rows.setdefault(tuple(pat), len(rows)))
+        cells_at.append(at)
+        coeffs.append(c)
+    by_shape: dict[tuple, list] = {}
+    for pat in rows:
+        by_shape.setdefault(tuple(m for _, m in pat), []).append(pat)
+    offset = np.empty(len(rows), np.intp)
+    blocks, keys, size = [], [], 0
+    for shape, pats in by_shape.items():
+        width = math.prod(m + 1 for m in shape)
+        blocks.append((shape, len(pats), size, size + len(pats) * width))
+        for pat in pats:
+            offset[rows[pat]] = size
+            size += width
+            keys.extend(itertools.product(*(_site_entries(s, m)
+                                            for s, m in pat)))
+    dense = np.zeros(size, complex)
+    dense[offset[np.array(cells_row, np.intp)]
+          + np.array(cells_at, np.intp)] = coeffs
+    for shape, count, lo, hi in blocks:
+        block = dense[lo:hi]
+        for m in shape:
+            # the first site axis is contracted and its output axis goes
+            # last, so after every site the axes are back in site order
+            block = (block.reshape(count, m + 1, -1).transpose(0, 2, 1)
+                     .reshape(-1, m + 1) @ _site_matrix(m, unit))
+        deg = sum(shape)
+        # Exact power of 1/2 for even degree; odd degrees keep a sqrt(2).
+        scale = 0.5 ** (deg // 2) * (0.7071067811865476 if deg % 2 else 1.0)
+        dense[lo:hi] = block.reshape(-1) * scale
+    return keys, dense
+
+
+def _nonzero_terms(keys: list[ExpKey], coeffs: np.ndarray) -> dict:
+    """{key: coefficient} of the nonzero coefficients: entries of the dense
+    tensors that cancel exactly, which the clean would drop, get no key."""
+    at = np.flatnonzero(coeffs)
+    return dict(zip(map(keys.__getitem__, at.tolist()),
+                    coeffs[at].tolist()))
 
 
 def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
     _check_kind(f, REAL, "to_complex")
-    return SeedPoly(BIRKHOFF, f.n, _convert(f._terms, 1))
+    return SeedPoly(BIRKHOFF, f.n,
+                    _nonzero_terms(*_convert(f._terms.items(), 1)))
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
@@ -433,14 +481,20 @@ def to_real(f: SeedPoly) -> SeedPoly:
     each term's inverse image onto its complex conjugate.  So f is its
     d = 0 terms plus a d > 0 half h plus the mirror of h, and the result
     is the inverse image of the d = 0 terms plus 2 Re of that of h: only
-    the d >= 0 terms are expanded.
+    the d >= 0 terms are expanded (:func:`_to_real_sectors`).
     """
     _check_real_image(f, "to_real")
-    kernel, half = _imbalance_sectors(f)
-    acc = _convert(kernel, -1)
-    for k, c in _convert(half, -1).items():
-        acc[k] = acc.get(k, 0.0) + 2.0 * c.real
-    return SeedPoly(REAL, f.n, acc)
+    return _to_real_sectors(f.n, *_imbalance_sectors(f))
+
+
+def _to_real_sectors(n: int, kernel: dict, half: dict) -> SeedPoly:
+    """The real polynomial whose Birkhoff image has the d = 0 terms
+    ``kernel``, the d > 0 terms ``half`` and their mirror as d < 0 terms,
+    unchecked: Re of the inverse image of kernel + 2 half, in one
+    expansion."""
+    keys, coeffs = _convert(itertools.chain(
+        kernel.items(), ((k, 2.0 * c) for k, c in half.items())), -1)
+    return SeedPoly(REAL, n, _nonzero_terms(keys, coeffs.real))
 
 
 def _imbalance(key: ExpKey) -> int:

@@ -44,12 +44,12 @@ from .chainpoly import (
     seed_to_dict,
     sum_polys,
     to_complex,
-    to_real,
     _check_cut,
     _check_kind,
     _check_real_image,
     _imbalance,
     _imbalance_sectors,
+    _to_real_sectors,
 )
 from .cyclic import seed_bracket
 from .linearize import LinearNF
@@ -182,8 +182,8 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     term = invert_lie_omega(SeedPoly(BIRKHOFF, psi.n, half,
                                      _skip_clean=True), omega)
     floor = NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
-    total = term
-    prev_norm = 2.0 * poly_norm(term, 1.0)
+    terms = [term]
+    prev_norm = 2.0 * _norm1(term)
     growth = 0
     for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
@@ -191,15 +191,24 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         bracket = seed_bracket(zeta0, term, prune_rel=prune_rel,
                                floor=floor)
         term = invert_lie_omega(bracket, omega).scaled(-1.0)
-        total = total + term
-        norm = 2.0 * poly_norm(term, 1.0)
+        terms.append(term)
+        norm = 2.0 * _norm1(term)
         growth = growth + 1 if norm > prev_norm else 0
         if growth >= 3:
             raise NeumannDivergenceError(0)
         prev_norm = norm
     else:
         raise NeumannDivergenceError(0, "Neumann series did not settle")
+    total = sum_polys(terms)
     return total + mirror(total), zeta
+
+
+def _norm1(f: SeedPoly) -> float:
+    """sum |c|, in the order and bits of poly_norm(f, 1.0)."""
+    acc = 0.0
+    for c in f._terms.values():
+        acc += abs(c)
+    return acc
 
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,
@@ -354,8 +363,8 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     # The recursion runs in real coordinates (far fewer terms); only the
     # kernel/range splitting and the diagonal inversion go through the
     # complex coordinates inside the solver, which iterates on the d > 0
-    # half of chi.  to_real expands the d >= 0 terms only, so neither
-    # layer works on the mirrored half.
+    # half of chi, and the inverse expansion takes the d >= 0 terms only,
+    # so neither layer works on the mirrored half.
     chis: list[SeedPoly] = []
     zetas: list[SeedPoly] = []
     engine = _LieEngine(chis, prune_rel)
@@ -368,9 +377,15 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
                                               prune_rel=prune_rel)
         except NeumannDivergenceError as exc:
             raise NeumannDivergenceError(s) from exc
+        # to_real's check is not needed: chi_t is half + mirror(half), and
+        # mirror is an exact involution (a block swap, a conjugation and a
+        # product with a power of i), so its reality defect is exactly 0;
+        # zeta_b is the d = 0 sector of a psi the solver checked.
         # L_{H0} chi_s = Z_s - Psi_s
-        chis.append(to_real(chi_t).scaled(-1.0).prune(prune_rel))
-        zetas.append(to_real(zeta_b).prune(prune_rel))
+        chis.append(_to_real_sectors(psi.n, *_imbalance_sectors(chi_t))
+                    .scaled(-1.0).prune(prune_rel))
+        zetas.append(_to_real_sectors(psi.n, zeta_b._terms, {})
+                     .prune(prune_rel))
 
     res = NormalFormResult(
         lnf=lnf, seq=GeneratingSequence(chis), zetas=zetas,

@@ -4,6 +4,8 @@ Polynomials over the full ring of 2N variables are plain dictionaries
 mapping exponent tuples (x_0..x_{N-1}, y_0..y_{N-1}) to complex
 coefficients.  Everything is written directly from the definitions, with
 different data structures and code paths than the package under test.
+:func:`seed_convert`, the term-by-term coordinate change on seed keys, is
+the reference of the package's array kernel.
 """
 
 from __future__ import annotations
@@ -141,6 +143,23 @@ def p_birkhoff(p: Poly, n: int) -> Poly:
 
     The output tuple layout is (xi exponents, eta exponents).
     """
+    return _p_substitute(p, n, (1.0, 1j), (1j, 1.0))
+
+
+def p_real(p: Poly, n: int) -> Poly:
+    """Substitute xi_j = (x_j - i y_j)/sqrt2, eta_j = (-i x_j + y_j)/sqrt2,
+    the inverse of :func:`p_birkhoff`.
+
+    The input tuple layout is (xi exponents, eta exponents), the output
+    one (x exponents, y exponents).
+    """
+    return _p_substitute(p, n, (1.0, -1j), (-1j, 1.0))
+
+
+def _p_substitute(p: Poly, n: int, first, second) -> Poly:
+    """Replace each first-block variable of site j by (first[0] u_j +
+    first[1] v_j)/sqrt2 and each second-block one by (second[0] u_j +
+    second[1] v_j)/sqrt2, with (u, v) the new blocks."""
     s2 = 1.0 / math.sqrt(2.0)
     out: Poly = {}
     for k, v in p.items():
@@ -148,18 +167,50 @@ def p_birkhoff(p: Poly, n: int) -> Poly:
         for i, e in enumerate(k):
             if e == 0:
                 continue
-            if i < n:
-                var = p_add(p_term(_unit(2 * n, i), s2),
-                            p_term(_unit(2 * n, n + i), 1j * s2))
-            else:
-                var = p_add(p_term(_unit(2 * n, i - n), 1j * s2),
-                            p_term(_unit(2 * n, n + (i - n)), s2))
+            cu, cv = first if i < n else second
+            var = p_add(p_term(_unit(2 * n, i % n), cu * s2),
+                        p_term(_unit(2 * n, n + i % n), cv * s2))
             powd = p_pow(var, e)
             parts = [(tuple(a + b for a, b in zip(kk, k2)), vv * v2)
                      for kk, vv in parts for k2, v2 in powd.items()]
         for kk, vv in parts:
             out[kk] = out.get(kk, 0.0) + vv
     return out
+
+
+_IPOW = (1.0, 1j, -1.0, -1j)
+
+
+def _seed_site_table(a: int, b: int, unit: int) -> dict:
+    """{(first, second) exponents: weight} of u^a v^b after
+    u = (p + unit*i q)/sqrt2, v = (unit*i p + q)/sqrt2, without the
+    2^(-(a+b)/2) factor; unit = 1 is x, y -> xi, eta and -1 the inverse."""
+    out: dict = {}
+    for i in range(a + 1):
+        ca = math.comb(a, i) * _IPOW[unit * (a - i) % 4]
+        for j in range(b + 1):
+            c = ca * math.comb(b, j) * _IPOW[unit * j % 4]
+            key = (i + j, (a - i) + (b - j))
+            out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def seed_convert(terms: dict, unit: int) -> dict:
+    """The conversion of seed terms {key: c}, in package key format, term
+    by term and site by site: the per-term reference of the package's
+    array kernel.  unit = 1 converts real to Birkhoff, -1 back; nothing is
+    cleaned."""
+    acc: dict = {}
+    for k, c in terms.items():
+        deg = sum(a + b for _, a, b in k)
+        partial = [((), c * 2.0 ** (-deg / 2))]
+        for s, a, b in k:
+            partial = [(key + ((s, ea, eb),), coeff * w)
+                       for key, coeff in partial
+                       for (ea, eb), w in _seed_site_table(a, b, unit).items()]
+        for key, coeff in partial:
+            acc[key] = acc.get(key, 0.0) + coeff
+    return acc
 
 
 def _unit(width: int, i: int) -> tuple[int, ...]:

@@ -21,12 +21,13 @@ from kgchain import (
     to_complex,
     to_real,
 )
-from kgchain.chainpoly import (BIRKHOFF, _convert, _imbalance,
-                               envelope_constant, mirror)
+from kgchain.chainpoly import (BIRKHOFF, _imbalance, envelope_constant,
+                               mirror)
 from kgchain.cyclic import RealizedEvaluator, cyclic_shift
 
 from conftest import random_homogeneous, random_seed_poly
-from oracles import from_seedpoly, p_birkhoff, p_max_diff, p_poisson
+from oracles import (from_seedpoly, p_birkhoff, p_max_diff, p_poisson,
+                     p_real, seed_convert)
 
 
 def test_canonical_pair_bracket():
@@ -134,7 +135,7 @@ def test_to_real_expands_half_of_a_real_image(rng):
     # to_real expands the d >= 0 terms only; the reference expands all
     for _ in range(10):
         fb = to_complex(random_seed_poly(rng, n=8, terms=8, max_degree=6))
-        full = _convert(fb._terms, -1)
+        full = seed_convert(fb._terms, -1)
         top = max(map(abs, full.values()), default=1.0)
         got = to_real(fb)
         assert set(got._terms) <= set(full)
@@ -147,6 +148,13 @@ def test_to_real_expands_half_of_a_real_image(rng):
         to_real(odd)
 
 
+def _random_entries(rng, n, max_sites, max_exp):
+    sites = rng.choice(n, size=int(rng.integers(1, max_sites + 1)),
+                       replace=False)
+    return [(int(s), int(rng.integers(0, max_exp + 1)),
+             int(rng.integers(0, max_exp + 1))) for s in sites]
+
+
 def test_to_complex_matches_dense_oracle(rng):
     # The round trip cannot see forward and inverse site tables that are
     # wrong in matching ways, so check the forward one against the dense
@@ -155,10 +163,7 @@ def test_to_complex_matches_dense_oracle(rng):
         for parity in (0, 1):
             f = SeedPoly.zero(n=n)
             while f.num_terms() < 5:
-                sites = rng.choice(n, size=int(rng.integers(1, 4)),
-                                   replace=False)
-                ents = [(int(s), int(rng.integers(0, 6)),
-                         int(rng.integers(0, 6))) for s in sites]
+                ents = _random_entries(rng, n, 3, 5)
                 deg = sum(a + b for _, a, b in ents)
                 if deg and deg % 2 == parity:
                     f = f + SeedPoly.term(ents, float(rng.uniform(-1, 1)),
@@ -167,6 +172,55 @@ def test_to_complex_matches_dense_oracle(rng):
             oracle = p_birkhoff(from_seedpoly(f, n), n)
             assert p_max_diff(from_seedpoly(fb, n), oracle) \
                 <= 1e-13 * fb.max_abs_coeff()
+
+
+def test_to_real_matches_dense_oracle(rng):
+    # The inverse table against the dense inverse substitution, on odd and
+    # even degrees with per-site exponents up to 5.  The input g + mirror(g)
+    # is a real image built without to_complex.
+    for n in (3, 5):
+        for parity in (0, 1):
+            g = SeedPoly.zero(BIRKHOFF, n)
+            while g.num_terms() < 5:
+                ents = _random_entries(rng, n, 3, 5)
+                deg = sum(a + b for _, a, b in ents)
+                if deg and deg % 2 == parity:
+                    c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    g = g + SeedPoly.term(ents, c, kind=BIRKHOFF, n=n)
+            fb = g + mirror(g)
+            f = to_real(fb)
+            oracle = p_real(from_seedpoly(fb, n), n)
+            assert p_max_diff(from_seedpoly(f, n), oracle) \
+                <= 1e-13 * f.max_abs_coeff()
+
+
+def test_conversion_kernel_matches_the_per_term_reference(rng):
+    # Both directions against the per-term expansion, on seeds up to
+    # degree 8 over up to 8 sites: the same key set after the clean, and
+    # coefficients within 1e-13 of the largest.  Each seed also holds terms
+    # c (x_s^2 + y_s^2) x_t y_t with integer c, whose images cancel exactly
+    # in entries of the dense tensors (x^2 + y^2 = 2i xi eta).
+    for n in (4, 8):
+        for _ in range(12):
+            f = SeedPoly.zero(n=n)
+            for _ in range(6):
+                ents = _random_entries(rng, n, min(n, 8), 2)
+                if 0 < sum(a + b for _, a, b in ents) <= 8:
+                    f = f + SeedPoly.term(ents, float(rng.uniform(-1, 1)),
+                                          n=n)
+                s, t = (int(x) for x in rng.choice(n, 2, replace=False))
+                c = float(rng.integers(1, 4))
+                for e1, e2 in (((s, 2, 0), (t, 1, 1)), ((s, 0, 2), (t, 1, 1))):
+                    f = f + SeedPoly.term([e1, e2], c, n=n)
+            fb = to_complex(f)
+            for got, kind, ref in ((fb, BIRKHOFF, seed_convert(f._terms, 1)),
+                                   (to_real(fb), REAL,
+                                    seed_convert(fb._terms, -1))):
+                ref = SeedPoly(kind, n, ref)
+                assert set(got._terms) == set(ref._terms)
+                assert got.max_coeff_diff(ref) <= 1e-13 * ref.max_abs_coeff()
+            # the exact cancellations leave keys out of the image
+            assert fb.num_terms() < len(seed_convert(f._terms, 1))
 
 
 def test_coordinate_kind_errors(rng):

@@ -35,7 +35,7 @@ from kgchain.normalform import (
     homological_residual,
     remainder_head,
 )
-from kgchain.chainpoly import (REAL, CoordinateError, _convert, _imbalance,
+from kgchain.chainpoly import (REAL, CoordinateError, _imbalance,
                                decay_decompose, reality_defect, sum_polys)
 
 from conftest import random_seed_poly
@@ -45,6 +45,7 @@ from oracles import (
     p_max_diff,
     p_realize,
     p_resonant_projection,
+    seed_convert,
     single_oscillator_second_order,
 )
 
@@ -155,10 +156,25 @@ def test_one_sector_solve_matches_the_full_series(n, prune):
     assert reality_defect(chi) <= 1e-14 * top
     assert zeta._terms == ref_zeta._terms
     # to_real expands the d > 0 half; the reference expands every term
-    full = _convert(chi._terms, -1)
+    full = seed_convert(chi._terms, -1)
     real = to_real(chi)
     assert max(abs(v - real._terms.get(k, 0.0)) for k, v in full.items()) \
         <= 1e-13 * max(map(abs, full.values()))
+
+
+@pytest.mark.parametrize("n, prune", [(6, None), (8, 1e-7)])
+def test_normal_form_converts_the_solver_half_as_to_real(n, prune):
+    # normal_form hands the solver's d > 0 half and zeta to the inverse
+    # expansion without to_real's check; chi_2 and zeta_2 are what
+    # to_real makes of solve_homological's whole chi and zeta
+    lnf = linear_normalize(0.05, n)
+    psi = remainder_head(normal_form(lnf, 1, prune_rel=prune), 2)[0]
+    chi, zeta = solve_homological(to_complex(psi), to_complex(lnf.zeta0),
+                                  lnf.omega, prune_rel=prune)
+    res = normal_form(lnf, 2, prune_rel=prune)
+    assert res.seq.chis[1]._terms \
+        == to_real(chi).scaled(-1.0).prune(prune)._terms
+    assert res.zetas[1]._terms == to_real(zeta).prune(prune)._terms
 
 
 def test_solver_brackets_the_d_positive_half_only(monkeypatch):
