@@ -406,10 +406,11 @@ def _site_entries(s: int, m: int) -> tuple:
     return tuple((s, e, m - e) for e in range(m + 1))
 
 
-def _convert(items: Iterable[tuple[ExpKey, complex]],
-             unit: int) -> tuple[list[ExpKey], np.ndarray]:
-    """The substitution of :func:`_site_matrix` on every term: the output
-    keys, and their coefficients in one array.
+def _convert(items: Iterable[tuple[ExpKey, complex]], kind: str,
+             n: int) -> SeedPoly:
+    """The substitution of :func:`_site_matrix` on every term, into a
+    polynomial of coordinate kind ``kind``: Birkhoff with unit 1, real with
+    unit -1, which keeps the real parts.
 
     A term's output keys depend only on its pattern, its sites s and their
     total degrees m_s = a + b, and every pattern maps onto itself.  So the
@@ -417,7 +418,11 @@ def _convert(items: Iterable[tuple[ExpKey, complex]],
     per site, indexed by a, which is contracted with the site matrices axis
     by axis, all patterns of one shape (the m_s in site order) at once.
     Each output key is built once, by a product over the pattern's sites.
+    The cut of :func:`_cleaned` is made on the arrays, as
+    :func:`kgchain.cyclic.seed_bracket` makes it, so entries of the dense
+    tensors that cancel exactly get no key.
     """
+    unit = 1 if kind == BIRKHOFF else -1
     rows: dict[tuple, int] = {}         # pattern -> row
     cells_row, cells_at, coeffs = [], [], []
     for k, c in items:
@@ -455,22 +460,19 @@ def _convert(items: Iterable[tuple[ExpKey, complex]],
         # Exact power of 1/2 for even degree; odd degrees keep a sqrt(2).
         scale = 0.5 ** (deg // 2) * (0.7071067811865476 if deg % 2 else 1.0)
         dense[lo:hi] = block.reshape(-1) * scale
-    return keys, dense
-
-
-def _nonzero_terms(keys: list[ExpKey], coeffs: np.ndarray) -> dict:
-    """{key: coefficient} of the nonzero coefficients: entries of the dense
-    tensors that cancel exactly, which the clean would drop, get no key."""
-    at = np.flatnonzero(coeffs)
-    return dict(zip(map(keys.__getitem__, at.tolist()),
-                    coeffs[at].tolist()))
+    if kind == REAL:
+        dense = dense.real
+    mag = np.abs(dense)
+    kept = np.flatnonzero(~(mag < _cut_level(mag.max(initial=0.0))))
+    return SeedPoly(kind, n, dict(zip(map(keys.__getitem__, kept.tolist()),
+                                      dense[kept].astype(complex).tolist())),
+                    _skip_clean=True)
 
 
 def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
     _check_kind(f, REAL, "to_complex")
-    return SeedPoly(BIRKHOFF, f.n,
-                    _nonzero_terms(*_convert(f._terms.items(), 1)))
+    return _convert(f._terms.items(), BIRKHOFF, f.n)
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
@@ -492,9 +494,8 @@ def _to_real_sectors(n: int, kernel: dict, half: dict) -> SeedPoly:
     ``kernel``, the d > 0 terms ``half`` and their mirror as d < 0 terms,
     unchecked: Re of the inverse image of kernel + 2 half, in one
     expansion."""
-    keys, coeffs = _convert(itertools.chain(
-        kernel.items(), ((k, 2.0 * c) for k, c in half.items())), -1)
-    return SeedPoly(REAL, n, _nonzero_terms(keys, coeffs.real))
+    return _convert(itertools.chain(
+        kernel.items(), ((k, 2.0 * c) for k, c in half.items())), REAL, n)
 
 
 def _imbalance(key: ExpKey) -> int:

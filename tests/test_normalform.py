@@ -163,10 +163,10 @@ def test_one_sector_solve_matches_the_full_series(n, prune):
 
 
 @pytest.mark.parametrize("n, prune", [(6, None), (8, 1e-7)])
-def test_normal_form_converts_the_solver_half_as_to_real(n, prune):
-    # normal_form hands the solver's d > 0 half and zeta to the inverse
-    # expansion without to_real's check; chi_2 and zeta_2 are what
-    # to_real makes of solve_homological's whole chi and zeta
+def test_normal_form_converts_the_solver_output_as_to_real(n, prune):
+    # normal_form hands the solver's chi and zeta to the inverse expansion
+    # without to_real's check; chi_2 and zeta_2 are what to_real makes of
+    # them
     lnf = linear_normalize(0.05, n)
     psi = remainder_head(normal_form(lnf, 1, prune_rel=prune), 2)[0]
     chi, zeta = solve_homological(to_complex(psi), to_complex(lnf.zeta0),
