@@ -26,8 +26,8 @@ import numpy as np
 # from filling in, stays far below every test tolerance.
 PRUNE_REL = 1e-15
 # Tolerance for declaring a coefficient real when the kind is "real", and a
-# Birkhoff-kind polynomial a real image in _check_real_image (relative to
-# the largest |c| in both).
+# Birkhoff-kind polynomial a real image in to_real (relative to the largest
+# |c| in both).
 REAL_IMAG_TOL = 1e-14
 
 REAL = "real"
@@ -197,7 +197,13 @@ class SeedPoly:
         return SeedPoly(self.kind, self.n, acc)
 
     def __neg__(self) -> "SeedPoly":
-        return self.scaled(-1.0)
+        """Exact: keeps the largest |c| and so the kept set, without a
+        clean; real-kind values stay complex(-re, 0.0)."""
+        if self.kind == REAL:
+            out = {k: complex(-v.real, 0.0) for k, v in self._terms.items()}
+        else:
+            out = {k: -v for k, v in self._terms.items()}
+        return SeedPoly(self.kind, self.n, out, _skip_clean=True)
 
     def scaled(self, c: complex) -> "SeedPoly":
         if c == 0:
@@ -476,8 +482,9 @@ def to_complex(f: SeedPoly) -> SeedPoly:
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
-    """Inverse substitution; raises unless ``f`` is the image of a real
-    polynomial (:func:`_check_real_image`).
+    """Inverse substitution; raises unless ``f`` is Birkhoff kind and the
+    image of a real polynomial, its :func:`reality_defect` at most
+    ``REAL_IMAG_TOL`` times its largest |c|.
 
     The reality map takes the imbalance sector d = |k| - |j| onto -d and
     each term's inverse image onto its complex conjugate.  So f is its
@@ -485,7 +492,11 @@ def to_real(f: SeedPoly) -> SeedPoly:
     is the inverse image of the d = 0 terms plus 2 Re of that of h: only
     the d >= 0 terms are expanded (:func:`_to_real_sectors`).
     """
-    _check_real_image(f, "to_real")
+    _check_kind(f, BIRKHOFF, "to_real")
+    defect = reality_defect(f)
+    if defect > REAL_IMAG_TOL * f.max_abs_coeff():
+        raise CoordinateError(f"to_real expects the image of a real "
+                              f"polynomial; reality defect {defect:g}")
     return _to_real_sectors(f.n, *_imbalance_sectors(f))
 
 
@@ -549,17 +560,6 @@ def reality_defect(f: SeedPoly) -> float:
     # a key of image that f lacks mirrors one of f that image lacks
     return max((abs(c - image.get(k, 0.0)) for k, c in f._terms.items()),
                default=0.0)
-
-
-def _check_real_image(f: SeedPoly, name: str) -> None:
-    """Raise unless ``f`` is Birkhoff kind and the image of a real
-    polynomial, its :func:`reality_defect` at most ``REAL_IMAG_TOL`` times
-    its largest |c|; ``name`` asks (and names the operand of several)."""
-    _check_kind(f, BIRKHOFF, name)
-    defect = reality_defect(f)
-    if defect > REAL_IMAG_TOL * f.max_abs_coeff():
-        raise CoordinateError(f"{name} expects the image of a real "
-                              f"polynomial; reality defect {defect:g}")
 
 
 # -- alignment, decay ------------------------------------------------------

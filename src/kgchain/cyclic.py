@@ -332,8 +332,8 @@ def field_seed(f: SeedPoly) -> FieldSeed:
     sites = {s for k in f._terms for s, _, _ in k}
     xq = sum_polys((cyclic_shift(f.partial(l, 1), l) for l in sites),
                    kind=f.kind, n=f.n)
-    xp = sum_polys((cyclic_shift(f.partial(l, 0), l) for l in sites),
-                   kind=f.kind, n=f.n).scaled(-1.0)
+    xp = -sum_polys((cyclic_shift(f.partial(l, 0), l) for l in sites),
+                    kind=f.kind, n=f.n)
     return FieldSeed(xq, xp)
 
 

@@ -34,11 +34,11 @@ import numpy as np
 
 from .chainpoly import (
     BIRKHOFF,
+    REAL,
     CoordinateError,
     DecayProfile,
     SeedPoly,
     fit_decay,
-    mirror,
     norm_pairs,
     poly_norm,
     seed_to_dict,
@@ -46,7 +46,6 @@ from .chainpoly import (
     to_complex,
     _check_cut,
     _check_kind,
-    _check_real_image,
     _imbalance,
     _imbalance_sectors,
     _to_real_sectors,
@@ -139,24 +138,25 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
                       ) -> tuple[SeedPoly, SeedPoly]:
     """Solve L_{H_0} chi + zeta = psi with zeta in the kernel of L_Omega.
 
+    psi, zeta0 and the returned chi and zeta are real kind; the equation
+    is split and inverted in the Birkhoff coordinates, inside the solver.
     The inverse of L_{H_0} = L_Omega (Id + K), K = L_Omega^{-1} L_{Z_0},
     is applied through the Neumann series sum_l (-K)^l L_Omega^{-1},
-    iterated until the next term's seed norm drops below tol * ||psi||_1.
-    Term growth over three consecutive iterations, or no settling within
-    ``NEUMANN_MAX_TERMS`` terms, raises :class:`NeumannDivergenceError`
-    (the operator-norm smallness that guarantees convergence no longer
-    holds).
+    iterated until the next term's seed norm drops below tol * ||psi||_1
+    (Birkhoff frame).  Term growth over three consecutive iterations, or
+    no settling within ``NEUMANN_MAX_TERMS`` terms, raises
+    :class:`NeumannDivergenceError` (the operator-norm smallness that
+    guarantees convergence no longer holds).
 
     The series runs on the imbalance sector d = |k| - |j| > 0 alone, and
-    chi is that half plus its :func:`~kgchain.chainpoly.mirror`.  This is
-    exact for real images: Z_0 lies in the kernel of L_Omega (d = 0), so
-    L_Omega and L_{Z_0} keep d, and so does every term of the series; the
-    reality map takes sector d onto -d and commutes with both operators,
-    so the d < 0 half of the solution of a real psi is the mirror of its
-    d > 0 half.  A term's norm is twice its half's.  psi and zeta0 must be
-    real images (:func:`~kgchain.chainpoly.reality_defect` at most
-    ``REAL_IMAG_TOL`` times their largest |c|) and zeta0 must lie in the
-    kernel; otherwise ``CoordinateError`` is raised.
+    chi is the real polynomial whose image is that half plus its mirror
+    (:func:`~kgchain.chainpoly._to_real_sectors`).  This is exact: Z_0
+    lies in the kernel of L_Omega (d = 0), so L_Omega and L_{Z_0} keep d,
+    and so does every term of the series; the reality map takes sector d
+    onto -d and commutes with both operators, so the d < 0 half of the
+    solution of a real psi is the mirror of its d > 0 half.  A term's norm
+    is twice its half's.  A psi or zeta0 that is not real kind, or a zeta0
+    whose image leaves the kernel, raises ``CoordinateError``.
 
     With ``prune_rel`` set, every term's bracket drops its words below
     one absolute floor, ``NEUMANN_CUT * prune_rel`` times the largest
@@ -168,16 +168,18 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     """
     _check_cut(prune_rel)
     for name, f in (("psi", psi), ("zeta0", zeta0)):
-        _check_real_image(f, f"solve_homological ({name})")
-    if not project_range(zeta0).is_zero():
+        _check_kind(f, REAL, f"solve_homological ({name})")
+    zeta0_b = to_complex(zeta0)
+    if not project_range(zeta0_b).is_zero():
         raise CoordinateError("solve_homological expects zeta0 in the "
                               "kernel of L_Omega")
 
-    kernel, half = _imbalance_sectors(psi)
-    zeta = SeedPoly(BIRKHOFF, psi.n, kernel, _skip_clean=True)
-    scale = poly_norm(psi, 1.0)
+    psi_b = to_complex(psi)
+    kernel, half = _imbalance_sectors(psi_b)
+    zeta = _to_real_sectors(psi.n, kernel, {})
+    scale = poly_norm(psi_b, 1.0)
     if not half:
-        return SeedPoly.zero(BIRKHOFF, psi.n), zeta
+        return SeedPoly.zero(REAL, psi.n), zeta
 
     term = invert_lie_omega(SeedPoly(BIRKHOFF, psi.n, half,
                                      _skip_clean=True), omega)
@@ -188,9 +190,9 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
             break
-        bracket = seed_bracket(zeta0, term, prune_rel=prune_rel,
+        bracket = seed_bracket(zeta0_b, term, prune_rel=prune_rel,
                                floor=floor)
-        term = invert_lie_omega(bracket, omega).scaled(-1.0)
+        term = -invert_lie_omega(bracket, omega)
         terms.append(term)
         norm = 2.0 * _norm1(term)
         growth = growth + 1 if norm > prev_norm else 0
@@ -199,8 +201,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         prev_norm = norm
     else:
         raise NeumannDivergenceError(0, "Neumann series did not settle")
-    total = sum_polys(terms)
-    return total + mirror(total), zeta
+    return _to_real_sectors(psi.n, {}, sum_polys(terms)._terms), zeta
 
 
 def _norm1(f: SeedPoly) -> float:
@@ -213,9 +214,11 @@ def _norm1(f: SeedPoly) -> float:
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,
                          zeta0: SeedPoly, omega: float) -> float:
-    """||L_{H_0} chi + zeta - psi||_1 (all in Birkhoff kind)."""
-    lh0 = lie_omega(chi, omega) + seed_bracket(zeta0, chi)
-    return poly_norm(lh0 + zeta - psi, 1.0)
+    """||L_{H_0} chi + zeta - psi||_1 in the Birkhoff frame, of the
+    real-kind operands of :func:`solve_homological`."""
+    chi_b = to_complex(chi)
+    lh0 = lie_omega(chi_b, omega) + seed_bracket(to_complex(zeta0), chi_b)
+    return poly_norm(lh0 + to_complex(zeta - psi), 1.0)
 
 
 # -- result containers -------------------------------------------------------
@@ -267,7 +270,7 @@ class NormalFormResult:
 
     def hamiltonian_seed(self) -> SeedPoly:
         """Seed of the linearly transformed Hamiltonian H."""
-        h1 = self.lnf.h1.scaled(-1.0) if self.soft else self.lnf.h1
+        h1 = -self.lnf.h1 if self.soft else self.lnf.h1
         return self.lnf.h_omega + self.lnf.zeta0 + h1
 
     def normal_form_seed(self) -> SeedPoly:
@@ -356,15 +359,12 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     if s_max is not None:
         _check_int("s_max", s_max, order + 1)
     omega = lnf.omega
-    h1_real = lnf.h1.scaled(-1.0) if soft else lnf.h1
+    h1_real = -lnf.h1 if soft else lnf.h1
     h1_real = h1_real.prune(prune_rel)      # raises on a bad prune_rel
-    zeta0_b = to_complex(lnf.zeta0)
 
     # The recursion runs in real coordinates (far fewer terms); only the
     # kernel/range splitting and the diagonal inversion go through the
-    # complex coordinates inside the solver, which iterates on the d > 0
-    # half of chi, and the inverse expansion takes the d >= 0 terms only,
-    # so neither layer works on the mirrored half.
+    # complex coordinates, inside the solver.
     chis: list[SeedPoly] = []
     zetas: list[SeedPoly] = []
     engine = _LieEngine(chis, prune_rel)
@@ -372,20 +372,13 @@ def normal_form(lnf: LinearNF, order: int, tol: float = 1e-12,
     for s in range(1, order + 1):
         psi = _psi(engine, h1_real, zetas, s)
         try:
-            chi_t, zeta_b = solve_homological(to_complex(psi), zeta0_b,
-                                              omega, tol=tol,
-                                              prune_rel=prune_rel)
+            chi, zeta = solve_homological(psi, lnf.zeta0, omega, tol=tol,
+                                          prune_rel=prune_rel)
         except NeumannDivergenceError as exc:
             raise NeumannDivergenceError(s) from exc
-        # to_real's check is not needed: chi_t is half + mirror(half), and
-        # mirror is an exact involution (a block swap, a conjugation and a
-        # product with a power of i), so its reality defect is exactly 0;
-        # zeta_b is the d = 0 sector of a psi the solver checked.
         # L_{H0} chi_s = Z_s - Psi_s
-        chis.append(_to_real_sectors(psi.n, *_imbalance_sectors(chi_t))
-                    .scaled(-1.0).prune(prune_rel))
-        zetas.append(_to_real_sectors(psi.n, zeta_b._terms, {})
-                     .prune(prune_rel))
+        chis.append((-chi).prune(prune_rel))
+        zetas.append(zeta.prune(prune_rel))
 
     res = NormalFormResult(
         lnf=lnf, seq=GeneratingSequence(chis), zetas=zetas,

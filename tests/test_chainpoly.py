@@ -148,6 +148,19 @@ def test_to_real_expands_half_of_a_real_image(rng):
         to_real(odd)
 
 
+def test_to_real_takes_real_images_at_the_conversion_tolerance():
+    # to_real's guard is REAL_IMAG_TOL: a defect of 5e-14 of the largest
+    # |c| is refused
+    fb = to_complex(linear_normalize(0.05, 6).h1)
+    lone = SeedPoly.term([(0, 1, 2), (1, 0, 1)], 5e-14 * fb.max_abs_coeff(),
+                         kind=BIRKHOFF, n=6)
+    bad = fb + lone
+    top = bad.max_abs_coeff()
+    assert 1e-14 * top < reality_defect(bad) <= 1e-13 * top
+    with pytest.raises(CoordinateError, match="^to_real expects the image"):
+        to_real(bad)
+
+
 def _random_entries(rng, n, max_sites, max_exp):
     sites = rng.choice(n, size=int(rng.integers(1, max_sites + 1)),
                        replace=False)
@@ -320,6 +333,14 @@ def test_json_roundtrip_bit_stable(rng):
         f2 = seed_from_dict(json.loads(json.dumps(d)))
         assert f2.max_coeff_diff(f) == 0.0
         assert json.dumps(seed_to_dict(f2)) == json.dumps(d)
+        # negation is exact and keeps every key in its place; a real-kind
+        # value stays complex(-re, 0.0), as the clean of scaled(-1.0) makes it
+        neg = -f
+        assert list(neg._terms) == list(f._terms)
+        assert all(neg._terms[k] == -c for k, c in f._terms.items())
+        if not kind_complex:
+            assert json.dumps(seed_to_dict(neg)) \
+                == json.dumps(seed_to_dict(f.scaled(-1.0)))
 
 
 def test_empty_polynomial_is_valid_everywhere():

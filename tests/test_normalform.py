@@ -36,7 +36,7 @@ from kgchain.normalform import (
     remainder_head,
 )
 from kgchain.chainpoly import (REAL, CoordinateError, _imbalance,
-                               decay_decompose, reality_defect, sum_polys)
+                               decay_decompose, sum_polys)
 
 from conftest import random_seed_poly
 from oracles import (
@@ -45,7 +45,6 @@ from oracles import (
     p_max_diff,
     p_realize,
     p_resonant_projection,
-    seed_convert,
     single_oscillator_second_order,
 )
 
@@ -85,12 +84,16 @@ def test_l_omega_operators_reject_real_seeds():
     real, omega = lnf.h1, lnf.omega
     calls = [lambda: lie_omega(real, omega), lambda: project_kernel(real),
              lambda: project_range(real),
-             lambda: invert_lie_omega(real, omega),
-             lambda: solve_homological(real, to_complex(lnf.zeta0), omega),
-             lambda: solve_homological(to_complex(real), lnf.zeta0, omega)]
+             lambda: invert_lie_omega(real, omega)]
     for call in calls:
         with pytest.raises(CoordinateError, match="Birkhoff"):
             call()
+    # the solver takes and returns real seeds
+    for name, args in (("psi", (to_complex(real), lnf.zeta0)),
+                       ("zeta0", (real, to_complex(lnf.zeta0)))):
+        with pytest.raises(CoordinateError,
+                           match=rf"\({name}\) expects a real-kind"):
+            solve_homological(*args, omega)
 
 
 def test_invert_is_right_inverse(rng):
@@ -105,26 +108,25 @@ def test_invert_is_right_inverse(rng):
 
 def test_solve_homological_decoupled():
     lnf = linear_normalize(0.0, 4)
-    psi = to_complex(lnf.h1)
-    chi, zeta = solve_homological(psi, to_complex(lnf.zeta0), lnf.omega)
+    chi, zeta = solve_homological(lnf.h1, lnf.zeta0, lnf.omega)
+    assert chi.kind == zeta.kind == REAL
     # K = 0: chi is exactly the diagonal inverse of the range part
-    direct = invert_lie_omega(project_range(psi), lnf.omega)
-    assert chi.max_coeff_diff(direct) == 0.0
-    assert zeta.max_coeff_diff(project_kernel(psi)) == 0.0
+    psi = to_complex(lnf.h1)
+    direct = to_real(invert_lie_omega(project_range(psi), lnf.omega))
+    assert chi._terms == direct._terms
+    assert zeta._terms == to_real(project_kernel(psi))._terms
 
 
 def test_solve_homological_residual_realization():
     lnf = linear_normalize(0.02, 6)
-    psi = to_complex(lnf.h1)
-    z0b = to_complex(lnf.zeta0)
-    chi, zeta = solve_homological(psi, z0b, lnf.omega, tol=1e-13)
-    resid = homological_residual(chi, zeta, psi, z0b, lnf.omega)
-    assert resid <= 1e-10 * poly_norm(psi, 1.0)
+    psi = lnf.h1
+    chi, zeta = solve_homological(psi, lnf.zeta0, lnf.omega, tol=1e-13)
+    resid = homological_residual(chi, zeta, psi, lnf.zeta0, lnf.omega)
+    assert resid <= 1e-10 * poly_norm(to_complex(psi), 1.0)
     # and the same identity on the realized ring
     full = poisson_bracket(
-        realize(lnf.h_omega, 6) + realize(lnf.zeta0, 6),
-        realize(to_real(chi), 6))
-    target = realize(to_real(psi), 6) - realize(to_real(zeta), 6)
+        realize(lnf.h_omega, 6) + realize(lnf.zeta0, 6), realize(chi, 6))
+    target = realize(psi, 6) - realize(zeta, 6)
     assert full.max_coeff_diff(target) <= 1e-10
 
 
@@ -135,8 +137,8 @@ def _full_sector_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
     floor = normalform.NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
     total, scale = term, poly_norm(psi, 1.0)
     while poly_norm(term, 1.0) > tol * scale:
-        term = invert_lie_omega(seed_bracket(zeta0, term, prune_rel=prune_rel,
-                                             floor=floor), omega).scaled(-1.0)
+        term = -invert_lie_omega(seed_bracket(zeta0, term, prune_rel=prune_rel,
+                                              floor=floor), omega)
         total = total + term
     return total, project_kernel(psi)
 
@@ -144,42 +146,32 @@ def _full_sector_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
 @pytest.mark.parametrize("n, prune", [(6, None), (8, 1e-7)])
 def test_one_sector_solve_matches_the_full_series(n, prune):
     lnf = linear_normalize(0.05, n)
-    z0b = to_complex(lnf.zeta0)
-    psi = to_complex(remainder_head(normal_form(lnf, 1, prune_rel=prune),
-                                    2)[0])            # Psi_2
-    chi, zeta = solve_homological(psi, z0b, lnf.omega, prune_rel=prune)
-    ref_chi, ref_zeta = _full_sector_solve(psi, z0b, lnf.omega,
+    psi = remainder_head(normal_form(lnf, 1, prune_rel=prune), 2)[0]  # Psi_2
+    chi, zeta = solve_homological(psi, lnf.zeta0, lnf.omega, prune_rel=prune)
+    ref_chi, ref_zeta = _full_sector_solve(to_complex(psi),
+                                           to_complex(lnf.zeta0), lnf.omega,
                                            prune_rel=prune)
-    top = ref_chi.max_abs_coeff()
-    assert set(chi._terms) == set(ref_chi._terms)
-    assert chi.max_coeff_diff(ref_chi) <= 1e-13 * top
-    assert reality_defect(chi) <= 1e-14 * top
-    assert zeta._terms == ref_zeta._terms
-    # to_real expands the d > 0 half; the reference expands every term
-    full = seed_convert(chi._terms, -1)
-    real = to_real(chi)
-    assert max(abs(v - real._terms.get(k, 0.0)) for k, v in full.items()) \
-        <= 1e-13 * max(map(abs, full.values()))
+    # to_real checks that the reference is a real image
+    ref = to_real(ref_chi)
+    assert set(chi._terms) == set(ref._terms)
+    assert chi.max_coeff_diff(ref) <= 1e-13 * ref.max_abs_coeff()
+    assert zeta._terms == to_real(ref_zeta)._terms
 
 
 @pytest.mark.parametrize("n, prune", [(6, None), (8, 1e-7)])
-def test_normal_form_converts_the_solver_output_as_to_real(n, prune):
-    # normal_form hands the solver's chi and zeta to the inverse expansion
-    # without to_real's check; chi_2 and zeta_2 are what to_real makes of
-    # them
+def test_normal_form_takes_the_solver_output_as_it_is(n, prune):
+    # chi_2 and zeta_2 are the solver's real seeds, negated and cut, bit
+    # for bit
     lnf = linear_normalize(0.05, n)
     psi = remainder_head(normal_form(lnf, 1, prune_rel=prune), 2)[0]
-    chi, zeta = solve_homological(to_complex(psi), to_complex(lnf.zeta0),
-                                  lnf.omega, prune_rel=prune)
+    chi, zeta = solve_homological(psi, lnf.zeta0, lnf.omega, prune_rel=prune)
     res = normal_form(lnf, 2, prune_rel=prune)
-    assert res.seq.chis[1]._terms \
-        == to_real(chi).scaled(-1.0).prune(prune)._terms
-    assert res.zetas[1]._terms == to_real(zeta).prune(prune)._terms
+    assert res.seq.chis[1]._terms == (-chi).prune(prune)._terms
+    assert res.zetas[1]._terms == zeta.prune(prune)._terms
 
 
 def test_solver_brackets_the_d_positive_half_only(monkeypatch):
     lnf = linear_normalize(0.05, 6)
-    z0b = to_complex(lnf.zeta0)
     operands = []
     bracket = normalform.seed_bracket
 
@@ -188,40 +180,26 @@ def test_solver_brackets_the_d_positive_half_only(monkeypatch):
         return bracket(f, g, **kwargs)
 
     monkeypatch.setattr(normalform, "seed_bracket", recorded)
-    chi, _ = solve_homological(to_complex(lnf.h1), z0b, lnf.omega)
+    chi, _ = solve_homological(lnf.h1, lnf.zeta0, lnf.omega)
     assert operands
     assert all(_imbalance(k) > 0 for g in operands for k in g._terms)
-    # and the returned chi is the whole: both sectors, mirror images
-    assert {_imbalance(k) > 0 for k in chi._terms} == {True, False}
-    assert reality_defect(chi) == 0.0
+    # and the returned chi is the whole real polynomial: its image has
+    # both sectors
+    assert {_imbalance(k) > 0 for k in to_complex(chi)._terms} \
+        == {True, False}
 
 
 def test_solver_rejects_a_psi_that_is_not_real():
+    # a real-kind seed cannot hold an imaginary coefficient, so the kind
+    # check is the reality check: a Birkhoff psi is refused, even the
+    # image of a real polynomial
     lnf = linear_normalize(0.05, 6)
-    z0b = to_complex(lnf.zeta0)
-    psi = to_complex(lnf.h1)
-    lone = SeedPoly.term([(0, 1, 2), (1, 0, 1)], 1e-9, kind=BIRKHOFF, n=6)
-    assert _imbalance(next(iter(lone._terms))) > 0
     with pytest.raises(CoordinateError, match="psi"):
-        solve_homological(psi + lone, z0b, lnf.omega)
-    # zeta0 must be a real image in the kernel of L_Omega too
-    for bad in (z0b + lone, z0b + lone + normalform.mirror(lone)):
-        with pytest.raises(CoordinateError, match="zeta0"):
-            solve_homological(psi, bad, lnf.omega)
-
-
-def test_solver_takes_real_images_at_the_conversion_tolerance():
-    # solve_homological's guard is REAL_IMAG_TOL, the one to_real uses: a
-    # defect of 5e-14 of the largest |c| is refused
-    lnf = linear_normalize(0.05, 6)
-    psi = to_complex(lnf.h1)
-    lone = SeedPoly.term([(0, 1, 2), (1, 0, 1)], 5e-14 * psi.max_abs_coeff(),
-                         kind=BIRKHOFF, n=6)
-    bad = psi + lone
-    top = bad.max_abs_coeff()
-    assert 1e-14 * top < reality_defect(bad) <= 1e-13 * top
-    with pytest.raises(CoordinateError, match="psi"):
-        solve_homological(bad, to_complex(lnf.zeta0), lnf.omega)
+        solve_homological(to_complex(lnf.h1), lnf.zeta0, lnf.omega)
+    # zeta0 must lie in the kernel of L_Omega: x_0^2 has a range part
+    bad = lnf.zeta0 + SeedPoly.term([(0, 2, 0)], 1e-9, n=6)
+    with pytest.raises(CoordinateError, match="zeta0"):
+        solve_homological(lnf.h1, bad, lnf.omega)
 
 
 def test_k_operator_preserves_range(rng):
@@ -240,7 +218,7 @@ def test_neumann_divergence_detected():
     big = big + SeedPoly.term([(0, 1, 0), (1, 1, 0)], 20.0, n=6)
     big = big + SeedPoly.term([(0, 0, 1), (1, 0, 1)], 20.0, n=6)
     with pytest.raises(NeumannDivergenceError):
-        solve_homological(to_complex(lnf.h1), to_complex(big), lnf.omega)
+        solve_homological(lnf.h1, big, lnf.omega)
 
 
 def test_decoupled_zeta1_rotation_average():
@@ -525,8 +503,9 @@ def test_every_cut_rejects_invalid_prune():
     res = normal_form(lnf, 1)
     f, chi = res.normal_form_seed(), res.seq.chis[0]
     zero = SeedPoly.zero(REAL, 4)
-    h1, zeta0 = to_complex(lnf.h1), to_complex(lnf.zeta0)
-    kernel = project_kernel(h1)             # solved without a bracket
+    h1, zeta0 = lnf.h1, lnf.zeta0
+    # solved without a bracket
+    kernel = to_real(project_kernel(to_complex(h1)))
     for prune in (math.nan, math.inf, 0.0, 1.0, -1e-7):
         calls = [lambda: f.prune(prune), lambda: zero.prune(prune),
                  lambda: seed_bracket(chi, f, prune_rel=prune),
