@@ -198,7 +198,7 @@ def test_solver_rejects_a_psi_that_is_not_real():
         solve_homological(to_complex(lnf.h1), lnf.zeta0, lnf.omega)
     # zeta0 must lie in the kernel of L_Omega: x_0^2 has a range part
     bad = lnf.zeta0 + SeedPoly.term([(0, 2, 0)], 1e-9, n=6)
-    with pytest.raises(CoordinateError, match="zeta0"):
+    with pytest.raises(CoordinateError, match="zeta0 in the kernel"):
         solve_homological(lnf.h1, bad, lnf.omega)
 
 
