@@ -38,6 +38,110 @@ BIRKHOFF = "birkhoff"
 ExpKey = tuple[tuple[int, int, int], ...]
 
 
+# -- lane words ---------------------------------------------------------------
+#
+# The seed kernels run on lane words.  A monomial key becomes a row of one
+# byte per site, holding the first-block exponent in its low and the
+# second-block exponent in its high 4-bit field, or of two bytes per site,
+# one per block, when an exponent may reach 16.  The row, padded to whole
+# 8-byte lanes, is read as little-endian uint64 lanes: one lane up to
+# N = 8 in the 1-byte layout, ceil(bytes / 8) lanes beyond.  No field
+# overflows, so adding two rows lane by lane adds their exponents site by
+# site.  A seed the kernel makes is held as its rows and values
+# (``SeedPoly._words``) and gets its keys only when ``_terms`` is read.
+
+def _layout(n: int, top: int) -> tuple:
+    """Site dtype, field bits and row length of the rows of n sites whose
+    exponents stay below 16 when ``top`` does, and below 256 otherwise."""
+    sdt = np.dtype(np.uint8 if top < 16 else "<u2")
+    size = sdt.itemsize
+    return sdt, 4 * size, -(-n * size // 8) * 8 // size
+
+
+def _entries(f: "SeedPoly"):
+    """Term index and (site, a, b) of every site entry of f's keys."""
+    keys = list(f._terms)
+    lens = np.fromiter(map(len, keys), np.intp, len(keys))
+    ents = np.fromiter(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(keys)), np.intp,
+        3 * int(lens.sum())).reshape(-1, 3)
+    return np.repeat(np.arange(len(keys)), lens), ents
+
+
+def _rows(term, ents, count, layout):
+    """Site rows of ``count`` terms from their entries."""
+    sdt, bits, cols = layout
+    rows = np.zeros((count, cols), sdt)
+    rows[term, ents[:, 0]] = ents[:, 1] | ents[:, 2] << bits
+    return rows
+
+
+def _fields(rows):
+    """The first- and second-block exponents of every site of ``rows``."""
+    bits = 4 * rows.itemsize
+    v = rows.astype(np.intp)
+    return v & ((1 << bits) - 1), v >> bits
+
+
+def _top(rows) -> int:
+    """The largest exponent in ``rows``."""
+    return int(max(f.max(initial=0) for f in _fields(rows)))
+
+
+def _repacked(rows, n: int, layout):
+    """``rows`` in ``layout``; the same array when it is theirs."""
+    sdt, bits, cols = layout
+    if rows.dtype == sdt:
+        return rows
+    a, b = _fields(rows[:, :n])
+    out = np.zeros((len(rows), cols), sdt)
+    out[:, :n] = a | b << bits
+    return out
+
+
+def _keys(rows, n: int) -> list:
+    """The monomial key of each site row."""
+    bits = 4 * rows.itemsize
+    term, site = np.nonzero(rows[:, :n])
+    v = rows[term, site]
+    ents = list(zip(site.tolist(), (v & ((1 << bits) - 1)).tolist(),
+                    (v >> bits).tolist()))
+    keys, lo = [], 0
+    for hi in np.cumsum(np.bincount(term, minlength=len(rows))).tolist():
+        keys.append(tuple(ents[lo:hi]))
+        lo = hi
+    return keys
+
+
+def _values(f: "SeedPoly"):
+    """The coefficients of f, in term order; real-kind ones as floats."""
+    if f._words is not None:
+        return f._words[1]
+    vals = np.fromiter(f._terms.values(), complex, len(f._terms))
+    return vals.real.copy() if f.kind == REAL else vals
+
+
+def _magnitudes(vals):
+    """|c| of each value, bit for bit as Python's abs gives it: libm's
+    hypot, which numpy's complex absolute does not always match."""
+    return np.hypot(vals.real, vals.imag)
+
+
+def _lane_words(f: "SeedPoly") -> tuple:
+    """Rows, values and alignment flag of f, in term order: the words f is
+    held in, or rows built from its keys in the narrowest layout, which
+    are not known to be aligned.  An exponent of 256 or more raises
+    ``ValueError``."""
+    if f._words is not None:
+        return f._words
+    term, ents = _entries(f)
+    top = int(ents[:, 1:].max(initial=0))
+    if top >= 256:
+        raise ValueError("exponent too large for lane words")
+    return (_rows(term, ents, len(f._terms), _layout(f.n, top)),
+            _values(f), False)
+
+
 class CoordinateError(ValueError):
     """Coordinate-kind or chain-size mismatch between operands."""
 
@@ -119,7 +223,7 @@ class SeedPoly:
     relative to the largest coefficient).
     """
 
-    __slots__ = ("kind", "n", "_terms")
+    __slots__ = ("kind", "n", "_dict", "_words")
 
     def __init__(self, kind: str, n: int,
                  terms: dict[ExpKey, complex] | None = None,
@@ -130,7 +234,30 @@ class SeedPoly:
         self.kind = kind
         self.n = n
         raw = terms or {}
-        self._terms = raw if _skip_clean else _cleaned(raw, kind)
+        self._dict = raw if _skip_clean else _cleaned(raw, kind)
+        self._words = None
+
+    @classmethod
+    def _of_words(cls, kind: str, n: int, rows, vals,
+                  aligned: bool) -> "SeedPoly":
+        """A seed held as distinct lane-word rows and their values (floats
+        in the real kind), unchecked; ``aligned`` says that the rows are
+        sorted and each is its own alignment (:func:`kgchain.cyclic.
+        _aligned`).  Its keys are built when ``_terms`` is first read."""
+        out = cls.__new__(cls)
+        out.kind, out.n, out._dict = kind, n, None
+        out._words = (rows, vals, aligned)
+        return out
+
+    @property
+    def _terms(self) -> dict[ExpKey, complex]:
+        """The terms as a dict from key to coefficient, in term order."""
+        if self._dict is None:
+            rows, vals, _ = self._words
+            self._dict = dict(zip(_keys(rows, self.n),
+                                  vals.astype(complex).tolist()))
+            self._words = None
+        return self._dict
 
     # -- constructors --------------------------------------------------
     #
@@ -158,10 +285,12 @@ class SeedPoly:
         return self._terms.get(Monomial(exps).exps, 0.0)
 
     def num_terms(self) -> int:
-        return len(self._terms)
+        if self._words is not None:
+            return len(self._words[1])
+        return len(self._dict)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self.num_terms() == 0
 
     def max_degree(self) -> int:
         return max((sum(a + b for _, a, b in k) for k in self._terms),
@@ -199,6 +328,9 @@ class SeedPoly:
     def __neg__(self) -> "SeedPoly":
         """Exact: keeps the largest |c| and so the kept set, without a
         clean; real-kind values stay complex(-re, 0.0)."""
+        if self._words is not None:
+            rows, vals, aligned = self._words
+            return SeedPoly._of_words(self.kind, self.n, rows, -vals, aligned)
         if self.kind == REAL:
             out = {k: complex(-v.real, 0.0) for k, v in self._terms.items()}
         else:
@@ -241,6 +373,8 @@ class SeedPoly:
         return SeedPoly(self.kind, self.n, acc)
 
     def max_abs_coeff(self) -> float:
+        if self._words is not None:
+            return float(_magnitudes(self._words[1]).max(initial=0.0))
         return max((abs(v) for v in self._terms.values()), default=0.0)
 
     def prune(self, rel: float | None) -> "SeedPoly":

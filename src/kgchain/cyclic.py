@@ -14,9 +14,9 @@ realization-based tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -30,6 +30,12 @@ from .chainpoly import (
     _arc,
     _check_kind,
     _cut_level,
+    _fields,
+    _lane_words,
+    _layout,
+    _magnitudes,
+    _repacked,
+    _top,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -59,20 +65,15 @@ def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
     return sum_polys(cyclic_shift(f, l) for l in range(f.n))
 
 
-# -- lane words ---------------------------------------------------------------
+# -- the seed kernel on lane words --------------------------------------------
 #
-# The seed kernel runs on lane words.  A monomial key becomes a row of one
-# byte per site, holding the first-block exponent in its low and the
-# second-block exponent in its high 4-bit field, or of two bytes per site,
-# one per block, when an output exponent may reach 16.  The row, padded to
-# whole 8-byte lanes, is read as little-endian uint64 lanes: one lane up
-# to N = 8 in the 1-byte layout, ceil(bytes / 8) lanes beyond.  No field
-# overflows, so adding two rows lane by lane adds their exponents site by
-# site, and "multiply two monomials and differentiate once in each block
-# at site u" is kf - unit(u) + kg, with unit(u) the word of xi_u eta_u.
-# The subtraction may borrow inside a lane and the addition repays it, so
-# both are made on whole lanes, mod 2^64.  A shift of the ring permutes
-# the sites of a row: rot(w, r) moves every site x of w to x + r (mod n).
+# The rows and lanes are those of :mod:`kgchain.chainpoly` (its "lane
+# words" block).  "Multiply two monomials and differentiate once in each
+# block at site u" is kf - unit(u) + kg, with unit(u) the word of
+# xi_u eta_u.  The subtraction may borrow inside a lane and the addition
+# repays it, so both are made on whole lanes, mod 2^64.  A shift of the
+# ring permutes the sites of a row: rot(w, r) moves every site x of w to
+# x + r (mod n).
 
 # _CHUNK bounds the contact arrays of one step, not the whole memory: the
 # rotation table of g holds |g orbits| x |shifts used| rows of N sites, f
@@ -87,23 +88,6 @@ _MIX = ((np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)),
 def _max_exponent(f: SeedPoly) -> int:
     return max((max(max(a, b) for _, a, b in k) for k in f._terms if k),
                default=0)
-
-
-def _entries(f: SeedPoly):
-    """Term index and (site, a, b) of every site entry of f's keys."""
-    keys = list(f._terms)
-    lens = np.fromiter(map(len, keys), np.intp, len(keys))
-    ents = np.fromiter(chain.from_iterable(chain.from_iterable(keys)),
-                       np.intp, 3 * int(lens.sum())).reshape(-1, 3)
-    return np.repeat(np.arange(len(keys)), lens), ents
-
-
-def _rows(term, ents, count, layout):
-    """Site rows of ``count`` terms from their entries."""
-    sdt, bits, cols = layout
-    rows = np.zeros((count, cols), sdt)
-    rows[term, ents[:, 0]] = ents[:, 1] | ents[:, 2] << bits
-    return rows
 
 
 def _mix(words):
@@ -126,14 +110,16 @@ def _differs(words):
     return new
 
 
-def _runs(words):
+def _runs(words, merge: bool = False):
     """The distinct rows of ``words``, sorted: the index of a row holding
     each, and for each row the index of its distinct row.
 
     One lane is sorted as it is; several are sorted by their mix, and when
-    two different rows share a mix, by the lanes themselves."""
+    two different rows share a mix, by the lanes themselves.  ``merge``
+    sorts stably, which merges words that come as sorted runs in few
+    steps, and then the row given for each distinct word is its first."""
     key = words[:, 0] if words.shape[1] == 1 else _mix(words)
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable" if merge else None)
     new = _differs(words.take(order, axis=0))
     if words.shape[1] > 1:
         k = key.take(order)
@@ -147,33 +133,60 @@ def _runs(words):
     return np.concatenate((order[:1], order[1:][new])), inv
 
 
-def _grouped(words, vals):
+def _sums(inv, vals, count):
+    """The sum of the values of each of ``count`` ids, in their order."""
+    sums = np.zeros(count, vals.dtype)
+    sums.real = np.bincount(inv, vals.real, count)
+    if vals.dtype == complex:
+        sums.imag = np.bincount(inv, vals.imag, count)
+    return sums
+
+
+def _grouped(words, vals, merge: bool = False):
     """Distinct words, sorted, with the sum of the values of each.
 
     The values are summed in their own order, so the sums do not depend
-    on how the sort orders equal words."""
-    first, inv = _runs(words)
-    sums = np.zeros(len(first), vals.dtype)
-    sums.real = np.bincount(inv, vals.real, len(first))
-    if vals.dtype == complex:
-        sums.imag = np.bincount(inv, vals.imag, len(first))
-    return words.take(first, axis=0), sums
+    on how the sort orders equal words.  ``merge`` is that of
+    :func:`_runs`."""
+    first, inv = _runs(words, merge)
+    return words.take(first, axis=0), _sums(inv, vals, len(first))
+
+
+@functools.cache
+def _arc_start(lanes: tuple, n: int, itemsize: int) -> tuple[int, bool]:
+    """The arc start of the occupancy pattern with these lane words, and
+    whether the pattern rotated to it starts at site 0 again."""
+    occ = np.array(lanes, "<u8").view(f"<u{itemsize}")[:n]
+    sites = np.flatnonzero(occ).tolist()
+    start = _arc(sites, n)[0]
+    moved = sorted((x - start) % n for x in sites)
+    return start, _arc(moved, n)[0] == 0
 
 
 def _aligned(rows, n):
-    """Rows rotated so that each covering arc starts at site 0.
+    """Rows rotated so that each covering arc starts at site 0, and whether
+    every rotated row is its own alignment.  It need not be: when
+    largest gaps tie, the rotated row may start after another one (sites
+    {0, 4} at N = 8, and {0, 1, 5, 8} at N = 12).
 
     The arc start is found once per distinct occupancy pattern by
-    :func:`kgchain.chainpoly._arc`, which owns the tie rule."""
-    occ = rows != 0
-    first, inv = _runs(occ.astype(rows.dtype).view("<u8"))
-    start = np.array([_arc(np.flatnonzero(occ[i, :n]).tolist(), n)[0]
-                      for i in first], np.intp)[inv]
+    :func:`kgchain.chainpoly._arc`, which owns the tie rule, and kept per
+    pattern."""
+    occ = (rows != 0).astype(rows.dtype).view("<u8")
+    first, inv = _runs(occ)
+    found = [_arc_start(tuple(lanes), n, rows.itemsize)
+             for lanes in occ.take(first, axis=0).tolist()]
+    start = np.array([st for st, _ in found], np.intp)[inv]
     out = rows.copy()
-    for st in np.unique(start[start != 0]):
-        sel = start == st
-        out[sel, :n] = np.roll(rows[sel, :n], -st, axis=1)
-    return out
+    out[:, :n] = _windows(rows, n)[np.arange(len(rows)), start]
+    return out, all(fixed for _, fixed in found)
+
+
+def _windows(rows, n):
+    """A view of every rotation of the rows: [i, r] is row i rotated so
+    that its site r comes first."""
+    twice = np.concatenate((rows[:, :n], rows[:, :n]), axis=1)
+    return np.lib.stride_tricks.sliding_window_view(twice, n, axis=1)
 
 
 def _merged(parts: list):
@@ -182,26 +195,27 @@ def _merged(parts: list):
     words = np.concatenate([w for w, _ in parts])
     vals = np.concatenate([v for _, v in parts])
     parts.clear()
-    return _grouped(words, vals)
+    return _grouped(words, vals, merge=True)
 
 
-def _values(p: SeedPoly):
-    """The coefficients of p; real-kind ones are real, so as floats."""
-    vals = np.fromiter(p._terms.values(), complex, len(p._terms))
-    return vals.real.copy() if p.kind == REAL else vals
-
-
-def _keys(rows, n, bits):
-    """The monomial key of each site row."""
-    term, site = np.nonzero(rows[:, :n])
-    v = rows[term, site]
-    ents = list(zip(site.tolist(), (v & ((1 << bits) - 1)).tolist(),
-                    (v >> bits).tolist()))
-    keys, lo = [], 0
-    for hi in np.cumsum(np.bincount(term, minlength=len(rows))).tolist():
-        keys.append(tuple(ents[lo:hi]))
-        lo = hi
-    return keys
+def _summed(polys: list[SeedPoly]) -> SeedPoly:
+    """The sum of ``polys`` as :func:`kgchain.chainpoly.sum_polys` makes
+    it, key order and rounding included, on their lane words: each
+    distinct row in the order it first appears, its values summed in the
+    order given, then the 1e-15 clean.  No keys are built."""
+    held = [_lane_words(p) for p in polys]
+    n = polys[0].n
+    layout = _layout(n, max(_top(rows) for rows, _, _ in held))
+    rows = np.concatenate([_repacked(r, n, layout) for r, _, _ in held])
+    vals = np.concatenate([v for _, v, _ in held])
+    first, inv = _runs(rows.view("<u8"), merge=True)
+    order = np.argsort(first)
+    rows = rows.take(first[order], axis=0)
+    sums = _sums(inv, vals, len(first))[order]
+    mag = _magnitudes(sums)
+    keep = ~(mag < _cut_level(mag.max(initial=0.0)))
+    return SeedPoly._of_words(polys[0].kind, n, rows[keep], sums[keep],
+                              False)
 
 
 def seed_bracket(f: SeedPoly, g: SeedPoly, *,
@@ -213,22 +227,27 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     so the cost is independent of N for short-range seeds; shifts are taken
     mod N, which keeps small-N wrap-around exact.
 
-    The sum over shifts is contact-driven, on the lane words above.  A
-    contact is a site entry (u, a1, b1) of an f-term meeting a site entry
-    (s, a2, b2) of a g-term: the shift tau^(s-u) carries site s of g onto
-    site u, so the pair adds (a1 b2 - b1 a2) c_f c_g to the word
+    The sum over shifts is contact-driven, on lane words.  A contact is
+    a site entry (u, a1, b1) of an f-term meeting a site entry (s, a2, b2)
+    of a g-term: the shift tau^(s-u) carries site s of g onto site u, so
+    the pair adds (a1 b2 - b1 a2) c_f c_g to the word
     kf - unit(u) + rot(kg, u - s).  Each (pair, shift, site) term of the
     shift sum is one contact, so no shift set is built; the rotations of g
-    that contacts use are gathered once per bracket.  Contacts are made
-    about ``_CHUNK`` at a time, as arrays; each chunk is sorted and summed
-    per word, and the chunk sums are merged whenever they outgrow the sum
-    merged so far, so merging costs O(C log C) for C contacts.
+    that contacts use are gathered once per bracket, with a table of the
+    rotation each site of f and each entry of g call for.  Contacts are
+    made about ``_CHUNK`` at a time, as arrays over a block of f entries
+    and a block of g entries, masked where the factor is 0; each chunk is
+    sorted and summed per word, and the chunk sums are merged whenever
+    they outgrow the sum merged so far, so merging costs O(C log C) for C
+    contacts.
 
     Every shift of g is summed, so the frame each key of g is stored in
     cannot change the result: g's rows are first left aligned and summed
     per orbit, by the same array alignment the output gets, which moves
     only the order of summation, so the cost follows the orbits of g, not
-    its keys.  f is not merged: the words stay in f's frame, and f's frame
+    its keys.  A g this kernel made in the same layout is merged already,
+    unless some of its rows align again (ties, below), and is taken as it
+    is.  f is not merged: the words stay in f's frame, and f's frame
     fixes the output keys.  The covering-arc rule breaks ties between
     equal largest gaps by the frame (sites {0, 4} at N = 8), so another
     frame of f would store some orbits under other keys and move per-key
@@ -242,60 +261,71 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     absolute ``floor`` is finite and >= 0.  Then each kept word is rotated
     so that its covering arc starts at site 0; kept words that align onto
     one word merge and may cancel, so they get the 1e-15 clean of every
-    SeedPoly, and only these words are turned into keys.  ``ValueError``
-    is raised as well when an exponent of f plus one of g reaches 63.
-    Real-kind coefficients are real, so they are summed as floats.
+    SeedPoly.  The result holds these words, and builds their keys when
+    its ``_terms`` are first read.  ``ValueError`` is raised as well when
+    an exponent of f plus one of g reaches 63.  Real-kind coefficients are
+    real, so they are summed as floats.
     """
     f._check_compatible(g)
     n = f.n
-    fterm, fents = _entries(f)
-    gterm, gents = _entries(g)
-    top = fents[:, 1:].max(initial=0) + gents[:, 1:].max(initial=0)
+    frows, cf, _ = _lane_words(f)
+    grows, cg, aligned = _lane_words(g)
+    top = _top(frows) + _top(grows)
     if top >= _MAX_EXPONENT:
         raise ValueError("exponent too large for the packed bracket")
-    sdt = np.dtype(np.uint8 if top < 16 else "<u2")
-    bits = 4 * sdt.itemsize
-    layout = (sdt, bits, -(-n * sdt.itemsize // 8) * 8 // sdt.itemsize)
-    cols = layout[2]
+    layout = _layout(n, top)
+    sdt, bits, cols = layout
 
-    # g merged per orbit, then its entries (j, s, a2, b2) and rotations
-    gw, cg = _grouped(_aligned(_rows(gterm, gents, len(g._terms), layout),
-                               n).view("<u8"), _values(g))
+    # g merged per orbit, then its entries (j, s, a2, b2) and rotations; a
+    # g the kernel made in this layout is merged already, and adding 0.0
+    # clears the negative zeros that a merge's sums would not have
+    if grows.dtype == sdt and aligned:
+        gw, cg = grows.view("<u8"), cg + 0.0
+    else:
+        gw, cg = _grouped(_aligned(_repacked(grows, n, layout), n)[0]
+                          .view("<u8"), cg)
     grows = gw.view(sdt)
     gj, s = np.nonzero(grows[:, :n])
-    gv = grows[gj, s].astype(np.intp)
-    ga, gb, cg = gv & ((1 << bits) - 1), gv >> bits, cg[gj]
-    shifts = np.unique((np.unique(fents[:, 0])[:, None] - np.unique(s)) % n)
+    # exponents below 63 keep every contact factor within int16
+    ga, gb = (x.astype(np.int16) for x in _fields(grows[gj, s]))
+    cg = cg[gj]
+
+    # f's entries (u, a1, b1), each with its word less unit(u)
+    frows = _repacked(frows, n, layout)
+    fi, u = np.nonzero(frows[:, :n])
+    fa, fb = (x.astype(np.int16) for x in _fields(frows[fi, u]))
+    unit = np.zeros((n, cols), sdt)
+    unit[np.arange(n), np.arange(n)] = 1 | 1 << bits
+    wfm = (frows.view("<u8").take(fi, axis=0)
+           - unit.view("<u8").take(u, axis=0))
+    cf = cf[fi]
+
+    # the rotations of g that contacts use, and for each site of f and
+    # each entry of g the rotation a contact of the two adds
+    sites = np.unique(u)
+    shifts = np.unique((sites[:, None] - np.unique(s)) % n)
     slot = np.full(n, -1, np.intp)
     slot[shifts] = np.arange(len(shifts))
     rots = np.zeros((len(grows), len(shifts), cols), sdt)
-    for k, r in enumerate(shifts):
-        rots[:, k, :n] = np.roll(grows[:, :n], r, axis=1)
+    rots[:, :, :n] = _windows(grows, n)[:, -shifts % n]
     rots = rots.reshape(-1, cols).view("<u8")
-    gslot = gj * len(shifts)
-
-    # f's entries (u, a1, b1), each with its word less unit(u)
-    u, fa, fb = fents.T
-    unit = np.zeros((n, cols), sdt)
-    unit[np.arange(n), np.arange(n)] = 1 | 1 << bits
-    wfm = (_rows(fterm, fents, len(f._terms), layout).view("<u8").take(
-        fterm, axis=0) - unit.view("<u8").take(u, axis=0))
-    cf = _values(f)[fterm]
+    rot_of = gj * len(shifts) + slot[(sites[:, None] - s) % n]
+    fsite = np.searchsorted(sites, u)
 
     parts, pending = [], 0      # the merged sum, then the chunk sums after it
     fstep = max(1, min(len(u), _CHUNK))
     gstep = max(1, _CHUNK // fstep)
     for p0 in range(0, len(u), fstep):
+        p = slice(p0, p0 + fstep)
         for q0 in range(0, len(s), gstep):
-            fac = (fa[p0:p0 + fstep, None] * gb[q0:q0 + gstep]
-                   - fb[p0:p0 + fstep, None] * ga[q0:q0 + gstep])
-            pi, qi = np.nonzero(fac)
-            fac = fac[pi, qi]
-            pi += p0
-            qi += q0
-            words = wfm.take(pi, axis=0) + rots.take(
-                gslot[qi] + slot[(u[pi] - s[qi]) % n], axis=0)
-            parts.append(_grouped(words, cf[pi] * (cg[qi] * fac)))
+            q = slice(q0, q0 + gstep)
+            fac = fa[p, None] * gb[q] - fb[p, None] * ga[q]
+            hit = fac != 0
+            per_f = hit.sum(axis=1)
+            words = np.repeat(wfm[p], per_f, axis=0) + rots.take(
+                rot_of[fsite[p], q][hit], axis=0)
+            vals = (cf[p, None] * (cg[q] * fac))[hit]
+            parts.append(_grouped(words, vals))
             if len(parts) > 1:
                 pending += len(parts[-1][0])
                 if pending > len(parts[0][0]):
@@ -305,13 +335,12 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
 
     mag = np.abs(vals)
     keep = ~(mag < _cut_level(mag.max(initial=0.0), prune_rel, floor))
-    raw, vals = _grouped(_aligned(raw[keep].view(sdt), n).view("<u8"),
-                         vals[keep])
+    rows, aligned = _aligned(raw[keep].view(sdt), n)
+    raw, vals = _grouped(rows.view("<u8"), vals[keep])
     mag = np.abs(vals)
     keep = ~(mag < _cut_level(mag.max(initial=0.0)))
-    keys = _keys(raw[keep].view(sdt), n, bits)
-    return SeedPoly(f.kind, n, dict(zip(keys, vals[keep].astype(
-        complex).tolist())), _skip_clean=True)
+    return SeedPoly._of_words(f.kind, n, raw[keep].view(sdt), vals[keep],
+                              aligned)
 
 
 # -- Hamiltonian vector fields ---------------------------------------------

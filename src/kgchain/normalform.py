@@ -46,11 +46,15 @@ from .chainpoly import (
     to_complex,
     _check_cut,
     _check_kind,
+    _fields,
     _imbalance,
     _imbalance_sectors,
+    _lane_words,
+    _magnitudes,
     _to_real_sectors,
+    _values,
 )
-from .cyclic import seed_bracket
+from .cyclic import seed_bracket, _summed
 from .linearize import LinearNF
 
 
@@ -113,22 +117,36 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     """Unique inverse on the range: divide by i Omega (|k|-|j|).
 
     A kernel component above ``KERNEL_LEAK_TOL`` (relative to ||g||_1) is
-    an error; a smaller one is float noise and is dropped.
+    an error; a smaller one is float noise and is dropped.  It runs on
+    g's lane words and builds no keys; each quotient has the bits of the
+    complex division c / (1j * omega * d).
     """
     _check_kind(g, BIRKHOFF, "invert_lie_omega")
-    acc, kernel_mass, total = {}, 0.0, 0.0
-    for k, c in g._terms.items():
-        total += abs(c)             # ||g||_1, as poly_norm(g, 1.0) sums it
-        d = _imbalance(k)
-        if d:
-            acc[k] = c / (1j * omega * d)
-        else:
-            kernel_mass += abs(c)
+    rows, vals, aligned = _lane_words(g)
+    a, b = _fields(rows)
+    d = b.sum(axis=1) - a.sum(axis=1)
+    mag = _magnitudes(vals)
+    total = _sequential_sum(mag)    # ||g||_1, as poly_norm(g, 1.0) sums it
+    kernel_mass = _sequential_sum(mag[d == 0])
     if kernel_mass > KERNEL_LEAK_TOL * max(total, 1e-300):
         raise KernelLeakageError(
             f"input has kernel component of relative size "
             f"{kernel_mass / max(total, 1e-300):.3e}")
-    return SeedPoly(BIRKHOFF, g.n, acc, _skip_clean=True)
+    keep = d != 0
+    c = vals[keep]
+    # Smith's rule, as Python divides by a denominator whose imaginary
+    # part is the larger, with its ratio and denominator for each d
+    ds, at = np.unique(d[keep], return_inverse=True)
+    ratio, denom = np.zeros(len(ds)), np.zeros(len(ds))
+    for i, dv in enumerate(ds.tolist()):
+        den = 1j * omega * dv
+        ratio[i] = den.real / den.imag
+        denom[i] = den.real * ratio[i] + den.imag
+    ratio, denom = ratio[at], denom[at]
+    out = np.empty(len(c), complex)
+    out.real = (c.real * ratio + c.imag) / denom
+    out.imag = (c.imag * ratio - c.real) / denom
+    return SeedPoly._of_words(BIRKHOFF, g.n, rows[keep], out, aligned)
 
 
 # -- homological equation ----------------------------------------------------
@@ -165,6 +183,11 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     each term alone would keep a full-width tail at every l.  Both cuts
     read the largest |c|, which the mirror keeps, so the half is cut as
     the whole would be.
+
+    The terms stay on the bracket kernel's lane words: negated, inverted,
+    normed and summed in term order there, with the rounding of the same
+    steps on key dicts.  Keys are built once, for the summed half that is
+    expanded.
     """
     _check_cut(prune_rel)
     for name, f in (("psi", psi), ("zeta0", zeta0)):
@@ -177,7 +200,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     psi_b = to_complex(psi)
     kernel, half = _imbalance_sectors(psi_b)
     zeta = _to_real_sectors(psi.n, kernel, {})
-    scale = poly_norm(psi_b, 1.0)
+    scale = _norm1(psi_b)
     if not half:
         return SeedPoly.zero(REAL, psi.n), zeta
 
@@ -201,15 +224,17 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         prev_norm = norm
     else:
         raise NeumannDivergenceError(0, "Neumann series did not settle")
-    return _to_real_sectors(psi.n, {}, sum_polys(terms)._terms), zeta
+    return _to_real_sectors(psi.n, {}, _summed(terms)._terms), zeta
 
 
 def _norm1(f: SeedPoly) -> float:
     """sum |c|, in the order and bits of poly_norm(f, 1.0)."""
-    acc = 0.0
-    for c in f._terms.values():
-        acc += abs(c)
-    return acc
+    return _sequential_sum(_magnitudes(_values(f)))
+
+
+def _sequential_sum(x) -> float:
+    """The sum of ``x`` taken in order, one addition at a time."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
 
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,

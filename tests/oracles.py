@@ -5,7 +5,9 @@ mapping exponent tuples (x_0..x_{N-1}, y_0..y_{N-1}) to complex
 coefficients.  Everything is written directly from the definitions, with
 different data structures and code paths than the package under test.
 :func:`seed_convert`, the term-by-term coordinate change on seed keys, is
-the reference of the package's array kernel.
+the reference of the package's array kernel, and :func:`neumann_solve`,
+the homological solver's Neumann series on key dicts, that of its loop on
+lane words.
 """
 
 from __future__ import annotations
@@ -211,6 +213,73 @@ def seed_convert(terms: dict, unit: int) -> dict:
         for key, coeff in partial:
             acc[key] = acc.get(key, 0.0) + coeff
     return acc
+
+
+def dict_invert(terms: dict, omega: float) -> dict:
+    """L_Omega^{-1} on Birkhoff terms {key: c} of nonzero imbalance, key
+    by key, with Python's complex division."""
+    out = {}
+    for k, c in terms.items():
+        d = sum(b - a for _, a, b in k)
+        if d:
+            out[k] = c / (1j * omega * d)
+    return out
+
+
+def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
+    """The Neumann series of the homological solver on key dicts, term by
+    term: every term is a dict, negated, inverted, normed and summed key by
+    key, and each bracket takes its g from keys.  The reference of
+    :func:`kgchain.normalform.solve_homological`, which keeps its terms on
+    lane words; it returns chi and zeta as the solver does."""
+    from kgchain import normalform
+    from kgchain.chainpoly import (BIRKHOFF, REAL, SeedPoly, sum_polys,
+                                   to_complex, _imbalance_sectors,
+                                   _to_real_sectors)
+    from kgchain.cyclic import seed_bracket
+
+    def norm1(terms):
+        acc = 0.0
+        for c in terms.values():
+            acc += abs(c)
+        return acc
+
+    zeta0_b = to_complex(zeta0)
+    psi_b = to_complex(psi)
+    kernel, half = _imbalance_sectors(psi_b)
+    zeta = _to_real_sectors(psi.n, kernel, {})
+    if not half:
+        return SeedPoly.zero(REAL, psi.n), zeta
+    scale = norm1(psi_b._terms)
+    term = dict_invert(half, omega)
+    floor = (normalform.NEUMANN_CUT * (prune_rel or 0.0)
+             * max(map(abs, term.values()), default=0.0))
+    terms = [term]
+    prev_norm, growth = 2.0 * norm1(term), 0
+    for _ in range(normalform.NEUMANN_MAX_TERMS):
+        if prev_norm <= tol * scale:
+            break
+        g = SeedPoly(BIRKHOFF, psi.n, dict(term), _skip_clean=True)
+        bracket = dict(seed_bracket(zeta0_b, g, prune_rel=prune_rel,
+                                    floor=floor)._terms)
+        term = {k: -c for k, c in dict_invert(bracket, omega).items()}
+        terms.append(term)
+        norm = 2.0 * norm1(term)
+        growth = growth + 1 if norm > prev_norm else 0
+        if growth >= 3:
+            raise normalform.NeumannDivergenceError(0)
+        prev_norm = norm
+    else:
+        raise normalform.NeumannDivergenceError(0, "did not settle")
+    total = sum_polys(SeedPoly(BIRKHOFF, psi.n, t, _skip_clean=True)
+                      for t in terms)
+    return _to_real_sectors(psi.n, {}, total._terms), zeta
+
+
+def bits(poly) -> list:
+    """The items of a seed in its key order, each value as the hex of its
+    parts, so that a comparison sees every bit and the sign of a zero."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in poly._terms.items()]
 
 
 def _unit(width: int, i: int) -> tuple[int, ...]:

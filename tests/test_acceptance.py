@@ -4,7 +4,6 @@ Each test prints one PASS line on success (run with -s to see them); a
 failure surfaces as an ordinary assertion with the measured value.
 """
 
-import math
 import time
 
 import numpy as np
@@ -13,11 +12,9 @@ import pytest
 from kgchain import (
     SeedPoly,
     SimConfig,
-    apply_linear,
     build_A,
     constants,
     drift_experiment,
-    extract_gdnls,
     fit_decay,
     lie_omega,
     lie_transform_apply,

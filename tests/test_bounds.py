@@ -19,7 +19,7 @@ from kgchain import (
 )
 from kgchain.bounds import LN4, sigma_window
 from kgchain.chainpoly import decay_decompose, norm_pairs
-from kgchain.cyclic import FieldEvaluator, field_norm, field_seed
+from kgchain.cyclic import field_norm, field_seed
 
 from conftest import random_homogeneous
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from kgchain import (
 )
 from kgchain.cyclic import (
     FieldEvaluator,
-    FieldSeed,
     RealizedEvaluator,
     field_norm_decay_bound,
 )
@@ -29,7 +26,6 @@ from oracles import (
     p_diff,
     p_eval,
     p_max_diff,
-    p_poisson,
     p_realize,
 )
 
@@ -244,6 +240,45 @@ def test_lane_grouping(rng, monkeypatch):
                 assert dict(got) == want and len(got) == len(want)
                 if lanes == 1 or mix is not real_mix:
                     assert [w for w, _ in got] == sorted(want)
+                # the stable sort for merges gives the same, and each
+                # distinct word's first row
+                merged_w, merged_v = cyclic._grouped(words, vals, merge=True)
+                assert (merged_w == got_w).all() and (merged_v == got_v).all()
+                first, inv = cyclic._runs(words, merge=True)
+                assert (first == [np.flatnonzero(inv == i)[0]
+                                  for i in range(len(first))]).all()
+
+
+def test_aligned_rows_follow_the_tie_rule(rng):
+    # _aligned rotates each row so that the arc _arc gives its sites
+    # starts at site 0, and says whether every rotated row is its own
+    # alignment; a tie between equal largest gaps can break that.
+    from kgchain.chainpoly import _arc, _layout
+    from kgchain.cyclic import _aligned
+
+    def start(row, n):
+        return _arc(np.flatnonzero(row[:n]).tolist(), n)[0]
+
+    for n in (5, 8, 12):
+        for top in (3, 20):
+            sdt, _, cols = _layout(n, top)
+            rows = np.zeros((300, cols), sdt)
+            rows[:, :n] = (rng.integers(1, 4, (300, n))
+                           * (rng.random((300, n)) < 0.35))
+            for _ in range(2):      # the second call reads the cache
+                out, fixed = _aligned(rows, n)
+                assert out.dtype == sdt and (out[:, n:] == 0).all()
+                for row, got in zip(rows, out):
+                    want = np.roll(row[:n], -start(row, n))
+                    assert got[:n].tolist() == want.tolist()
+                assert fixed == all(start(row, n) == 0 for row in out)
+    # x_0 y_4^2 at N = 8 starts at site 4, and so does its rotation
+    row = np.zeros((1, 8), np.uint8)
+    row[0, 0], row[0, 4] = 1, 2 << 4
+    out, fixed = _aligned(row, 8)
+    assert out[0].tolist() == [2 << 4, 0, 0, 0, 1, 0, 0, 0] and not fixed
+    again, fixed = _aligned(out, 8)
+    assert (again == row).all() and not fixed
 
 
 def test_seed_bracket_chunks_merge(rng, monkeypatch):

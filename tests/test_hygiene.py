@@ -46,7 +46,8 @@ def _used(tree: ast.Module) -> set[str]:
 
 def test_no_unused_imports():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))

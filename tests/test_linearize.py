@@ -18,8 +18,6 @@ from kgchain import (
 )
 from kgchain.chainpoly import REAL, decay_decompose, fit_decay, norm_pairs
 
-from oracles import from_seedpoly, p_max_diff
-
 
 def dense_quadratic_seedpoly(mat, n):
     """Oracle: the full polynomial (q.Mq + p.Mp)/2 from a dense matrix."""

@@ -38,9 +38,12 @@ from kgchain.normalform import (
 from kgchain.chainpoly import (REAL, CoordinateError, _imbalance,
                                decay_decompose, sum_polys)
 
-from conftest import random_seed_poly
+from conftest import random_homogeneous, random_seed_poly
 from oracles import (
+    bits,
+    dict_invert,
     from_seedpoly,
+    neumann_solve,
     p_birkhoff,
     p_max_diff,
     p_realize,
@@ -187,6 +190,91 @@ def test_solver_brackets_the_d_positive_half_only(monkeypatch):
     # both sectors
     assert {_imbalance(k) > 0 for k in to_complex(chi)._terms} \
         == {True, False}
+
+
+@pytest.mark.parametrize("prune", [None, 1e-7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_solver_matches_the_dict_loop_bit_for_bit(rng, n, prune):
+    # The Neumann series on lane words changes no summation order: chi
+    # and zeta are those of the loop on key dicts, key for key, in the
+    # same dict order, every bit and the sign of every zero included.
+    # (a shorter series, tol 1e-6, keeps the unpruned grade 3 quick)
+    lnf = linear_normalize(0.05, n)
+    for grade in (1, 2, 3):
+        psi = random_homogeneous(rng, 2 * grade + 2, n, max_sites=3,
+                                 terms=2)
+        got = solve_homological(psi, lnf.zeta0, lnf.omega, tol=1e-6,
+                                prune_rel=prune)
+        want = neumann_solve(psi, lnf.zeta0, lnf.omega, tol=1e-6,
+                             prune_rel=prune)
+        assert [bits(p) for p in got] == [bits(p) for p in want]
+
+
+def test_solver_matches_the_dict_loop_through_tied_arcs(monkeypatch):
+    # Psi_2 at N = 8: some bracket outputs hold rows whose covering arcs
+    # tie (sites {0, 4}), which the next bracket aligns again, and some
+    # hold none, which it takes as they are; both give the dict loop's
+    # bits.
+    lnf = linear_normalize(0.05, 8)
+    psi = remainder_head(normal_form(lnf, 1, prune_rel=1e-7), 2)[0]
+    flags = []
+    bracket = normalform.seed_bracket
+
+    def recorded(f, g, **kwargs):
+        if g._words is not None:
+            flags.append(g._words[2])
+        return bracket(f, g, **kwargs)
+
+    monkeypatch.setattr(normalform, "seed_bracket", recorded)
+    got = solve_homological(psi, lnf.zeta0, lnf.omega, prune_rel=1e-7)
+    assert set(flags) == {True, False}
+    monkeypatch.undo()
+    want = neumann_solve(psi, lnf.zeta0, lnf.omega, prune_rel=1e-7)
+    assert [bits(p) for p in got] == [bits(p) for p in want]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
+    # A bracket's output keeps its lane words: counting, negating and
+    # inverting it and bracketing with it build no keys, and each, read,
+    # has the keys, order and bits of the same step on key dicts.
+    from kgchain import chainpoly
+    from kgchain.cyclic import _summed
+    lnf = linear_normalize(0.05, n)
+    z0b = to_complex(lnf.zeta0)
+    g = project_range(to_complex(random_homogeneous(rng, 6, n, max_sites=5)))
+    made = seed_bracket(z0b, g)
+    built = []
+    keys = chainpoly._keys
+    monkeypatch.setattr(chainpoly, "_keys",
+                        lambda *args: built.append(1) or keys(*args))
+    count = made.num_terms()
+    neg = -made
+    term = -invert_lie_omega(made, lnf.omega)
+    out = seed_bracket(z0b, term)
+    total = _summed([g, made, term])
+    norm, top = normalform._norm1(term), term.max_abs_coeff()
+    assert not built and not made.is_zero()
+    plain = dict(made._terms)
+    assert len(plain) == count and len(built) == 1
+
+    def seed(terms):
+        return SeedPoly(BIRKHOFF, n, terms, _skip_clean=True)
+
+    assert bits(neg) == bits(-seed(plain))
+    inverted = {k: -c for k, c in dict_invert(plain, lnf.omega).items()}
+    assert bits(term) == bits(seed(inverted))
+    # the magnitudes of Python's abs, which numpy's complex absolute
+    # misses in the last bit for about a third of values
+    assert norm == poly_norm(seed(inverted), 1.0)
+    assert top == seed(inverted).max_abs_coeff()
+    assert bits(out) == bits(seed_bracket(z0b, seed(inverted)))
+    assert bits(total) == bits(sum_polys([seed(dict(g._terms)), seed(plain),
+                                          seed(inverted)]))
+    # a solve builds keys once, for the summed half it expands
+    built.clear()
+    solve_homological(random_homogeneous(rng, 4, n), lnf.zeta0, lnf.omega)
+    assert len(built) == 1
 
 
 def test_solver_rejects_a_psi_that_is_not_real():
