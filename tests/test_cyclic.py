@@ -281,6 +281,37 @@ def test_aligned_rows_follow_the_tie_rule(rng):
     assert (again == row).all() and not fixed
 
 
+def test_lane_word_seeds_change_layout_exactly(rng):
+    # A seed the kernel made in the two-byte layout (an exponent sum of f
+    # and g reached 16) enters a one-byte bracket and a sum with a
+    # one-byte seed; each gives the bits and key order of the same seed
+    # read from its keys.  x_3^15 y_3^15 in f meets every entry of g,
+    # whose exponents pair up, with the factor 0, so the output's own
+    # exponents stay small.
+    from kgchain.cyclic import _summed
+    from oracles import bits
+    n = 6
+    for kind in ("real", "birkhoff"):
+        def seed(p):
+            return SeedPoly(kind, n, dict(p._terms), _skip_clean=True)
+        for _ in range(5):
+            far = SeedPoly.term([(3, 15, 15)], 0.5, n=n)
+            f = seed(random_seed_poly(rng, n=n, max_sites=3, terms=6) + far)
+            g = seed(sum_polys(SeedPoly.term(
+                [(int(s), int(e), int(e)) for s, e in zip(
+                    rng.choice(3, 2, replace=False), rng.integers(1, 3, 2))],
+                float(rng.uniform(-1, 1)), n=n) for _ in range(4)))
+            h = seed(random_seed_poly(rng, n=n, max_sites=3, terms=6))
+            wide, narrow = seed_bracket(f, g), seed_bracket(h, g)
+            assert wide._words[0].dtype.itemsize == 2
+            assert narrow._words[0].dtype.itemsize == 1
+            got, total = seed_bracket(h, wide), _summed([narrow, wide])
+            assert got._words[0].dtype.itemsize == 1
+            plain = seed(wide)
+            assert bits(got) == bits(seed_bracket(h, plain))
+            assert bits(total) == bits(sum_polys([narrow, plain]))
+
+
 def test_seed_bracket_chunks_merge(rng, monkeypatch):
     # Tiny chunks give the one-chunk result key for key, up to rounding;
     # a call repeated gives the same items in the same order.
