@@ -47,8 +47,11 @@ ExpKey = tuple[tuple[int, int, int], ...]
 # 8-byte lanes, is read as little-endian uint64 lanes: one lane up to
 # N = 8 in the 1-byte layout, ceil(bytes / 8) lanes beyond.  No field
 # overflows, so adding two rows lane by lane adds their exponents site by
-# site.  A seed the kernel makes is held as its rows and values
-# (``SeedPoly._words``) and gets its keys only when ``_terms`` is read.
+# site.  Seed arithmetic runs on the rows and values (``SeedPoly._words``):
+# the bracket kernel, sum_polys, scaled, prune, graded_parts, poly_norm
+# and the alignment and shift of keys.  A seed held as words gets its keys
+# only when ``_terms`` is read.  Equal rows are found by sorting (_runs),
+# and every coefficient cut is made by :func:`_kept`.
 
 def _layout(n: int, top: int) -> tuple:
     """Site dtype, field bits and row length of the rows of n sites whose
@@ -125,6 +128,119 @@ def _magnitudes(vals):
     """|c| of each value, bit for bit as Python's abs gives it: libm's
     hypot, which numpy's complex absolute does not always match."""
     return np.hypot(vals.real, vals.imag)
+
+
+def _degrees(rows):
+    """The total degree of each row."""
+    a, b = _fields(rows)
+    return a.sum(axis=1) + b.sum(axis=1)
+
+
+def _sequential_sum(x) -> float:
+    """The sum of ``x`` taken in order, one addition at a time."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+_MIX = ((np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)),
+        (np.uint64(0x94D049BB133111EB), np.uint64(29)))
+
+
+def _mix(words):
+    """A 64-bit mix of the lanes of each word, for sorting several lanes:
+    a bijective multiply-xorshift step after each lane is folded in."""
+    h = np.zeros(len(words), np.uint64)
+    for j in range(words.shape[1]):
+        h ^= words[:, j]
+        for mul, shift in _MIX:
+            h *= mul
+            h ^= h >> shift
+    return h
+
+
+def _differs(words):
+    """Whether each row of ``words`` differs from the row before it."""
+    new = words[1:, 0] != words[:-1, 0]
+    for j in range(1, words.shape[1]):
+        new |= words[1:, j] != words[:-1, j]
+    return new
+
+
+def _runs(words, merge: bool = False):
+    """The distinct rows of ``words``, sorted: the index of a row holding
+    each, and for each row the index of its distinct row.
+
+    One lane is sorted as it is; several are sorted by their mix, and when
+    two different rows share a mix, by the lanes themselves.  ``merge``
+    sorts stably, which merges words that come as sorted runs in few
+    steps, and then the row given for each distinct word is its first."""
+    key = words[:, 0] if words.shape[1] == 1 else _mix(words)
+    order = np.argsort(key, kind="stable" if merge else None)
+    new = _differs(words.take(order, axis=0))
+    if words.shape[1] > 1:
+        k = key.take(order)
+        if (new & (k[1:] == k[:-1])).any():
+            order = np.lexsort(words.T[::-1])
+            new = _differs(words.take(order, axis=0))
+    ids = np.zeros(len(words), np.intp)
+    np.cumsum(new, out=ids[1:])
+    inv = np.empty_like(ids)
+    inv[order] = ids
+    return np.concatenate((order[:1], order[1:][new])), inv
+
+
+def _sums(inv, vals, count):
+    """The sum of the values of each of ``count`` ids, in their order,
+    each from 0.0, so that a lone -0.0 part becomes +0.0."""
+    sums = np.zeros(count, vals.dtype)
+    sums.real = np.bincount(inv, vals.real, count)
+    if vals.dtype == complex:
+        sums.imag = np.bincount(inv, vals.imag, count)
+    return sums
+
+
+def _first_merged(rows, vals):
+    """The distinct rows of ``rows``, each in the order it first appears,
+    with the sum of its values taken in the order given."""
+    first, inv = _runs(rows.view("<u8"), merge=True)
+    order = np.argsort(first)
+    sums = _sums(inv, vals, len(first))
+    return rows.take(first[order], axis=0), sums[order]
+
+
+def _windows(rows, n):
+    """A view of every rotation of the rows: [i, r] is row i rotated so
+    that its site r comes first."""
+    twice = np.concatenate((rows[:, :n], rows[:, :n]), axis=1)
+    return np.lib.stride_tricks.sliding_window_view(twice, n, axis=1)
+
+
+@functools.cache
+def _arc_start(lanes: tuple, n: int, itemsize: int) -> tuple[int, bool]:
+    """The arc start of the occupancy pattern with these lane words, and
+    whether the pattern rotated to it starts at site 0 again."""
+    occ = np.array(lanes, "<u8").view(f"<u{itemsize}")[:n]
+    sites = np.flatnonzero(occ).tolist()
+    start = _arc(sites, n)[0]
+    moved = sorted((x - start) % n for x in sites)
+    return start, _arc(moved, n)[0] == 0
+
+
+def _aligned(rows, n):
+    """Rows rotated so that each covering arc starts at site 0, and whether
+    every rotated row is its own alignment.  It need not be: when
+    largest gaps tie, the rotated row may start after another one (sites
+    {0, 4} at N = 8, and {0, 1, 5, 8} at N = 12).
+
+    The arc start is found once per distinct occupancy pattern by
+    :func:`_arc`, which owns the tie rule, and kept per pattern."""
+    occ = (rows != 0).astype(rows.dtype).view("<u8")
+    first, inv = _runs(occ)
+    found = [_arc_start(tuple(lanes), n, rows.itemsize)
+             for lanes in occ.take(first, axis=0).tolist()]
+    start = np.array([st for st, _ in found], np.intp)[inv]
+    out = rows.copy()
+    out[:, :n] = _windows(rows, n)[np.arange(len(rows)), start]
+    return out, all(fixed for _, fixed in found)
 
 
 def _lane_words(f: "SeedPoly") -> tuple:
@@ -221,6 +337,11 @@ class SeedPoly:
     instance.  Coefficients are complex doubles; in the real kind the
     imaginary parts are canonicalised away (tolerance ``REAL_IMAG_TOL``
     relative to the largest coefficient).
+
+    A seed is held as a dict from key to coefficient (``_dict``), as the
+    constructor gets it, or as lane words (``_words``): sums, negation,
+    scalings, prunes, graded parts and brackets return seeds held as
+    words, which build their keys only when ``_terms`` is read.
     """
 
     __slots__ = ("kind", "n", "_dict", "_words")
@@ -234,7 +355,14 @@ class SeedPoly:
         self.kind = kind
         self.n = n
         raw = terms or {}
-        self._dict = raw if _skip_clean else _cleaned(raw, kind)
+        if not _skip_clean:
+            vals = np.fromiter(raw.values(), complex, len(raw))
+            keep = _kept(vals)
+            if kind == REAL:
+                vals = _real_parts(vals)
+            raw = dict(zip(itertools.compress(raw, keep.tolist()),
+                           vals[keep].astype(complex).tolist()))
+        self._dict = raw
         self._words = None
 
     @classmethod
@@ -242,8 +370,8 @@ class SeedPoly:
                   aligned: bool) -> "SeedPoly":
         """A seed held as distinct lane-word rows and their values (floats
         in the real kind), unchecked; ``aligned`` says that the rows are
-        sorted and each is its own alignment (:func:`kgchain.cyclic.
-        _aligned`).  Its keys are built when ``_terms`` is first read."""
+        sorted and each is its own alignment (:func:`_aligned`).  Its
+        keys are built when ``_terms`` is first read."""
         out = cls.__new__(cls)
         out.kind, out.n, out._dict = kind, n, None
         out._words = (rows, vals, aligned)
@@ -293,15 +421,17 @@ class SeedPoly:
         return self.num_terms() == 0
 
     def max_degree(self) -> int:
-        return max((sum(a + b for _, a, b in k) for k in self._terms),
-                   default=0)
+        return int(_degrees(_lane_words(self)[0]).max(initial=0))
 
     def graded_parts(self) -> dict[int, "SeedPoly"]:
-        out: dict[int, dict[ExpKey, complex]] = {}
-        for k, v in self._terms.items():
-            out.setdefault(sum(a + b for _, a, b in k), {})[k] = v
-        return {d: SeedPoly(self.kind, self.n, t, _skip_clean=True)
-                for d, t in out.items()}
+        deg = _degrees(_lane_words(self)[0])
+        return {d: self._subset(deg == d) for d in dict.fromkeys(deg.tolist())}
+
+    def _subset(self, keep) -> "SeedPoly":
+        """The terms where the mask ``keep`` is true, as lane words."""
+        rows, vals, aligned = _lane_words(self)
+        return SeedPoly._of_words(self.kind, self.n, rows[keep], vals[keep],
+                                  aligned)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -312,36 +442,37 @@ class SeedPoly:
             raise CoordinateError("chain-size mismatch")
 
     def __add__(self, other: "SeedPoly") -> "SeedPoly":
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for k, v in other._terms.items():
-            acc[k] = acc.get(k, 0.0) + v
-        return SeedPoly(self.kind, self.n, acc)
+        return sum_polys([self, other])
 
     def __sub__(self, other: "SeedPoly") -> "SeedPoly":
-        self._check_compatible(other)
-        acc = dict(self._terms)
-        for k, v in other._terms.items():
-            acc[k] = acc.get(k, 0.0) - v
-        return SeedPoly(self.kind, self.n, acc)
+        return sum_polys([self, -other])
 
     def __neg__(self) -> "SeedPoly":
         """Exact: keeps the largest |c| and so the kept set, without a
         clean; real-kind values stay complex(-re, 0.0)."""
-        if self._words is not None:
-            rows, vals, aligned = self._words
-            return SeedPoly._of_words(self.kind, self.n, rows, -vals, aligned)
-        if self.kind == REAL:
-            out = {k: complex(-v.real, 0.0) for k, v in self._terms.items()}
-        else:
-            out = {k: -v for k, v in self._terms.items()}
-        return SeedPoly(self.kind, self.n, out, _skip_clean=True)
+        rows, vals, aligned = _lane_words(self)
+        return SeedPoly._of_words(self.kind, self.n, rows, -vals, aligned)
 
     def scaled(self, c: complex) -> "SeedPoly":
+        """c times f, with the 1e-15 clean; each product has the bits of
+        Python's v * c."""
         if c == 0:
             return SeedPoly.zero(self.kind, self.n)
-        return SeedPoly(self.kind, self.n,
-                        {k: v * c for k, v in self._terms.items()})
+        rows, vals, aligned = _lane_words(self)
+        c = complex(c)
+        if self.kind == REAL and not c.imag:
+            out = vals * c.real
+        else:
+            # part by part, as Python multiplies: numpy's complex product
+            # may fuse a multiply and an add, and round otherwise
+            out = np.empty(len(vals), complex)
+            out.real = vals.real * c.real - vals.imag * c.imag
+            out.imag = vals.real * c.imag + vals.imag * c.real
+        keep = _kept(out)
+        if out.dtype != vals.dtype:     # real kind, complex c
+            out = _real_parts(out)
+        return SeedPoly._of_words(self.kind, self.n, rows[keep], out[keep],
+                                  aligned)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -373,21 +504,14 @@ class SeedPoly:
         return SeedPoly(self.kind, self.n, acc)
 
     def max_abs_coeff(self) -> float:
-        if self._words is not None:
-            return float(_magnitudes(self._words[1]).max(initial=0.0))
-        return max((abs(v) for v in self._terms.values()), default=0.0)
+        return float(_magnitudes(_values(self)).max(initial=0.0))
 
     def prune(self, rel: float | None) -> "SeedPoly":
         """Drop the coefficients below ``rel`` times the largest one."""
-        return SeedPoly(self.kind, self.n,
-                        _cleaned(self._terms, self.kind, rel),
-                        _skip_clean=True)
+        return self._subset(_kept(_values(self), rel))
 
     def max_coeff_diff(self, other: "SeedPoly") -> float:
-        self._check_compatible(other)
-        keys = set(self._terms) | set(other._terms)
-        return max((abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0))
-                    for k in keys), default=0.0)
+        return (self - other).max_abs_coeff()
 
     def __repr__(self):
         return (f"SeedPoly(kind={self.kind!r}, n={self.n}, "
@@ -408,7 +532,7 @@ def _merge_exps(k1: ExpKey, k2: ExpKey) -> ExpKey:
 
 
 def _check_cut(rel: float | None, floor: float = 0.0) -> None:
-    """The arguments :func:`_cleaned` accepts; NaN fails both tests."""
+    """The arguments :func:`_kept` accepts; NaN fails both tests."""
     if not (rel is None or 0.0 < rel < 1.0) or not 0.0 <= floor < math.inf:
         raise ValueError(f"prune_rel must be None or in (0, 1) and floor "
                          f"finite and >= 0, got {rel!r} and {floor!r}")
@@ -416,7 +540,7 @@ def _check_cut(rel: float | None, floor: float = 0.0) -> None:
 
 def _cut_level(top: float, rel: float | None = None,
                floor: float = 0.0) -> float:
-    """The cut of :func:`_cleaned` below a largest |c| of ``top``: every
+    """The cut of :func:`_kept` below a largest |c| of ``top``: every
     |c| >= max(max(PRUNE_REL, rel) * top, floor) is kept (NaN too, so that
     it shows), and nothing when ``top`` is 0.  Checks the arguments."""
     _check_cut(rel, floor)
@@ -425,42 +549,45 @@ def _cut_level(top: float, rel: float | None = None,
     return max(max(PRUNE_REL, rel or 0.0) * top, floor)
 
 
-def _cleaned(raw: dict, kind: str, rel: float | None = None,
-             floor: float = 0.0) -> dict:
-    """The one coefficient cut: one scan finds the largest |c|, one pass
-    keeps the values that :func:`_cut_level` keeps and makes real-kind
-    values real.  ``rel = None`` is the plain clean."""
-    top = max(map(abs, raw.values()), default=0.0)
-    cut = _cut_level(top, rel, floor)
-    if kind != REAL:
-        return {k: v for k, v in raw.items() if not abs(v) < cut}
-    imag_cut = REAL_IMAG_TOL * top
-    out = {}
-    for k, v in raw.items():
-        if abs(v) < cut:
-            continue
-        if abs(v.imag) > imag_cut:
-            raise CoordinateError(
-                f"real-kind coefficient has imaginary part {v.imag:g}")
-        out[k] = complex(v.real, 0.0)
-    return out
+def _kept(vals, rel: float | None = None, floor: float = 0.0):
+    """The one coefficient cut: which of ``vals`` reach the cut that
+    :func:`_cut_level` sets below their largest |c|, with |c| as Python's
+    abs gives it.  ``rel = None`` is the plain 1e-15 clean."""
+    mag = _magnitudes(vals)
+    return ~(mag < _cut_level(mag.max(initial=0.0), rel, floor))
+
+
+def _real_parts(vals):
+    """The real parts of real-kind values; an imaginary part above
+    ``REAL_IMAG_TOL`` times the largest |c| raises ``CoordinateError``."""
+    bad = np.abs(vals.imag) > REAL_IMAG_TOL * _magnitudes(vals).max(
+        initial=0.0)
+    if bad.any():
+        raise CoordinateError(f"real-kind coefficient has imaginary part "
+                              f"{vals.imag[bad][0]:g}")
+    return vals.real.copy()
 
 
 def sum_polys(polys: Iterable[SeedPoly], kind: str | None = None,
               n: int | None = None) -> SeedPoly:
-    """Sum many polynomials in one accumulation pass."""
-    acc: dict[ExpKey, complex] = {}
-    first = None
-    for p in polys:
-        if first is None:
-            first = p
-        else:
-            first._check_compatible(p)
-        for k, v in p._terms.items():
-            acc[k] = acc.get(k, 0.0) + v
-    if first is None:
+    """Sum many polynomials in one pass on their lane words: each distinct
+    row in the order it first appears, its values summed in the order
+    given, then the 1e-15 clean.  No keys are built.  No polynomials sum
+    to the zero of ``kind`` (real by default) on ``n`` sites."""
+    polys = list(polys)
+    if not polys:
         return SeedPoly.zero(kind or REAL, n)
-    return SeedPoly(first.kind, first.n, acc)
+    first = polys[0]
+    for p in polys[1:]:
+        first._check_compatible(p)
+    held = [_lane_words(p) for p in polys]
+    layout = _layout(first.n, max(_top(rows) for rows, _, _ in held))
+    rows, vals = _first_merged(
+        np.concatenate([_repacked(r, first.n, layout) for r, _, _ in held]),
+        np.concatenate([v for _, v, _ in held]))
+    keep = _kept(vals)
+    return SeedPoly._of_words(first.kind, first.n, rows[keep], vals[keep],
+                              False)
 
 
 # -- Poisson bracket -----------------------------------------------------
@@ -509,10 +636,12 @@ def poly_norm(f: SeedPoly, radius: float) -> float:
     """Weighted coefficient norm: sum over degrees s of R^s * sum |c|."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    acc = 0.0
-    for k, v in f._terms.items():
-        acc += radius ** sum(a + b for _, a, b in k) * abs(v)
-    return acc
+    rows, vals, _ = _lane_words(f)
+    # R^s by Python's **, once per degree: numpy's power can differ in
+    # the last bit; the terms are summed in term order
+    deg, at = np.unique(_degrees(rows), return_inverse=True)
+    weight = np.array([radius ** d for d in deg.tolist()], float)[at]
+    return _sequential_sum(weight * _magnitudes(vals))
 
 
 # -- real <-> complex conversion ------------------------------------------
@@ -558,9 +687,8 @@ def _convert(items: Iterable[tuple[ExpKey, complex]], kind: str,
     per site, indexed by a, which is contracted with the site matrices axis
     by axis, all patterns of one shape (the m_s in site order) at once.
     Each output key is built once, by a product over the pattern's sites.
-    The cut of :func:`_cleaned` is made on the arrays, as
-    :func:`kgchain.cyclic.seed_bracket` makes it, so entries of the dense
-    tensors that cancel exactly get no key.
+    The cut of :func:`_kept` is made on the arrays, so entries of the
+    dense tensors that cancel exactly get no key.
     """
     unit = 1 if kind == BIRKHOFF else -1
     rows: dict[tuple, int] = {}         # pattern -> row
@@ -602,8 +730,7 @@ def _convert(items: Iterable[tuple[ExpKey, complex]], kind: str,
         dense[lo:hi] = block.reshape(-1) * scale
     if kind == REAL:
         dense = dense.real
-    mag = np.abs(dense)
-    kept = np.flatnonzero(~(mag < _cut_level(mag.max(initial=0.0))))
+    kept = np.flatnonzero(_kept(dense))
     return SeedPoly(kind, n, dict(zip(map(keys.__getitem__, kept.tolist()),
                                       dense[kept].astype(complex).tolist())),
                     _skip_clean=True)
@@ -690,10 +817,7 @@ def reality_defect(f: SeedPoly) -> float:
     antisymmetric form b_{j,k} = -conj(b_{k,j}).
     """
     _check_kind(f, BIRKHOFF, "reality_defect")
-    image = mirror(f)._terms
-    # a key of image that f lacks mirrors one of f that image lacks
-    return max((abs(c - image.get(k, 0.0)) for k, c in f._terms.items()),
-               default=0.0)
+    return f.max_coeff_diff(mirror(f))
 
 
 # -- alignment, decay ------------------------------------------------------
@@ -702,16 +826,12 @@ def left_align(f: SeedPoly) -> SeedPoly:
     """Shift every monomial so its minimal covering arc starts at site 0.
 
     A per-monomial shift is a valid reseeding of the same cyclic function.
+    Terms that land on one key merge into it where the first one lands,
+    their values summed in term order, with no clean.
     """
-    acc: dict[ExpKey, complex] = {}
-    for k, c in f._terms.items():
-        start = _arc([s for s, _, _ in k], f.n)[0]
-        if start == 0:
-            kk = k
-        else:
-            kk = tuple(sorted(((s - start) % f.n, a, b) for s, a, b in k))
-        acc[kk] = acc.get(kk, 0.0) + c
-    return SeedPoly(f.kind, f.n, acc, _skip_clean=True)
+    rows, vals, _ = _lane_words(f)
+    rows, vals = _first_merged(_aligned(rows, f.n)[0], vals)
+    return SeedPoly._of_words(f.kind, f.n, rows, vals, False)
 
 
 def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:

@@ -14,7 +14,6 @@ realization-based tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,19 +22,20 @@ import numpy as np
 from .chainpoly import (
     REAL,
     CoordinateError,
-    ExpKey,
     SeedPoly,
     poly_norm,
     sum_polys,
-    _arc,
+    _aligned,
     _check_kind,
-    _cut_level,
     _fields,
+    _kept,
     _lane_words,
     _layout,
-    _magnitudes,
     _repacked,
+    _runs,
+    _sums,
     _top,
+    _windows,
 )
 
 # realize() is intended as a test oracle; beyond this size it refuses.
@@ -43,12 +43,16 @@ REALIZE_CAP = 12
 
 
 def cyclic_shift(f: SeedPoly, l: int) -> SeedPoly:
-    """Apply tau^l: site indices decrease by l (mod N)."""
-    acc: dict[ExpKey, complex] = {}
-    for k, c in f._terms.items():
-        kk = tuple(sorted(((s - l) % f.n, a, b) for s, a, b in k))
-        acc[kk] = acc.get(kk, 0.0) + c
-    return SeedPoly(f.kind, f.n, acc, _skip_clean=True)
+    """Apply tau^l: site indices decrease by l (mod N).
+
+    A rotation of f's lane-word rows, in term order: a shift is a
+    bijection on keys, so nothing merges.  Adding 0.0 makes a -0.0 part
+    +0.0, as the sums of a merge do."""
+    n = f.n
+    rows, vals, _ = _lane_words(f)
+    out = rows.copy()
+    out[:, :n] = _windows(rows, n)[:, l % n]
+    return SeedPoly._of_words(f.kind, n, out, vals + 0.0, False)
 
 
 def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
@@ -81,65 +85,6 @@ def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
 # distinct words.
 _CHUNK = 1 << 14        # f-entry x g-entry pairs per step
 _MAX_EXPONENT = 63      # an exponent sum of f and g must stay below it
-_MIX = ((np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)),
-        (np.uint64(0x94D049BB133111EB), np.uint64(29)))
-
-
-def _max_exponent(f: SeedPoly) -> int:
-    return max((max(max(a, b) for _, a, b in k) for k in f._terms if k),
-               default=0)
-
-
-def _mix(words):
-    """A 64-bit mix of the lanes of each word, for sorting several lanes:
-    a bijective multiply-xorshift step after each lane is folded in."""
-    h = np.zeros(len(words), np.uint64)
-    for j in range(words.shape[1]):
-        h ^= words[:, j]
-        for mul, shift in _MIX:
-            h *= mul
-            h ^= h >> shift
-    return h
-
-
-def _differs(words):
-    """Whether each row of ``words`` differs from the row before it."""
-    new = words[1:, 0] != words[:-1, 0]
-    for j in range(1, words.shape[1]):
-        new |= words[1:, j] != words[:-1, j]
-    return new
-
-
-def _runs(words, merge: bool = False):
-    """The distinct rows of ``words``, sorted: the index of a row holding
-    each, and for each row the index of its distinct row.
-
-    One lane is sorted as it is; several are sorted by their mix, and when
-    two different rows share a mix, by the lanes themselves.  ``merge``
-    sorts stably, which merges words that come as sorted runs in few
-    steps, and then the row given for each distinct word is its first."""
-    key = words[:, 0] if words.shape[1] == 1 else _mix(words)
-    order = np.argsort(key, kind="stable" if merge else None)
-    new = _differs(words.take(order, axis=0))
-    if words.shape[1] > 1:
-        k = key.take(order)
-        if (new & (k[1:] == k[:-1])).any():
-            order = np.lexsort(words.T[::-1])
-            new = _differs(words.take(order, axis=0))
-    ids = np.zeros(len(words), np.intp)
-    np.cumsum(new, out=ids[1:])
-    inv = np.empty_like(ids)
-    inv[order] = ids
-    return np.concatenate((order[:1], order[1:][new])), inv
-
-
-def _sums(inv, vals, count):
-    """The sum of the values of each of ``count`` ids, in their order."""
-    sums = np.zeros(count, vals.dtype)
-    sums.real = np.bincount(inv, vals.real, count)
-    if vals.dtype == complex:
-        sums.imag = np.bincount(inv, vals.imag, count)
-    return sums
 
 
 def _grouped(words, vals, merge: bool = False):
@@ -147,46 +92,9 @@ def _grouped(words, vals, merge: bool = False):
 
     The values are summed in their own order, so the sums do not depend
     on how the sort orders equal words.  ``merge`` is that of
-    :func:`_runs`."""
+    :func:`kgchain.chainpoly._runs`."""
     first, inv = _runs(words, merge)
     return words.take(first, axis=0), _sums(inv, vals, len(first))
-
-
-@functools.cache
-def _arc_start(lanes: tuple, n: int, itemsize: int) -> tuple[int, bool]:
-    """The arc start of the occupancy pattern with these lane words, and
-    whether the pattern rotated to it starts at site 0 again."""
-    occ = np.array(lanes, "<u8").view(f"<u{itemsize}")[:n]
-    sites = np.flatnonzero(occ).tolist()
-    start = _arc(sites, n)[0]
-    moved = sorted((x - start) % n for x in sites)
-    return start, _arc(moved, n)[0] == 0
-
-
-def _aligned(rows, n):
-    """Rows rotated so that each covering arc starts at site 0, and whether
-    every rotated row is its own alignment.  It need not be: when
-    largest gaps tie, the rotated row may start after another one (sites
-    {0, 4} at N = 8, and {0, 1, 5, 8} at N = 12).
-
-    The arc start is found once per distinct occupancy pattern by
-    :func:`kgchain.chainpoly._arc`, which owns the tie rule, and kept per
-    pattern."""
-    occ = (rows != 0).astype(rows.dtype).view("<u8")
-    first, inv = _runs(occ)
-    found = [_arc_start(tuple(lanes), n, rows.itemsize)
-             for lanes in occ.take(first, axis=0).tolist()]
-    start = np.array([st for st, _ in found], np.intp)[inv]
-    out = rows.copy()
-    out[:, :n] = _windows(rows, n)[np.arange(len(rows)), start]
-    return out, all(fixed for _, fixed in found)
-
-
-def _windows(rows, n):
-    """A view of every rotation of the rows: [i, r] is row i rotated so
-    that its site r comes first."""
-    twice = np.concatenate((rows[:, :n], rows[:, :n]), axis=1)
-    return np.lib.stride_tricks.sliding_window_view(twice, n, axis=1)
 
 
 def _merged(parts: list):
@@ -196,26 +104,6 @@ def _merged(parts: list):
     vals = np.concatenate([v for _, v in parts])
     parts.clear()
     return _grouped(words, vals, merge=True)
-
-
-def _summed(polys: list[SeedPoly]) -> SeedPoly:
-    """The sum of ``polys`` as :func:`kgchain.chainpoly.sum_polys` makes
-    it, key order and rounding included, on their lane words: each
-    distinct row in the order it first appears, its values summed in the
-    order given, then the 1e-15 clean.  No keys are built."""
-    held = [_lane_words(p) for p in polys]
-    n = polys[0].n
-    layout = _layout(n, max(_top(rows) for rows, _, _ in held))
-    rows = np.concatenate([_repacked(r, n, layout) for r, _, _ in held])
-    vals = np.concatenate([v for _, v, _ in held])
-    first, inv = _runs(rows.view("<u8"), merge=True)
-    order = np.argsort(first)
-    rows = rows.take(first[order], axis=0)
-    sums = _sums(inv, vals, len(first))[order]
-    mag = _magnitudes(sums)
-    keep = ~(mag < _cut_level(mag.max(initial=0.0)))
-    return SeedPoly._of_words(polys[0].kind, n, rows[keep], sums[keep],
-                              False)
 
 
 def seed_bracket(f: SeedPoly, g: SeedPoly, *,
@@ -253,9 +141,9 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     frame of f would store some orbits under other keys and move per-key
     pruning.
 
-    The raw words get the cut of :func:`kgchain.chainpoly._cleaned`, whose
-    threshold :func:`kgchain.chainpoly._cut_level` gives: it keeps |c| >=
-    max(max(1e-15, ``prune_rel``) * largest |c|, ``floor``), so a
+    The raw words get the one coefficient cut, :func:`kgchain.chainpoly.
+    _kept`: it keeps |c| >= max(max(1e-15, ``prune_rel``) * largest |c|,
+    ``floor``), with |c| as Python's abs gives it, so a
     ``prune_rel`` below 1e-15 (or None) acts as the 1e-15 clean, and it
     raises ``ValueError`` unless ``prune_rel`` is None or in (0, 1) and the
     absolute ``floor`` is finite and >= 0.  Then each kept word is rotated
@@ -333,12 +221,10 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     raw, vals = (_merged(parts) if len(parts) > 1 else parts[0] if parts
                  else (wfm[:0], cf[:0]))
 
-    mag = np.abs(vals)
-    keep = ~(mag < _cut_level(mag.max(initial=0.0), prune_rel, floor))
+    keep = _kept(vals, prune_rel, floor)
     rows, aligned = _aligned(raw[keep].view(sdt), n)
     raw, vals = _grouped(rows.view("<u8"), vals[keep])
-    mag = np.abs(vals)
-    keep = ~(mag < _cut_level(mag.max(initial=0.0)))
+    keep = _kept(vals)
     return SeedPoly._of_words(f.kind, n, raw[keep].view(sdt), vals[keep],
                               aligned)
 
@@ -425,7 +311,8 @@ class RealizedEvaluator:
                 aexp[i, j] = a
                 bexp[i, j] = b
         # padded slots point at T[0, 0, s] = 1
-        self.powers = np.arange(max(_max_exponent(f), top) + 1)[:, None]
+        self.powers = np.arange(max(aexp.max(initial=0),
+                                    bexp.max(initial=0), top) + 1)[:, None]
         e1 = self.powers.shape[0]
         shifted = (sites[:, :, None] + shift_sign * np.arange(n)) % n
         index = (aexp * e1 + bexp)[:, :, None] * n + shifted
@@ -459,7 +346,7 @@ class FieldEvaluator:
 
     def __init__(self, f: SeedPoly):
         fs = field_seed(f)
-        top = max(_max_exponent(fs.xq), _max_exponent(fs.xp))
+        top = max(_top(_lane_words(p)[0]) for p in (fs.xq, fs.xp))
         self._eq = RealizedEvaluator(fs.xq, shift_sign=1, top=top)
         self._ep = RealizedEvaluator(fs.xp, shift_sign=1, top=top)
 

@@ -51,10 +51,10 @@ from .chainpoly import (
     _imbalance_sectors,
     _lane_words,
     _magnitudes,
+    _sequential_sum,
     _to_real_sectors,
-    _values,
 )
-from .cyclic import seed_bracket, _summed
+from .cyclic import seed_bracket
 from .linearize import LinearNF
 
 
@@ -200,7 +200,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     psi_b = to_complex(psi)
     kernel, half = _imbalance_sectors(psi_b)
     zeta = _to_real_sectors(psi.n, kernel, {})
-    scale = _norm1(psi_b)
+    scale = poly_norm(psi_b, 1.0)
     if not half:
         return SeedPoly.zero(REAL, psi.n), zeta
 
@@ -208,7 +208,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
                                      _skip_clean=True), omega)
     floor = NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
     terms = [term]
-    prev_norm = 2.0 * _norm1(term)
+    prev_norm = 2.0 * poly_norm(term, 1.0)
     growth = 0
     for _ in range(NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
@@ -217,24 +217,14 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
                                floor=floor)
         term = -invert_lie_omega(bracket, omega)
         terms.append(term)
-        norm = 2.0 * _norm1(term)
+        norm = 2.0 * poly_norm(term, 1.0)
         growth = growth + 1 if norm > prev_norm else 0
         if growth >= 3:
             raise NeumannDivergenceError(0)
         prev_norm = norm
     else:
         raise NeumannDivergenceError(0, "Neumann series did not settle")
-    return _to_real_sectors(psi.n, {}, _summed(terms)._terms), zeta
-
-
-def _norm1(f: SeedPoly) -> float:
-    """sum |c|, in the order and bits of poly_norm(f, 1.0)."""
-    return _sequential_sum(_magnitudes(_values(f)))
-
-
-def _sequential_sum(x) -> float:
-    """The sum of ``x`` taken in order, one addition at a time."""
-    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+    return _to_real_sectors(psi.n, {}, sum_polys(terms)._terms), zeta
 
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,

@@ -5,9 +5,10 @@ mapping exponent tuples (x_0..x_{N-1}, y_0..y_{N-1}) to complex
 coefficients.  Everything is written directly from the definitions, with
 different data structures and code paths than the package under test.
 :func:`seed_convert`, the term-by-term coordinate change on seed keys, is
-the reference of the package's array kernel, and :func:`neumann_solve`,
-the homological solver's Neumann series on key dicts, that of its loop on
-lane words.
+the reference of the package's array kernel; :func:`dict_sum`, the sum of
+seeds key by key, that of its sum on lane words; and
+:func:`neumann_solve`, the homological solver's Neumann series on key
+dicts, that of its loop on lane words.
 """
 
 from __future__ import annotations
@@ -226,6 +227,29 @@ def dict_invert(terms: dict, omega: float) -> dict:
     return out
 
 
+def dict_sum(polys, kind=None, n=None):
+    """The sum of seeds key by key: each key where it first appears, its
+    values added to 0.0 in the order given, then the 1e-15 clean with
+    Python's abs.  The reference of :func:`kgchain.chainpoly.sum_polys`,
+    which sums on lane words.  Seeds of another kind or chain size than
+    the first raise ``CoordinateError``; no seeds give the zero of
+    ``kind`` (real by default) on ``n`` sites."""
+    from kgchain.chainpoly import PRUNE_REL, REAL, SeedPoly
+    polys = list(polys)
+    if not polys:
+        return SeedPoly.zero(kind or REAL, n)
+    first = polys[0]
+    acc: dict = {}
+    for p in polys:
+        first._check_compatible(p)
+        for k, v in p._terms.items():
+            acc[k] = acc.get(k, 0.0) + v
+    cut = PRUNE_REL * max(map(abs, acc.values()), default=0.0)
+    out = {k: complex(v.real, 0.0) if first.kind == REAL else v
+           for k, v in acc.items() if cut and not abs(v) < cut}
+    return SeedPoly(first.kind, first.n, out, _skip_clean=True)
+
+
 def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
     """The Neumann series of the homological solver on key dicts, term by
     term: every term is a dict, negated, inverted, normed and summed key by
@@ -233,9 +257,8 @@ def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
     :func:`kgchain.normalform.solve_homological`, which keeps its terms on
     lane words; it returns chi and zeta as the solver does."""
     from kgchain import normalform
-    from kgchain.chainpoly import (BIRKHOFF, REAL, SeedPoly, sum_polys,
-                                   to_complex, _imbalance_sectors,
-                                   _to_real_sectors)
+    from kgchain.chainpoly import (BIRKHOFF, REAL, SeedPoly, to_complex,
+                                   _imbalance_sectors, _to_real_sectors)
     from kgchain.cyclic import seed_bracket
 
     def norm1(terms):
@@ -271,8 +294,8 @@ def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
         prev_norm = norm
     else:
         raise normalform.NeumannDivergenceError(0, "did not settle")
-    total = sum_polys(SeedPoly(BIRKHOFF, psi.n, t, _skip_clean=True)
-                      for t in terms)
+    total = dict_sum(SeedPoly(BIRKHOFF, psi.n, t, _skip_clean=True)
+                     for t in terms)
     return _to_real_sectors(psi.n, {}, total._terms), zeta
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from kgchain import (
@@ -20,13 +21,13 @@ from kgchain import (
     to_complex,
     to_real,
 )
-from kgchain.chainpoly import (BIRKHOFF, _imbalance, envelope_constant,
-                               mirror)
+from kgchain.chainpoly import (BIRKHOFF, _imbalance, _lane_words,
+                               envelope_constant, mirror, sum_polys)
 from kgchain.cyclic import RealizedEvaluator, cyclic_shift
 
 from conftest import random_homogeneous, random_seed_poly
-from oracles import (from_seedpoly, p_birkhoff, p_max_diff, p_poisson,
-                     p_real, seed_convert)
+from oracles import (bits, dict_sum, from_seedpoly, p_birkhoff, p_max_diff,
+                     p_poisson, p_real, seed_convert)
 
 
 def test_canonical_pair_bracket():
@@ -352,3 +353,120 @@ def test_empty_polynomial_is_valid_everywhere():
 def test_real_kind_rejects_complex_coefficients():
     with pytest.raises(CoordinateError):
         SeedPoly.term([(0, 1, 0)], 1.0 + 0.5j, n=8)
+
+
+def _as_dict(p):
+    """p held as a dict from key to coefficient."""
+    return SeedPoly(p.kind, p.n, dict(p._terms), _skip_clean=True)
+
+
+def _as_words(p):
+    """p held as lane words, its terms in the same order."""
+    return SeedPoly._of_words(p.kind, p.n, *_lane_words(p))
+
+
+def test_sum_polys_matches_the_dict_sum(rng):
+    # sum_polys sums on lane words whatever store and layout its inputs
+    # have: the keys, their order and every bit, the sign of a zero part
+    # included, are those of the key-by-key sum.
+    for n in (5, 11):
+        for kind in (REAL, BIRKHOFF):
+            def draw():
+                p = random_seed_poly(rng, n=n, max_sites=4, terms=8)
+                return _as_dict(to_complex(p) if kind == BIRKHOFF else p)
+            signed = _as_dict(SeedPoly.term([(0, 1, 0)], 0.5, kind=kind, n=n))
+            if kind == BIRKHOFF:
+                signed = SeedPoly(kind, n, {((0, 1, 0),): complex(0.5, -0.0),
+                                            ((1, 0, 1),): complex(-0.0, 2.0)})
+            for _ in range(4):
+                a, b = draw(), draw()
+                wide = draw() + SeedPoly.term([(1, 17, 2)], 0.25, kind=kind,
+                                              n=n)
+                narrow = [a, _as_words(b), a.scaled(-0.5), signed]
+                mixed = narrow + [wide, _as_dict(wide), -a, _as_words(a)]
+                for polys, size in ((narrow, 1), (mixed, 2)):
+                    stores = {p._words is None for p in polys}
+                    got = sum_polys(polys)
+                    assert stores == {True, False}
+                    assert got._words[0].dtype.itemsize == size
+                    assert bits(got) == bits(dict_sum(polys))
+                    assert bits(polys[0] + polys[1]) \
+                        == bits(dict_sum(polys[:2]))
+                    assert bits(polys[0] - polys[1]) \
+                        == bits(dict_sum([polys[0], -polys[1]]))
+    # no seeds, or zeros only, give the zero of the kind and size asked
+    for polys in ([], [SeedPoly.zero(BIRKHOFF, 5),
+                       _as_words(SeedPoly.zero(BIRKHOFF, 5))]):
+        zero = sum_polys(polys, kind=BIRKHOFF, n=5)
+        assert (zero.kind, zero.n, zero.is_zero()) == (BIRKHOFF, 5, True)
+    with pytest.raises(CoordinateError):
+        sum_polys([])
+    # mixed kinds or chain sizes raise, whatever the stores
+    f = random_seed_poly(rng, n=5, max_sites=4, terms=6)
+    for bad in ([f, to_complex(f)], [_as_dict(f), _as_words(to_complex(f))],
+                [f, f, SeedPoly.zero(REAL, 6)]):
+        with pytest.raises(CoordinateError):
+            sum_polys(bad)
+        with pytest.raises(CoordinateError):
+            bad[0] + bad[-1]
+        with pytest.raises(CoordinateError):
+            bad[0] - bad[-1]
+
+
+def _off_by_numpy(rng, below: bool) -> tuple[complex, float]:
+    """A value near 1e-3 whose numpy complex absolute is below (or above)
+    Python's abs, with that absolute."""
+    while True:
+        v = complex(*rng.uniform(-1e-3, 1e-3, 2))
+        m = float(np.abs(np.array([v]))[0])
+        if (m < abs(v)) if below else (m > abs(v)):
+            return v, m
+
+
+def _clean_top(cut: float) -> float | None:
+    """A largest |c| whose 1e-15 clean cuts exactly at ``cut``, if any."""
+    top = np.nextafter(cut / 1e-15, 0.0)
+    for _ in range(4):
+        top = np.nextafter(top, 0.0)
+    for _ in range(9):
+        if 1e-15 * float(top) == cut:
+            return float(top)
+        top = np.nextafter(top, np.inf)
+    return None
+
+
+def test_every_cut_keeps_what_abs_reaches(rng):
+    # With the cut put exactly at a value whose numpy absolute misses
+    # Python's abs in the last bit, the constructor, prune, sum_polys and
+    # seed_bracket keep exactly the values whose abs reaches the cut:
+    # x when the cut is abs(x) and numpy's is below it, and not x when
+    # the cut is numpy's absolute of x and abs(x) is below it.
+    n = 4
+    keys = [((0, 0, k),) for k in range(1, 5)]
+    for below in (True, False):
+        for _ in range(3):
+            top = None
+            while top is None:
+                x, m = _off_by_numpy(rng, below)
+                cut = abs(x) if below else m
+                top = _clean_top(cut)
+            assert (m >= cut) != (abs(x) >= cut)
+
+            def kept(vals):
+                return {k: v for k, v in zip(keys, vals) if abs(v) >= cut}
+            vals = [1.0, x, 1.5 * x, 0.5 * x]
+            clean = [top] + vals[1:]
+            made = SeedPoly(BIRKHOFF, n, dict(zip(keys, clean)))
+            assert made._terms == kept(clean)
+            parts = [SeedPoly(BIRKHOFF, n, dict(zip(keys[i::2], clean[i::2])),
+                              _skip_clean=True) for i in (0, 1)]
+            assert sum_polys(parts)._terms == kept(clean)
+            f = SeedPoly(BIRKHOFF, n, dict(zip(keys, vals)))
+            for g in (_as_dict(f), _as_words(f)):
+                assert g.prune(cut)._terms == kept(vals)
+            # each f term c xi_0 eta_1^k meets eta_0 once, with factor 1,
+            # and gives c eta_0^k
+            f = SeedPoly(BIRKHOFF, n, {((0, 1, 0), (1, 0, k[0][2])): c
+                                       for k, c in zip(keys, vals)})
+            eta = SeedPoly.term([(0, 0, 1)], 1.0, kind=BIRKHOFF, n=n)
+            assert seed_bracket(f, eta, floor=cut)._terms == kept(vals)

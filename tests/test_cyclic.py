@@ -222,8 +222,8 @@ def test_lane_grouping(rng, monkeypatch):
     # _grouped sums each distinct word in the order the values come in, on
     # one lane, on several lanes by their mix, and on several lanes sorted
     # by the lanes themselves when different words share a mix.
-    from kgchain import cyclic
-    real_mix = cyclic._mix
+    from kgchain import chainpoly, cyclic
+    real_mix = chainpoly._mix
     for lanes in (1, 3):
         words = rng.integers(0, 3, size=(300, lanes)).astype(np.uint64)
         words[:, -1] <<= np.uint64(60)       # the top bits count too
@@ -234,7 +234,7 @@ def test_lane_grouping(rng, monkeypatch):
                 want[w] = want.get(w, 0.0) + v
             for mix in (real_mix, lambda w: w[:, 0].copy(),
                         lambda w: np.zeros(len(w), np.uint64)):
-                monkeypatch.setattr(cyclic, "_mix", mix)
+                monkeypatch.setattr(chainpoly, "_mix", mix)
                 got_w, got_v = cyclic._grouped(words, vals)
                 got = list(zip(map(tuple, got_w.tolist()), got_v.tolist()))
                 assert dict(got) == want and len(got) == len(want)
@@ -244,7 +244,7 @@ def test_lane_grouping(rng, monkeypatch):
                 # distinct word's first row
                 merged_w, merged_v = cyclic._grouped(words, vals, merge=True)
                 assert (merged_w == got_w).all() and (merged_v == got_v).all()
-                first, inv = cyclic._runs(words, merge=True)
+                first, inv = chainpoly._runs(words, merge=True)
                 assert (first == [np.flatnonzero(inv == i)[0]
                                   for i in range(len(first))]).all()
 
@@ -253,8 +253,7 @@ def test_aligned_rows_follow_the_tie_rule(rng):
     # _aligned rotates each row so that the arc _arc gives its sites
     # starts at site 0, and says whether every rotated row is its own
     # alignment; a tie between equal largest gaps can break that.
-    from kgchain.chainpoly import _arc, _layout
-    from kgchain.cyclic import _aligned
+    from kgchain.chainpoly import _aligned, _arc, _layout
 
     def start(row, n):
         return _arc(np.flatnonzero(row[:n]).tolist(), n)[0]
@@ -288,8 +287,7 @@ def test_lane_word_seeds_change_layout_exactly(rng):
     # read from its keys.  x_3^15 y_3^15 in f meets every entry of g,
     # whose exponents pair up, with the factor 0, so the output's own
     # exponents stay small.
-    from kgchain.cyclic import _summed
-    from oracles import bits
+    from oracles import bits, dict_sum
     n = 6
     for kind in ("real", "birkhoff"):
         def seed(p):
@@ -305,11 +303,11 @@ def test_lane_word_seeds_change_layout_exactly(rng):
             wide, narrow = seed_bracket(f, g), seed_bracket(h, g)
             assert wide._words[0].dtype.itemsize == 2
             assert narrow._words[0].dtype.itemsize == 1
-            got, total = seed_bracket(h, wide), _summed([narrow, wide])
+            got, total = seed_bracket(h, wide), sum_polys([narrow, wide])
             assert got._words[0].dtype.itemsize == 1
             plain = seed(wide)
             assert bits(got) == bits(seed_bracket(h, plain))
-            assert bits(total) == bits(sum_polys([narrow, plain]))
+            assert bits(total) == bits(dict_sum([narrow, plain]))
 
 
 def test_seed_bracket_chunks_merge(rng, monkeypatch):

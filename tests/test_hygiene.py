@@ -58,6 +58,23 @@ def test_no_unused_imports():
     assert not unused, "imported but never used: " + ", ".join(unused)
 
 
+def test_every_private_function_is_used_in_src():
+    # a deleted path leaves no private helper that only tests still call
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+    orphans = [f"{path.name}: {node.name}"
+               for path, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and node.name not in used]
+    assert not orphans, "private functions that src/ never calls: " \
+        + ", ".join(orphans)
+
+
 def _fields(cls: ast.ClassDef) -> list[str]:
     """Names of the annotated fields declared in a class body."""
     return [node.target.id for node in cls.body

@@ -42,6 +42,7 @@ from conftest import random_homogeneous, random_seed_poly
 from oracles import (
     bits,
     dict_invert,
+    dict_sum,
     from_seedpoly,
     neumann_solve,
     p_birkhoff,
@@ -239,7 +240,6 @@ def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
     # inverting it and bracketing with it build no keys, and each, read,
     # has the keys, order and bits of the same step on key dicts.
     from kgchain import chainpoly
-    from kgchain.cyclic import _summed
     lnf = linear_normalize(0.05, n)
     z0b = to_complex(lnf.zeta0)
     g = project_range(to_complex(random_homogeneous(rng, 6, n, max_sites=5)))
@@ -252,8 +252,8 @@ def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
     neg = -made
     term = -invert_lie_omega(made, lnf.omega)
     out = seed_bracket(z0b, term)
-    total = _summed([g, made, term])
-    norm, top = normalform._norm1(term), term.max_abs_coeff()
+    total = sum_polys([g, made, term])
+    norm, top = poly_norm(term, 1.0), term.max_abs_coeff()
     assert not built and not made.is_zero()
     plain = dict(made._terms)
     assert len(plain) == count and len(built) == 1
@@ -266,14 +266,36 @@ def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
     assert bits(term) == bits(seed(inverted))
     # the magnitudes of Python's abs, which numpy's complex absolute
     # misses in the last bit for about a third of values
-    assert norm == poly_norm(seed(inverted), 1.0)
-    assert top == seed(inverted).max_abs_coeff()
+    acc = 0.0
+    for c in inverted.values():
+        acc += abs(c)
+    assert norm == acc
+    assert top == max(map(abs, inverted.values()))
     assert bits(out) == bits(seed_bracket(z0b, seed(inverted)))
-    assert bits(total) == bits(sum_polys([seed(dict(g._terms)), seed(plain),
-                                          seed(inverted)]))
-    # a solve builds keys once, for the summed half it expands
+    assert bits(total) == bits(dict_sum([seed(dict(g._terms)), seed(plain),
+                                         seed(inverted)]))
+    # a solve builds keys once, for the summed half it expands; the
+    # sums that draw psi hold it as words, so its keys are read first
+    psi = random_homogeneous(rng, 4, n)
+    psi.terms()
     built.clear()
-    solve_homological(random_homogeneous(rng, 4, n), lnf.zeta0, lnf.omega)
+    solve_homological(psi, lnf.zeta0, lnf.omega)
+    assert len(built) == 1
+
+
+def test_psi_builds_keys_only_for_the_solver(monkeypatch):
+    # The E_s recursion passes lane words from bracket to bracket: Psi_2
+    # is made with no key built, and the solver's to_complex builds them
+    # once, when it reads Psi_2's terms.
+    from kgchain import chainpoly
+    res = normal_form(linear_normalize(0.05, 6), 1)
+    built = []
+    keys = chainpoly._keys
+    monkeypatch.setattr(chainpoly, "_keys",
+                        lambda *args: built.append(1) or keys(*args))
+    psi = normalform._psi(res._engine, res._h1, res.zetas, 2)
+    assert not built and psi._words is not None and not psi.is_zero()
+    to_complex(psi)
     assert len(built) == 1
 
 
