@@ -637,11 +637,11 @@ def poly_norm(f: SeedPoly, radius: float) -> float:
     if radius <= 0:
         raise ValueError("radius must be positive")
     rows, vals, _ = _lane_words(f)
+    deg = _degrees(rows)
     # R^s by Python's **, once per degree: numpy's power can differ in
     # the last bit; the terms are summed in term order
-    deg, at = np.unique(_degrees(rows), return_inverse=True)
-    weight = np.array([radius ** d for d in deg.tolist()], float)[at]
-    return _sequential_sum(weight * _magnitudes(vals))
+    weight = np.array([radius ** s for s in range(deg.max(initial=0) + 1)])
+    return _sequential_sum(weight[deg] * _magnitudes(vals))
 
 
 # -- real <-> complex conversion ------------------------------------------
