@@ -40,30 +40,31 @@ ExpKey = tuple[tuple[int, int, int], ...]
 
 # -- lane words ---------------------------------------------------------------
 #
-# The seed kernels run on lane words.  A monomial key becomes a row of one
-# byte per site, holding the first-block exponent in its low and the
-# second-block exponent in its high 4-bit field, or of two bytes per site,
-# one per block, when an exponent may reach 16.  The row, padded to whole
-# 8-byte lanes, is read as little-endian uint64 lanes: one lane up to
-# N = 8 in the 1-byte layout, ceil(bytes / 8) lanes beyond.  No field
-# overflows, so adding two rows lane by lane adds their exponents site by
-# site.  Seed arithmetic runs on the rows and values (``SeedPoly._words``):
-# the bracket kernel, sum_polys, scaled, prune, graded_parts, poly_norm
-# and the alignment and shift of keys.  A seed held as words gets its keys
-# only when ``_terms`` is read.  Equal rows are found by sorting (_runs),
+# A seed is held as lane words only.  A term is a row of one byte per site,
+# holding the first-block exponent in its low and the second-block exponent
+# in its high 4-bit field, or of two bytes per site, one per block, when an
+# exponent may reach 16.  The row, padded to whole 8-byte lanes, is read as
+# little-endian uint64 lanes: one lane up to N = 8 in the 1-byte layout,
+# ceil(bytes / 8) lanes beyond.  No field overflows, so adding two rows
+# lane by lane adds their exponents site by site.  All seed arithmetic runs
+# on the rows and values (``SeedPoly._words``).  Keys are a format for
+# input and output: the constructor turns them into rows, and ``_terms``
+# builds them when it is read.  Equal rows are found by sorting (_runs),
 # and every coefficient cut is made by :func:`_kept`.
 
 def _layout(n: int, top: int) -> tuple:
     """Site dtype, field bits and row length of the rows of n sites whose
-    exponents stay below 16 when ``top`` does, and below 256 otherwise."""
+    exponents stay below 16 when ``top`` does, and below 256 otherwise; an
+    exponent of 256 or more raises ``ValueError``."""
+    if top >= 256:
+        raise ValueError("exponent too large for lane words")
     sdt = np.dtype(np.uint8 if top < 16 else "<u2")
     size = sdt.itemsize
     return sdt, 4 * size, -(-n * size // 8) * 8 // size
 
 
-def _entries(f: "SeedPoly"):
-    """Term index and (site, a, b) of every site entry of f's keys."""
-    keys = list(f._terms)
+def _entries(keys: list):
+    """Term index and (site, a, b) of every site entry of ``keys``."""
     lens = np.fromiter(map(len, keys), np.intp, len(keys))
     ents = np.fromiter(itertools.chain.from_iterable(
         itertools.chain.from_iterable(keys)), np.intp,
@@ -116,14 +117,6 @@ def _keys(rows, n: int) -> list:
     return keys
 
 
-def _values(f: "SeedPoly"):
-    """The coefficients of f, in term order; real-kind ones as floats."""
-    if f._words is not None:
-        return f._words[1]
-    vals = np.fromiter(f._terms.values(), complex, len(f._terms))
-    return vals.real.copy() if f.kind == REAL else vals
-
-
 def _magnitudes(vals):
     """|c| of each value, bit for bit as Python's abs gives it: libm's
     hypot, which numpy's complex absolute does not always match."""
@@ -134,6 +127,23 @@ def _degrees(rows):
     """The total degree of each row."""
     a, b = _fields(rows)
     return a.sum(axis=1) + b.sum(axis=1)
+
+
+def _imbalances(rows):
+    """The imbalance d = |k| - |j| of each row: its second-block less its
+    first-block exponents."""
+    a, b = _fields(rows)
+    return b.sum(axis=1) - a.sum(axis=1)
+
+
+def _product(x, y):
+    """x * y, each product part by part as Python multiplies two complex
+    numbers (a float counts as complex(x, 0.0)): numpy's complex product
+    may fuse a multiply and an add, and round otherwise."""
+    out = np.empty(np.broadcast(x, y).shape, complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _sequential_sum(x) -> float:
@@ -215,47 +225,37 @@ def _windows(rows, n):
 
 
 @functools.cache
-def _arc_start(lanes: tuple, n: int, itemsize: int) -> tuple[int, bool]:
-    """The arc start of the occupancy pattern with these lane words, and
-    whether the pattern rotated to it starts at site 0 again."""
+def _pattern_arc(lanes: tuple, n: int, itemsize: int) -> tuple[int, int, bool]:
+    """The arc start and diameter of the occupancy pattern with these lane
+    words, and whether the pattern rotated to its start starts at site 0
+    again."""
     occ = np.array(lanes, "<u8").view(f"<u{itemsize}")[:n]
     sites = np.flatnonzero(occ).tolist()
-    start = _arc(sites, n)[0]
+    start, diameter = _arc(sites, n)
     moved = sorted((x - start) % n for x in sites)
-    return start, _arc(moved, n)[0] == 0
+    return start, diameter, _arc(moved, n)[0] == 0
+
+
+def _arcs(rows, n):
+    """The :func:`_pattern_arc` of each distinct occupancy pattern of the
+    rows, and for each row the index of its pattern: :func:`_arc`, which
+    owns the tie rule, runs once per pattern."""
+    occ = (rows != 0).astype(rows.dtype).view("<u8")
+    first, inv = _runs(occ)
+    return [_pattern_arc(tuple(lanes), n, rows.itemsize)
+            for lanes in occ.take(first, axis=0).tolist()], inv
 
 
 def _aligned(rows, n):
     """Rows rotated so that each covering arc starts at site 0, and whether
     every rotated row is its own alignment.  It need not be: when
     largest gaps tie, the rotated row may start after another one (sites
-    {0, 4} at N = 8, and {0, 1, 5, 8} at N = 12).
-
-    The arc start is found once per distinct occupancy pattern by
-    :func:`_arc`, which owns the tie rule, and kept per pattern."""
-    occ = (rows != 0).astype(rows.dtype).view("<u8")
-    first, inv = _runs(occ)
-    found = [_arc_start(tuple(lanes), n, rows.itemsize)
-             for lanes in occ.take(first, axis=0).tolist()]
-    start = np.array([st for st, _ in found], np.intp)[inv]
+    {0, 4} at N = 8, and {0, 1, 5, 8} at N = 12)."""
+    found, inv = _arcs(rows, n)
+    start = np.array([st for st, _, _ in found], np.intp)[inv]
     out = rows.copy()
     out[:, :n] = _windows(rows, n)[np.arange(len(rows)), start]
-    return out, all(fixed for _, fixed in found)
-
-
-def _lane_words(f: "SeedPoly") -> tuple:
-    """Rows, values and alignment flag of f, in term order: the words f is
-    held in, or rows built from its keys in the narrowest layout, which
-    are not known to be aligned.  An exponent of 256 or more raises
-    ``ValueError``."""
-    if f._words is not None:
-        return f._words
-    term, ents = _entries(f)
-    top = int(ents[:, 1:].max(initial=0))
-    if top >= 256:
-        raise ValueError("exponent too large for lane words")
-    return (_rows(term, ents, len(f._terms), _layout(f.n, top)),
-            _values(f), False)
+    return out, all(fixed for _, _, fixed in found)
 
 
 class CoordinateError(ValueError):
@@ -338,54 +338,54 @@ class SeedPoly:
     imaginary parts are canonicalised away (tolerance ``REAL_IMAG_TOL``
     relative to the largest coefficient).
 
-    A seed is held as a dict from key to coefficient (``_dict``), as the
-    constructor gets it, or as lane words (``_words``): sums, negation,
-    scalings, prunes, graded parts and brackets return seeds held as
-    words, which build their keys only when ``_terms`` is read.
+    A seed is held as lane words (``_words``): the rows of its terms, their
+    values and whether the rows are known to be aligned.  The constructor
+    builds them from keys; every operation returns a seed held as words;
+    ``_terms`` builds the keys from the words when it is read.
     """
 
-    __slots__ = ("kind", "n", "_dict", "_words")
+    __slots__ = ("kind", "n", "_words")
 
     def __init__(self, kind: str, n: int,
-                 terms: dict[ExpKey, complex] | None = None,
-                 _skip_clean: bool = False):
+                 terms: dict[ExpKey, complex] | None = None):
+        """The seed of ``terms``, keys as ``ExpKey`` describes them, after
+        the 1e-15 clean.  A site outside [0, n) raises ``CoordinateError``,
+        and a negative exponent, or one of 256 or more, ``ValueError``."""
         if kind not in (REAL, BIRKHOFF):
             raise CoordinateError(f"unknown coordinate kind {kind!r}")
         _check_chain_size(n)
         self.kind = kind
         self.n = n
         raw = terms or {}
-        if not _skip_clean:
-            vals = np.fromiter(raw.values(), complex, len(raw))
-            keep = _kept(vals)
-            if kind == REAL:
-                vals = _real_parts(vals)
-            raw = dict(zip(itertools.compress(raw, keep.tolist()),
-                           vals[keep].astype(complex).tolist()))
-        self._dict = raw
-        self._words = None
+        term, ents = _entries(list(raw))
+        off = (ents[:, 0] < 0) | (ents[:, 0] >= n)
+        if off.any():
+            raise CoordinateError(f"site {ents[off, 0][0]} is off the ring "
+                                  f"of {n} sites")
+        if (ents[:, 1:] < 0).any():
+            raise ValueError("negative exponent")
+        rows = _rows(term, ents, len(raw),
+                     _layout(n, int(ents[:, 1:].max(initial=0))))
+        vals = np.fromiter(raw.values(), complex, len(raw))
+        self._words = (*_clean(kind, rows, vals), False)
 
     @classmethod
     def _of_words(cls, kind: str, n: int, rows, vals,
                   aligned: bool) -> "SeedPoly":
         """A seed held as distinct lane-word rows and their values (floats
         in the real kind), unchecked; ``aligned`` says that the rows are
-        sorted and each is its own alignment (:func:`_aligned`).  Its
-        keys are built when ``_terms`` is first read."""
+        sorted and each is its own alignment (:func:`_aligned`)."""
         out = cls.__new__(cls)
-        out.kind, out.n, out._dict = kind, n, None
+        out.kind, out.n = kind, n
         out._words = (rows, vals, aligned)
         return out
 
     @property
     def _terms(self) -> dict[ExpKey, complex]:
-        """The terms as a dict from key to coefficient, in term order."""
-        if self._dict is None:
-            rows, vals, _ = self._words
-            self._dict = dict(zip(_keys(rows, self.n),
-                                  vals.astype(complex).tolist()))
-            self._words = None
-        return self._dict
+        """The terms as a dict from key to coefficient, in term order,
+        built from the words on every read."""
+        rows, vals, _ = self._words
+        return dict(zip(_keys(rows, self.n), vals.astype(complex).tolist()))
 
     # -- constructors --------------------------------------------------
     #
@@ -413,23 +413,21 @@ class SeedPoly:
         return self._terms.get(Monomial(exps).exps, 0.0)
 
     def num_terms(self) -> int:
-        if self._words is not None:
-            return len(self._words[1])
-        return len(self._dict)
+        return len(self._words[1])
 
     def is_zero(self) -> bool:
         return self.num_terms() == 0
 
     def max_degree(self) -> int:
-        return int(_degrees(_lane_words(self)[0]).max(initial=0))
+        return int(_degrees(self._words[0]).max(initial=0))
 
     def graded_parts(self) -> dict[int, "SeedPoly"]:
-        deg = _degrees(_lane_words(self)[0])
+        deg = _degrees(self._words[0])
         return {d: self._subset(deg == d) for d in dict.fromkeys(deg.tolist())}
 
     def _subset(self, keep) -> "SeedPoly":
-        """The terms where the mask ``keep`` is true, as lane words."""
-        rows, vals, aligned = _lane_words(self)
+        """The terms where the mask ``keep`` is true."""
+        rows, vals, aligned = self._words
         return SeedPoly._of_words(self.kind, self.n, rows[keep], vals[keep],
                                   aligned)
 
@@ -450,7 +448,7 @@ class SeedPoly:
     def __neg__(self) -> "SeedPoly":
         """Exact: keeps the largest |c| and so the kept set, without a
         clean; real-kind values stay complex(-re, 0.0)."""
-        rows, vals, aligned = _lane_words(self)
+        rows, vals, aligned = self._words
         return SeedPoly._of_words(self.kind, self.n, rows, -vals, aligned)
 
     def scaled(self, c: complex) -> "SeedPoly":
@@ -458,57 +456,45 @@ class SeedPoly:
         Python's v * c."""
         if c == 0:
             return SeedPoly.zero(self.kind, self.n)
-        rows, vals, aligned = _lane_words(self)
+        rows, vals, aligned = self._words
         c = complex(c)
-        if self.kind == REAL and not c.imag:
-            out = vals * c.real
-        else:
-            # part by part, as Python multiplies: numpy's complex product
-            # may fuse a multiply and an add, and round otherwise
-            out = np.empty(len(vals), complex)
-            out.real = vals.real * c.real - vals.imag * c.imag
-            out.imag = vals.real * c.imag + vals.imag * c.real
+        out = (vals * c.real if self.kind == REAL and not c.imag
+               else _product(vals, c))
         keep = _kept(out)
         if out.dtype != vals.dtype:     # real kind, complex c
             out = _real_parts(out)
         return SeedPoly._of_words(self.kind, self.n, rows[keep], out[keep],
                                   aligned)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        self._check_compatible(other)
-        acc: dict[ExpKey, complex] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                k = _merge_exps(k1, k2)
-                acc[k] = acc.get(k, 0.0) + c1 * c2
-        return SeedPoly(self.kind, self.n, acc)
+    def __mul__(self, c):
+        """c times f for a scalar c (:meth:`scaled`)."""
+        if not isinstance(c, (int, float, complex)):
+            return NotImplemented
+        return self.scaled(c)
 
     __rmul__ = __mul__
 
     def partial(self, site: int, block: int) -> "SeedPoly":
-        """Derivative with respect to the block-0 or block-1 variable."""
-        acc: dict[ExpKey, complex] = {}
-        for k, c in self._terms.items():
-            for i, (s, a, b) in enumerate(k):
-                if s != site:
-                    continue
-                e = a if block == 0 else b
-                if e == 0:
-                    break
-                ent = (s, a - 1, b) if block == 0 else (s, a, b - 1)
-                kk = k[:i] + ((ent,) if ent[1] or ent[2] else ()) + k[i + 1:]
-                acc[kk] = acc.get(kk, 0.0) + c * e
-                break
-        return SeedPoly(self.kind, self.n, acc)
+        """Derivative with respect to the block-0 or block-1 variable of
+        ``site``, with the 1e-15 clean."""
+        if not 0 <= site < self.n:
+            return SeedPoly.zero(self.kind, self.n)
+        rows, vals, _ = self._words
+        exps = _fields(rows[:, site])[0 if block == 0 else 1]
+        hit = exps > 0
+        out = rows[hit]
+        out[:, site] -= 1 << (0 if block == 0 else 4 * rows.itemsize)
+        # 0.0 + c * e, as Python adds and multiplies
+        vals = 0.0 + _product(vals[hit], exps[hit].astype(complex))
+        return SeedPoly._of_words(self.kind, self.n,
+                                  *_clean(self.kind, out, vals), False)
 
     def max_abs_coeff(self) -> float:
-        return float(_magnitudes(_values(self)).max(initial=0.0))
+        return float(_magnitudes(self._words[1]).max(initial=0.0))
 
     def prune(self, rel: float | None) -> "SeedPoly":
         """Drop the coefficients below ``rel`` times the largest one."""
-        return self._subset(_kept(_values(self), rel))
+        return self._subset(_kept(self._words[1], rel))
 
     def max_coeff_diff(self, other: "SeedPoly") -> float:
         return (self - other).max_abs_coeff()
@@ -557,6 +543,15 @@ def _kept(vals, rel: float | None = None, floor: float = 0.0):
     return ~(mag < _cut_level(mag.max(initial=0.0), rel, floor))
 
 
+def _clean(kind: str, rows, vals) -> tuple:
+    """The rows and values that the 1e-15 clean keeps, real-kind values as
+    floats (:func:`_real_parts`)."""
+    keep = _kept(vals)
+    if kind == REAL:
+        vals = _real_parts(vals)
+    return rows[keep], vals[keep]
+
+
 def _real_parts(vals):
     """The real parts of real-kind values; an imaginary part above
     ``REAL_IMAG_TOL`` times the largest |c| raises ``CoordinateError``."""
@@ -580,7 +575,7 @@ def sum_polys(polys: Iterable[SeedPoly], kind: str | None = None,
     first = polys[0]
     for p in polys[1:]:
         first._check_compatible(p)
-    held = [_lane_words(p) for p in polys]
+    held = [p._words for p in polys]
     layout = _layout(first.n, max(_top(rows) for rows, _, _ in held))
     rows, vals = _first_merged(
         np.concatenate([_repacked(r, first.n, layout) for r, _, _ in held]),
@@ -607,9 +602,10 @@ def poisson_bracket(f: SeedPoly, g: SeedPoly) -> SeedPoly:
     """
     f._check_compatible(g)
     acc: dict[ExpKey, complex] = {}
+    gterms = g._terms
     for k1, c1 in f._terms.items():
         ents1 = {s: (a, b) for s, a, b in k1}
-        for k2, c2 in g._terms.items():
+        for k2, c2 in gterms.items():
             for s, a2, b2 in k2:
                 a1, b1 = ents1.get(s, (0, 0))
                 factor = a1 * b2 - b1 * a2
@@ -636,7 +632,7 @@ def poly_norm(f: SeedPoly, radius: float) -> float:
     """Weighted coefficient norm: sum over degrees s of R^s * sum |c|."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rows, vals, _ = _lane_words(f)
+    rows, vals, _ = f._words
     deg = _degrees(rows)
     # R^s by Python's **, once per degree: numpy's power can differ in
     # the last bit; the terms are summed in term order
@@ -668,78 +664,84 @@ def _site_matrix(m: int, unit: int) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _site_entries(s: int, m: int) -> tuple:
-    """The key entries of site s at total degree m, in the column order of
-    :func:`_site_matrix`."""
-    return tuple((s, e, m - e) for e in range(m + 1))
+def _convert(rows, vals, kind: str, n: int) -> SeedPoly:
+    """The substitution of :func:`_site_matrix` on the terms with these
+    rows and values, into a polynomial of coordinate kind ``kind``:
+    Birkhoff with unit 1, real with unit -1, which keeps the real parts.
 
-
-def _convert(items: Iterable[tuple[ExpKey, complex]], kind: str,
-             n: int) -> SeedPoly:
-    """The substitution of :func:`_site_matrix` on every term, into a
-    polynomial of coordinate kind ``kind``: Birkhoff with unit 1, real with
-    unit -1, which keeps the real parts.
-
-    A term's output keys depend only on its pattern, its sites s and their
-    total degrees m_s = a + b, and every pattern maps onto itself.  So the
+    A term's output terms depend only on its pattern, the row m of its
+    per-site degrees a + b, and every pattern maps onto itself.  So the
     terms of a pattern fill a dense tensor with one axis of length m_s + 1
-    per site, indexed by a, which is contracted with the site matrices axis
-    by axis, all patterns of one shape (the m_s in site order) at once.
-    Each output key is built once, by a product over the pattern's sites.
-    The cut of :func:`_kept` is made on the arrays, so entries of the
-    dense tensors that cancel exactly get no key.
+    per occupied site s, indexed by a, which is contracted with the site
+    matrices axis by axis, all patterns of one shape (the m_s in site
+    order) at once.  Patterns and shapes are taken in the order they first
+    appear.  An entry of the tensors is an output term whose row holds its
+    axis indices as first-block exponents, in C order, so the first site
+    varies slowest.  The cut of :func:`_kept` is made on the arrays, so
+    entries that cancel exactly give no term.
     """
     unit = 1 if kind == BIRKHOFF else -1
-    rows: dict[tuple, int] = {}         # pattern -> row
-    cells_row, cells_at, coeffs = [], [], []
-    for k, c in items:
-        pat, at = [], 0
-        for s, a, b in k:
-            pat.append((s, a + b))
-            at = at * (a + b + 1) + a   # C order over the pattern's axes
-        cells_row.append(rows.setdefault(tuple(pat), len(rows)))
-        cells_at.append(at)
-        coeffs.append(c)
-    by_shape: dict[tuple, list] = {}
-    for pat in rows:
-        by_shape.setdefault(tuple(m for _, m in pat), []).append(pat)
-    offset = np.empty(len(rows), np.intp)
-    blocks, keys, size = [], [], 0
-    for shape, pats in by_shape.items():
-        width = math.prod(m + 1 for m in shape)
-        blocks.append((shape, len(pats), size, size + len(pats) * width))
-        for pat in pats:
-            offset[rows[pat]] = size
-            size += width
-            keys.extend(itertools.product(*(_site_entries(s, m)
-                                            for s, m in pat)))
-    dense = np.zeros(size, complex)
-    dense[offset[np.array(cells_row, np.intp)]
-          + np.array(cells_at, np.intp)] = coeffs
-    for shape, count, lo, hi in blocks:
+    a, b = _fields(rows[:, :n])
+    m = a + b
+    first, pat = _first_ids(m)
+    m = m[first]
+    # C-order strides of each pattern's axes; an empty site has length 1
+    within = np.cumprod((m + 1)[:, ::-1], axis=1)[:, ::-1]
+    width = within[:, 0]
+    stride = np.ones_like(within)
+    stride[:, :-1] = within[:, 1:]
+    # each pattern's shape, its nonzero m_s left-packed
+    shape = np.take_along_axis(m, np.argsort(m == 0, axis=1, kind="stable"),
+                               axis=1)
+    sfirst, srank = _first_ids(shape)
+    pats = np.argsort(srank, kind="stable")     # patterns in tensor order
+    offset = np.empty(len(m), np.intp)
+    offset[pats] = np.cumsum(width[pats]) - width[pats]
+    dense = np.zeros(int(width.sum()), complex)
+    dense[offset[pat] + (a * stride[pat]).sum(axis=1)] = vals
+    lo = 0
+    for p, count in zip(sfirst.tolist(), np.bincount(srank).tolist()):
+        hi = lo + count * int(width[p])
         block = dense[lo:hi]
-        for m in shape:
+        for ms in shape[p][shape[p] > 0].tolist():
             # the first site axis is contracted and its output axis goes
             # last, so after every site the axes are back in site order
-            block = (block.reshape(count, m + 1, -1).transpose(0, 2, 1)
-                     .reshape(-1, m + 1) @ _site_matrix(m, unit))
-        deg = sum(shape)
+            block = (block.reshape(count, ms + 1, -1).transpose(0, 2, 1)
+                     .reshape(-1, ms + 1) @ _site_matrix(ms, unit))
+        deg = int(m[p].sum())
         # Exact power of 1/2 for even degree; odd degrees keep a sqrt(2).
         scale = 0.5 ** (deg // 2) * (0.7071067811865476 if deg % 2 else 1.0)
         dense[lo:hi] = block.reshape(-1) * scale
+        lo = hi
     if kind == REAL:
         dense = dense.real
     kept = np.flatnonzero(_kept(dense))
-    return SeedPoly(kind, n, dict(zip(map(keys.__getitem__, kept.tolist()),
-                                      dense[kept].astype(complex).tolist())),
-                    _skip_clean=True)
+    p = np.repeat(pats, width[pats])[kept]
+    a = (kept - offset[p])[:, None] // stride[p] % (m[p] + 1)
+    b = m[p] - a
+    sdt, bits, cols = _layout(n, int(max(a.max(initial=0),
+                                         b.max(initial=0))))
+    out = np.zeros((len(kept), cols), sdt)
+    out[:, :n] = a | b << bits
+    return SeedPoly._of_words(kind, n, out, dense[kept], False)
+
+
+def _first_ids(x):
+    """Where each distinct row of ``x`` first appears, in that order, and
+    for each row the number of its distinct row in that order."""
+    _, first, inv = np.unique(x, axis=0, return_index=True,
+                              return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inv.reshape(-1)]
 
 
 def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
     _check_kind(f, REAL, "to_complex")
-    return _convert(f._terms.items(), BIRKHOFF, f.n)
+    rows, vals, _ = f._words
+    return _convert(rows, vals, BIRKHOFF, f.n)
 
 
 def to_real(f: SeedPoly) -> SeedPoly:
@@ -758,54 +760,43 @@ def to_real(f: SeedPoly) -> SeedPoly:
     if defect > REAL_IMAG_TOL * f.max_abs_coeff():
         raise CoordinateError(f"to_real expects the image of a real "
                               f"polynomial; reality defect {defect:g}")
-    return _to_real_sectors(f.n, *_imbalance_sectors(f))
+    return _to_real_sectors(*_imbalance_sectors(f))
 
 
-def _to_real_sectors(n: int, kernel: dict, half: dict) -> SeedPoly:
-    """The real polynomial whose Birkhoff image has the d = 0 terms
-    ``kernel``, the d > 0 terms ``half`` and their mirror as d < 0 terms,
-    unchecked: Re of the inverse image of kernel + 2 half, in one
-    expansion."""
-    return _convert(itertools.chain(
-        kernel.items(), ((k, 2.0 * c) for k, c in half.items())), REAL, n)
+def _to_real_sectors(kernel: SeedPoly, half: SeedPoly) -> SeedPoly:
+    """The real polynomial whose Birkhoff image has the d = 0 terms of
+    ``kernel``, the d > 0 terms of ``half`` and their mirror as d < 0
+    terms, unchecked: Re of the inverse image of kernel + 2 half, in one
+    expansion, the terms of kernel first."""
+    n = kernel.n
+    (krows, kvals, _), (hrows, hvals, _) = kernel._words, half._words
+    layout = _layout(n, max(_top(krows), _top(hrows)))
+    rows = np.concatenate([_repacked(r, n, layout) for r in (krows, hrows)])
+    # 2.0 * c, as Python multiplies a float and a complex number
+    vals = np.concatenate((kvals, _product(2.0, hvals)))
+    return _convert(rows, vals, REAL, n)
 
 
-def _imbalance(key: ExpKey) -> int:
-    """|k| - |j|: total second-block minus first-block exponents."""
-    d = 0
-    for _, a, b in key:
-        d += b - a
-    return d
-
-
-def _imbalance_sectors(f: SeedPoly) -> tuple[dict, dict]:
+def _imbalance_sectors(f: SeedPoly) -> tuple[SeedPoly, SeedPoly]:
     """The terms of ``f`` with imbalance d = 0 and with d > 0."""
-    kernel, half = {}, {}
-    for k, c in f._terms.items():
-        d = _imbalance(k)
-        if d == 0:
-            kernel[k] = c
-        elif d > 0:
-            half[k] = c
-    return kernel, half
+    d = _imbalances(f._words[0])
+    return f._subset(d == 0), f._subset(d > 0)
 
 
 def mirror(f: SeedPoly) -> SeedPoly:
     """The reality map: c xi^j eta^k goes to i^deg conj(c) xi^k eta^j.
 
     An involution that takes the imbalance sector d onto -d; its fixed
-    points are the images of real polynomials.  Swapping the blocks keeps
-    a term's sites, so aligned keys stay aligned.
+    points are the images of real polynomials.  It swaps the two fields of
+    every site; the values are the Python products i^deg * conj(c).
     """
     _check_kind(f, BIRKHOFF, "mirror")
-    out = {}
-    for k, c in f._terms.items():
-        swapped, deg = [], 0
-        for s, a, b in k:
-            swapped.append((s, b, a))
-            deg += a + b
-        out[tuple(swapped)] = _IPOW[deg % 4] * c.conjugate()
-    return SeedPoly(BIRKHOFF, f.n, out, _skip_clean=True)
+    rows, vals, _ = f._words
+    a, b = _fields(rows)
+    swapped = (b | a << 4 * rows.itemsize).astype(rows.dtype)
+    ipow = np.array(_IPOW, complex)[_degrees(rows) % 4]
+    return SeedPoly._of_words(BIRKHOFF, f.n, swapped,
+                              _product(ipow, vals.conj()), False)
 
 
 def reality_defect(f: SeedPoly) -> float:
@@ -829,7 +820,7 @@ def left_align(f: SeedPoly) -> SeedPoly:
     Terms that land on one key merge into it where the first one lands,
     their values summed in term order, with no clean.
     """
-    rows, vals, _ = _lane_words(f)
+    rows, vals, _ = f._words
     rows, vals = _first_merged(_aligned(rows, f.n)[0], vals)
     return SeedPoly._of_words(f.kind, f.n, rows, vals, False)
 
@@ -843,11 +834,11 @@ def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
     stored in.  The parts, nearest first, are disjoint and re-sum to (a
     reseeding of) the input.
     """
-    out: dict[int, dict[ExpKey, complex]] = {}
-    for k, c in left_align(f)._terms.items():
-        out.setdefault(_arc([s for s, _, _ in k], f.n)[1], {})[k] = c
-    return {m: SeedPoly(f.kind, f.n, t, _skip_clean=True)
-            for m, t in sorted(out.items())}
+    aligned = left_align(f)
+    found, inv = _arcs(aligned._words[0], f.n)
+    diameter = np.array([m for _, m, _ in found], np.intp)[inv]
+    return {m: aligned._subset(diameter == m)
+            for m in sorted(set(diameter.tolist()))}
 
 
 def norm_pairs(f: SeedPoly) -> list[tuple[int, float]]:
@@ -916,8 +907,10 @@ def seed_to_dict(f: SeedPoly) -> dict:
 
 
 def seed_from_dict(d: dict) -> SeedPoly:
+    """The seed of a :func:`seed_to_dict` dict, its terms on one key
+    summed; the constructor checks its sites and exponents."""
     acc: dict[ExpKey, complex] = {}
     for t in d["terms"]:
         key = Monomial(zip(t["sites"], t["xexp"], t["yexp"])).exps
         acc[key] = acc.get(key, 0.0) + complex(t["re"], t["im"])
-    return SeedPoly(d["kind"], d["n"], acc, _skip_clean=True)
+    return SeedPoly(d["kind"], d["n"], acc)

@@ -29,7 +29,6 @@ from .chainpoly import (
     _check_kind,
     _fields,
     _kept,
-    _lane_words,
     _layout,
     _repacked,
     _runs,
@@ -49,7 +48,7 @@ def cyclic_shift(f: SeedPoly, l: int) -> SeedPoly:
     bijection on keys, so nothing merges.  Adding 0.0 makes a -0.0 part
     +0.0, as the sums of a merge do."""
     n = f.n
-    rows, vals, _ = _lane_words(f)
+    rows, vals, _ = f._words
     out = rows.copy()
     out[:, :n] = _windows(rows, n)[:, l % n]
     return SeedPoly._of_words(f.kind, n, out, vals + 0.0, False)
@@ -149,15 +148,14 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     absolute ``floor`` is finite and >= 0.  Then each kept word is rotated
     so that its covering arc starts at site 0; kept words that align onto
     one word merge and may cancel, so they get the 1e-15 clean of every
-    SeedPoly.  The result holds these words, and builds their keys when
-    its ``_terms`` are first read.  ``ValueError`` is raised as well when
-    an exponent of f plus one of g reaches 63.  Real-kind coefficients are
-    real, so they are summed as floats.
+    SeedPoly.  The result holds these words.  ``ValueError`` is raised as
+    well when an exponent of f plus one of g reaches 63.  Real-kind
+    coefficients are real, so they are summed as floats.
     """
     f._check_compatible(g)
     n = f.n
-    frows, cf, _ = _lane_words(f)
-    grows, cg, aligned = _lane_words(g)
+    frows, cf, _ = f._words
+    grows, cg, aligned = g._words
     top = _top(frows) + _top(grows)
     if top >= _MAX_EXPONENT:
         raise ValueError("exponent too large for the packed bracket")
@@ -244,7 +242,10 @@ class FieldSeed:
 
 
 def field_seed(f: SeedPoly) -> FieldSeed:
-    sites = {s for k in f._terms for s, _, _ in k}
+    # the occupied sites as a set filled term by term, site by site: its
+    # iteration order sets the order of the sums, and so the key order and
+    # the rounding of the field seeds
+    sites = set(np.nonzero(f._words[0][:, :f.n])[1].tolist())
     xq = sum_polys((cyclic_shift(f.partial(l, 1), l) for l in sites),
                    kind=f.kind, n=f.n)
     xp = -sum_polys((cyclic_shift(f.partial(l, 0), l) for l in sites),
@@ -346,7 +347,7 @@ class FieldEvaluator:
 
     def __init__(self, f: SeedPoly):
         fs = field_seed(f)
-        top = max(_top(_lane_words(p)[0]) for p in (fs.xq, fs.xp))
+        top = max(_top(p._words[0]) for p in (fs.xq, fs.xp))
         self._eq = RealizedEvaluator(fs.xq, shift_sign=1, top=top)
         self._ep = RealizedEvaluator(fs.xp, shift_sign=1, top=top)
 

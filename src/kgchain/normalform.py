@@ -46,11 +46,10 @@ from .chainpoly import (
     to_complex,
     _check_cut,
     _check_kind,
-    _fields,
-    _imbalance,
     _imbalance_sectors,
-    _lane_words,
+    _imbalances,
     _magnitudes,
+    _product,
     _sequential_sum,
     _to_real_sectors,
 )
@@ -89,28 +88,26 @@ KERNEL_LEAK_TOL = 1e-12
 # -- the diagonal operator L_Omega, in the Birkhoff coordinates only --------
 
 def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
-    """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k."""
+    """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k;
+    each value is the Python product c * (1j * omega * d)."""
     _check_kind(f, BIRKHOFF, "lie_omega")
-    acc = {}
-    for k, c in f._terms.items():
-        d = _imbalance(k)
-        if d:
-            acc[k] = c * (1j * omega * d)
-    return SeedPoly(BIRKHOFF, f.n, acc, _skip_clean=True)
+    rows, vals, aligned = f._words
+    d = _imbalances(rows)
+    keep = d != 0
+    ds, at = np.unique(d[keep], return_inverse=True)
+    factor = np.array([1j * omega * dv for dv in ds.tolist()], complex)
+    return SeedPoly._of_words(BIRKHOFF, f.n, rows[keep],
+                              _product(vals[keep], factor[at]), aligned)
 
 
 def project_kernel(f: SeedPoly) -> SeedPoly:
     _check_kind(f, BIRKHOFF, "project_kernel")
-    return SeedPoly(BIRKHOFF, f.n,
-                    {k: c for k, c in f._terms.items() if _imbalance(k) == 0},
-                    _skip_clean=True)
+    return f._subset(_imbalances(f._words[0]) == 0)
 
 
 def project_range(f: SeedPoly) -> SeedPoly:
     _check_kind(f, BIRKHOFF, "project_range")
-    return SeedPoly(BIRKHOFF, f.n,
-                    {k: c for k, c in f._terms.items() if _imbalance(k) != 0},
-                    _skip_clean=True)
+    return f._subset(_imbalances(f._words[0]) != 0)
 
 
 def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
@@ -122,9 +119,8 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     complex division c / (1j * omega * d).
     """
     _check_kind(g, BIRKHOFF, "invert_lie_omega")
-    rows, vals, aligned = _lane_words(g)
-    a, b = _fields(rows)
-    d = b.sum(axis=1) - a.sum(axis=1)
+    rows, vals, aligned = g._words
+    d = _imbalances(rows)
     mag = _magnitudes(vals)
     total = _sequential_sum(mag)    # ||g||_1, as poly_norm(g, 1.0) sums it
     kernel_mass = _sequential_sum(mag[d == 0])
@@ -184,10 +180,10 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
     read the largest |c|, which the mirror keeps, so the half is cut as
     the whole would be.
 
-    The terms stay on the bracket kernel's lane words: negated, inverted,
-    normed and summed in term order there, with the rounding of the same
-    steps on key dicts.  Keys are built once, for the summed half that is
-    expanded.
+    Everything stays on lane words, from psi's image to the expansion of
+    the summed half: the terms are negated, inverted, normed and summed in
+    term order there, with the rounding of the same steps on key dicts,
+    and no key is built.
     """
     _check_cut(prune_rel)
     for name, f in (("psi", psi), ("zeta0", zeta0)):
@@ -199,13 +195,13 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
 
     psi_b = to_complex(psi)
     kernel, half = _imbalance_sectors(psi_b)
-    zeta = _to_real_sectors(psi.n, kernel, {})
+    empty = SeedPoly.zero(BIRKHOFF, psi.n)
+    zeta = _to_real_sectors(kernel, empty)
     scale = poly_norm(psi_b, 1.0)
-    if not half:
+    if half.is_zero():
         return SeedPoly.zero(REAL, psi.n), zeta
 
-    term = invert_lie_omega(SeedPoly(BIRKHOFF, psi.n, half,
-                                     _skip_clean=True), omega)
+    term = invert_lie_omega(half, omega)
     floor = NEUMANN_CUT * (prune_rel or 0.0) * term.max_abs_coeff()
     terms = [term]
     prev_norm = 2.0 * poly_norm(term, 1.0)
@@ -224,7 +220,7 @@ def solve_homological(psi: SeedPoly, zeta0: SeedPoly, omega: float,
         prev_norm = norm
     else:
         raise NeumannDivergenceError(0, "Neumann series did not settle")
-    return _to_real_sectors(psi.n, {}, sum_polys(terms)._terms), zeta
+    return _to_real_sectors(empty, sum_polys(terms)), zeta
 
 
 def homological_residual(chi: SeedPoly, zeta: SeedPoly, psi: SeedPoly,

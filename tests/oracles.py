@@ -8,12 +8,18 @@ different data structures and code paths than the package under test.
 the reference of the package's array kernel; :func:`dict_sum`, the sum of
 seeds key by key, that of its sum on lane words; and
 :func:`neumann_solve`, the homological solver's Neumann series on key
-dicts, that of its loop on lane words.
+dicts, that of its loop on lane words.  The ``dict_*`` functions and
+:func:`seed_product` are the package's former key-dict implementations of
+operations it now runs on lane words, kept as their bit-for-bit
+references.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 Poly = dict
 
@@ -216,6 +222,174 @@ def seed_convert(terms: dict, unit: int) -> dict:
     return acc
 
 
+def imbalance(key) -> int:
+    """|k| - |j|: total second-block minus first-block exponents."""
+    d = 0
+    for _, a, b in key:
+        d += b - a
+    return d
+
+
+def seed_of(kind, n, terms: dict):
+    """The seed of exactly these terms, in their order, with no clean (real
+    kind values as their real parts)."""
+    from kgchain.chainpoly import REAL, SeedPoly
+    rows = SeedPoly(kind, n, dict.fromkeys(terms, 1.0))._words[0]
+    vals = np.array(list(terms.values()), complex)
+    return SeedPoly._of_words(kind, n, rows,
+                              vals.real.copy() if kind == REAL else vals,
+                              False)
+
+
+def seed_product(f, g):
+    """The product of two seeds, term pair by term pair."""
+    from kgchain.chainpoly import SeedPoly, _merge_exps
+    f._check_compatible(g)
+    acc: dict = {}
+    gterms = g._terms
+    for k1, c1 in f._terms.items():
+        for k2, c2 in gterms.items():
+            k = _merge_exps(k1, k2)
+            acc[k] = acc.get(k, 0.0) + c1 * c2
+    return SeedPoly(f.kind, f.n, acc)
+
+
+def dict_convert(items, kind, n):
+    """The conversion kernel on (key, c) items: patterns grouped from the
+    keys, and each output key built by a product over the pattern's site
+    entries.  The reference of :func:`kgchain.chainpoly._convert`."""
+    from kgchain.chainpoly import BIRKHOFF, REAL, _kept, _site_matrix
+    unit = 1 if kind == BIRKHOFF else -1
+    rows: dict = {}                     # pattern -> row
+    cells_row, cells_at, coeffs = [], [], []
+    for k, c in items:
+        pat, at = [], 0
+        for s, a, b in k:
+            pat.append((s, a + b))
+            at = at * (a + b + 1) + a
+        cells_row.append(rows.setdefault(tuple(pat), len(rows)))
+        cells_at.append(at)
+        coeffs.append(c)
+    by_shape: dict = {}
+    for pat in rows:
+        by_shape.setdefault(tuple(m for _, m in pat), []).append(pat)
+    offset = np.empty(len(rows), np.intp)
+    blocks, keys, size = [], [], 0
+    for shape, pats in by_shape.items():
+        width = math.prod(m + 1 for m in shape)
+        blocks.append((shape, len(pats), size, size + len(pats) * width))
+        for pat in pats:
+            offset[rows[pat]] = size
+            size += width
+            keys.extend(itertools.product(
+                *([(s, e, m - e) for e in range(m + 1)] for s, m in pat)))
+    dense = np.zeros(size, complex)
+    dense[offset[np.array(cells_row, np.intp)]
+          + np.array(cells_at, np.intp)] = coeffs
+    for shape, count, lo, hi in blocks:
+        block = dense[lo:hi]
+        for m in shape:
+            block = (block.reshape(count, m + 1, -1).transpose(0, 2, 1)
+                     .reshape(-1, m + 1) @ _site_matrix(m, unit))
+        deg = sum(shape)
+        scale = 0.5 ** (deg // 2) * (0.7071067811865476 if deg % 2 else 1.0)
+        dense[lo:hi] = block.reshape(-1) * scale
+    if kind == REAL:
+        dense = dense.real
+    kept = np.flatnonzero(_kept(dense))
+    return seed_of(kind, n, dict(zip(map(keys.__getitem__, kept.tolist()),
+                                     dense[kept].astype(complex).tolist())))
+
+
+def dict_sectors(f) -> tuple[dict, dict]:
+    """The terms of a Birkhoff seed with imbalance d = 0 and with d > 0."""
+    kernel, half = {}, {}
+    for k, c in f._terms.items():
+        d = imbalance(k)
+        if d == 0:
+            kernel[k] = c
+        elif d > 0:
+            half[k] = c
+    return kernel, half
+
+
+def dict_to_real_sectors(n, kernel: dict, half: dict):
+    """Re of the inverse image of kernel + 2 half, kernel first."""
+    from kgchain.chainpoly import REAL
+    return dict_convert(itertools.chain(
+        kernel.items(), ((k, 2.0 * c) for k, c in half.items())), REAL, n)
+
+
+def dict_mirror(f):
+    """The reality map, key by key: i^deg conj(c) on the swapped key."""
+    from kgchain.chainpoly import BIRKHOFF
+    out = {}
+    for k, c in f._terms.items():
+        swapped, deg = [], 0
+        for s, a, b in k:
+            swapped.append((s, b, a))
+            deg += a + b
+        out[tuple(swapped)] = _IPOW[deg % 4] * c.conjugate()
+    return seed_of(BIRKHOFF, f.n, out)
+
+
+def dict_lie_omega(f, omega):
+    """L_Omega key by key: c * (1j * omega * d) where d != 0."""
+    from kgchain.chainpoly import BIRKHOFF
+    acc = {}
+    for k, c in f._terms.items():
+        d = imbalance(k)
+        if d:
+            acc[k] = c * (1j * omega * d)
+    return seed_of(BIRKHOFF, f.n, acc)
+
+
+def dict_project(f, kernel: bool):
+    """The terms with d = 0 (``kernel``) or d != 0, key by key."""
+    from kgchain.chainpoly import BIRKHOFF
+    return seed_of(BIRKHOFF, f.n, {k: c for k, c in f._terms.items()
+                                   if (imbalance(k) == 0) == kernel})
+
+
+def dict_partial(f, site, block):
+    """The derivative in one variable, key by key, with the 1e-15 clean."""
+    from kgchain.chainpoly import SeedPoly
+    acc: dict = {}
+    for k, c in f._terms.items():
+        for i, (s, a, b) in enumerate(k):
+            if s != site:
+                continue
+            e = a if block == 0 else b
+            if e == 0:
+                break
+            ent = (s, a - 1, b) if block == 0 else (s, a, b - 1)
+            kk = k[:i] + ((ent,) if ent[1] or ent[2] else ()) + k[i + 1:]
+            acc[kk] = acc.get(kk, 0.0) + c * e
+            break
+    return SeedPoly(f.kind, f.n, acc)
+
+
+def dict_decay_decompose(f):
+    """The left-aligned terms grouped by covering-arc diameter, key by
+    key, nearest first."""
+    from kgchain.chainpoly import _arc, left_align
+    out: dict = {}
+    for k, c in left_align(f)._terms.items():
+        out.setdefault(_arc([s for s, _, _ in k], f.n)[1], {})[k] = c
+    return {m: seed_of(f.kind, f.n, t) for m, t in sorted(out.items())}
+
+
+def dict_seed_from_dict(d: dict) -> dict:
+    """The terms of a seed_to_dict dict, key by key, those on one key
+    summed from 0.0."""
+    from kgchain.chainpoly import Monomial
+    acc: dict = {}
+    for t in d["terms"]:
+        key = Monomial(zip(t["sites"], t["xexp"], t["yexp"])).exps
+        acc[key] = acc.get(key, 0.0) + complex(t["re"], t["im"])
+    return acc
+
+
 def dict_invert(terms: dict, omega: float) -> dict:
     """L_Omega^{-1} on Birkhoff terms {key: c} of nonzero imbalance, key
     by key, with Python's complex division."""
@@ -247,7 +421,7 @@ def dict_sum(polys, kind=None, n=None):
     cut = PRUNE_REL * max(map(abs, acc.values()), default=0.0)
     out = {k: complex(v.real, 0.0) if first.kind == REAL else v
            for k, v in acc.items() if cut and not abs(v) < cut}
-    return SeedPoly(first.kind, first.n, out, _skip_clean=True)
+    return seed_of(first.kind, first.n, out)
 
 
 def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
@@ -270,11 +444,12 @@ def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
     zeta0_b = to_complex(zeta0)
     psi_b = to_complex(psi)
     kernel, half = _imbalance_sectors(psi_b)
-    zeta = _to_real_sectors(psi.n, kernel, {})
-    if not half:
+    empty = SeedPoly.zero(BIRKHOFF, psi.n)
+    zeta = _to_real_sectors(kernel, empty)
+    if half.is_zero():
         return SeedPoly.zero(REAL, psi.n), zeta
     scale = norm1(psi_b._terms)
-    term = dict_invert(half, omega)
+    term = dict_invert(half._terms, omega)
     floor = (normalform.NEUMANN_CUT * (prune_rel or 0.0)
              * max(map(abs, term.values()), default=0.0))
     terms = [term]
@@ -282,7 +457,7 @@ def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
     for _ in range(normalform.NEUMANN_MAX_TERMS):
         if prev_norm <= tol * scale:
             break
-        g = SeedPoly(BIRKHOFF, psi.n, dict(term), _skip_clean=True)
+        g = seed_of(BIRKHOFF, psi.n, term)
         bracket = dict(seed_bracket(zeta0_b, g, prune_rel=prune_rel,
                                     floor=floor)._terms)
         term = {k: -c for k, c in dict_invert(bracket, omega).items()}
@@ -294,9 +469,8 @@ def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
         prev_norm = norm
     else:
         raise normalform.NeumannDivergenceError(0, "did not settle")
-    total = dict_sum(SeedPoly(BIRKHOFF, psi.n, t, _skip_clean=True)
-                     for t in terms)
-    return _to_real_sectors(psi.n, {}, total._terms), zeta
+    total = dict_sum(seed_of(BIRKHOFF, psi.n, t) for t in terms)
+    return _to_real_sectors(empty, total), zeta
 
 
 def bits(poly) -> list:

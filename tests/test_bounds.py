@@ -22,6 +22,7 @@ from kgchain.chainpoly import decay_decompose, norm_pairs
 from kgchain.cyclic import field_norm, field_seed
 
 from conftest import random_homogeneous
+from oracles import seed_product
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +257,8 @@ def _lie_derivative(chi_full, comp, n):
     for k in range(n):
         xk = chi_full.partial(k, 1)
         yk = chi_full.partial(k, 0).scaled(-1.0)
-        out = out + comp.partial(k, 0) * xk
-        out = out + comp.partial(k, 1) * yk
+        out = out + seed_product(comp.partial(k, 0), xk)
+        out = out + seed_product(comp.partial(k, 1), yk)
     return out
 
 

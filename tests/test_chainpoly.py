@@ -21,12 +21,16 @@ from kgchain import (
     to_complex,
     to_real,
 )
-from kgchain.chainpoly import (BIRKHOFF, _imbalance, _lane_words,
-                               envelope_constant, mirror, sum_polys)
+from kgchain.chainpoly import (BIRKHOFF, envelope_constant, mirror, sum_polys,
+                               _imbalance_sectors, _to_real_sectors)
+from kgchain.normalform import lie_omega, project_kernel, project_range
 from kgchain.cyclic import RealizedEvaluator, cyclic_shift
 
 from conftest import random_homogeneous, random_seed_poly
-from oracles import (bits, dict_sum, from_seedpoly, p_birkhoff, p_max_diff,
+from oracles import (bits, dict_convert, dict_decay_decompose, dict_lie_omega,
+                     dict_mirror, dict_partial, dict_project, dict_sectors,
+                     dict_seed_from_dict, dict_sum, dict_to_real_sectors,
+                     from_seedpoly, imbalance, p_birkhoff, p_max_diff,
                      p_poisson, p_real, seed_convert)
 
 
@@ -124,10 +128,10 @@ def test_mirror_is_the_reality_map(rng):
             + SeedPoly.term([(0, 2, 1), (2, 0, 3)], 0.3 - 0.7j,
                             kind=BIRKHOFF, n=8)
         assert mirror(mirror(fb))._terms == fb._terms
-        assert sorted(_imbalance(k) for k in mirror(fb)._terms) \
-            == sorted(-_imbalance(k) for k in fb._terms)
+        assert sorted(imbalance(k) for k in mirror(fb)._terms) \
+            == sorted(-imbalance(k) for k in fb._terms)
         half = SeedPoly(BIRKHOFF, 8, {k: c for k, c in fb._terms.items()
-                                      if _imbalance(k) > 0})
+                                      if imbalance(k) > 0})
         assert reality_defect(half + mirror(half)) == 0.0
 
 
@@ -355,26 +359,98 @@ def test_real_kind_rejects_complex_coefficients():
         SeedPoly.term([(0, 1, 0)], 1.0 + 0.5j, n=8)
 
 
-def _as_dict(p):
-    """p held as a dict from key to coefficient."""
-    return SeedPoly(p.kind, p.n, dict(p._terms), _skip_clean=True)
+def test_constructor_checks_sites_and_exponents():
+    # A row has a field per site and padding past n, so an off-ring site
+    # would land in the padding and vanish, and a negative exponent would
+    # wrap around in its field: the constructor refuses both, and an
+    # exponent of 256 or more, which no field holds.
+    for n, site in ((5, 6), (9, 12), (5, -1)):
+        with pytest.raises(CoordinateError, match="off the ring"):
+            SeedPoly(REAL, n, {((site, 1, 0),): 1.0})
+    with pytest.raises(ValueError, match="negative exponent"):
+        SeedPoly(REAL, 5, {((0, -1, 0), (1, 0, 1)): 1.0})
+    with pytest.raises(ValueError, match="exponent too large"):
+        SeedPoly(REAL, 5, {((0, 256, 0),): 1.0})
+    assert SeedPoly(REAL, 5, {((4, 255, 0),): 1.0}).coeff([(4, 255, 0)]) == 1
+    # seed_from_dict reads outside JSON through the same checks
+    good = seed_to_dict(SeedPoly.term([(1, 2, 1)], 0.5, n=5))
+    for field, value, error in (("sites", [6], CoordinateError),
+                                ("xexp", [-1], ValueError),
+                                ("yexp", [300], ValueError)):
+        bad = json.loads(json.dumps(good))
+        bad["terms"][0][field] = value
+        with pytest.raises(error):
+            seed_from_dict(bad)
+    assert seed_to_dict(seed_from_dict(good)) == good
 
 
-def _as_words(p):
-    """p held as lane words, its terms in the same order."""
-    return SeedPoly._of_words(p.kind, p.n, *_lane_words(p))
+def _reference_seeds(rng, n):
+    """Random real seeds and Birkhoff seeds with signed zero parts on n
+    sites, in the 1-byte and the 2-byte layout."""
+    out = []
+    for wide in (False, True):
+        f = random_seed_poly(rng, n=n, max_sites=min(n, 4), terms=6)
+        if wide:
+            f = f + SeedPoly.term([(n - 1, 16, 1)], 0.25, n=n)
+        fb = to_complex(f)
+        extra = {SeedPoly.term(_random_entries(rng, n, min(n, 3), 2), 1.0,
+                               kind=BIRKHOFF, n=n)._terms.popitem()[0]: c
+                 for c in (complex(-0.0, 0.7), complex(0.3, -0.0),
+                           complex(-0.4, -0.2))}
+        out += [f, fb, SeedPoly(BIRKHOFF, n, {**fb._terms, **extra})]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_versions_match_their_dict_references(rng, n):
+    # The conversion, the reality map, the L_Omega operators, derivatives,
+    # the decay split and the JSON reader run on rows; each gives the keys,
+    # key order and bits, signed zeros included, of its key-dict version.
+    seeds = _reference_seeds(rng, n)
+    assert {p._words[0].dtype.itemsize for p in seeds} == {1, 2}
+    for p in seeds:
+        if p.kind == REAL:
+            assert bits(to_complex(p)) \
+                == bits(dict_convert(p._terms.items(), BIRKHOFF, n))
+        else:
+            assert bits(_to_real_sectors(*_imbalance_sectors(p))) \
+                == bits(dict_to_real_sectors(n, *dict_sectors(p)))
+            assert bits(mirror(p)) == bits(dict_mirror(p))
+            assert bits(lie_omega(p, 1.3)) == bits(dict_lie_omega(p, 1.3))
+            assert bits(project_kernel(p)) == bits(dict_project(p, True))
+            assert bits(project_range(p)) == bits(dict_project(p, False))
+            if reality_defect(p) == 0.0:
+                assert bits(to_real(p)) \
+                    == bits(dict_to_real_sectors(n, *dict_sectors(p)))
+        for site in range(n + 1):
+            for block in (0, 1):
+                assert bits(p.partial(site, block)) \
+                    == bits(dict_partial(p, site, block))
+        got, want = decay_decompose(p), dict_decay_decompose(p)
+        assert list(got) == list(want)
+        assert [bits(q) for q in got.values()] \
+            == [bits(q) for q in want.values()]
+        # a JSON dict with one term split over two entries, one of them
+        # with its site entries out of order
+        d = seed_to_dict(p)
+        t = dict(d["terms"][0], re=0.25, im=-0.0)
+        d["terms"].append({k: v[::-1] if isinstance(v, list) else v
+                           for k, v in t.items()})
+        want = dict_seed_from_dict(d)
+        assert bits(seed_from_dict(d)) \
+            == [(k, c.real.hex(), c.imag.hex()) for k, c in want.items()]
 
 
 def test_sum_polys_matches_the_dict_sum(rng):
-    # sum_polys sums on lane words whatever store and layout its inputs
-    # have: the keys, their order and every bit, the sign of a zero part
-    # included, are those of the key-by-key sum.
+    # sum_polys sums on lane words whatever layout its inputs have: the
+    # keys, their order and every bit, the sign of a zero part included,
+    # are those of the key-by-key sum.
     for n in (5, 11):
         for kind in (REAL, BIRKHOFF):
             def draw():
                 p = random_seed_poly(rng, n=n, max_sites=4, terms=8)
-                return _as_dict(to_complex(p) if kind == BIRKHOFF else p)
-            signed = _as_dict(SeedPoly.term([(0, 1, 0)], 0.5, kind=kind, n=n))
+                return to_complex(p) if kind == BIRKHOFF else p
+            signed = SeedPoly.term([(0, 1, 0)], 0.5, kind=kind, n=n)
             if kind == BIRKHOFF:
                 signed = SeedPoly(kind, n, {((0, 1, 0),): complex(0.5, -0.0),
                                             ((1, 0, 1),): complex(-0.0, 2.0)})
@@ -382,12 +458,10 @@ def test_sum_polys_matches_the_dict_sum(rng):
                 a, b = draw(), draw()
                 wide = draw() + SeedPoly.term([(1, 17, 2)], 0.25, kind=kind,
                                               n=n)
-                narrow = [a, _as_words(b), a.scaled(-0.5), signed]
-                mixed = narrow + [wide, _as_dict(wide), -a, _as_words(a)]
+                narrow = [a, b, a.scaled(-0.5), signed]
+                mixed = narrow + [wide, SeedPoly(kind, n, wide._terms), -a, a]
                 for polys, size in ((narrow, 1), (mixed, 2)):
-                    stores = {p._words is None for p in polys}
                     got = sum_polys(polys)
-                    assert stores == {True, False}
                     assert got._words[0].dtype.itemsize == size
                     assert bits(got) == bits(dict_sum(polys))
                     assert bits(polys[0] + polys[1]) \
@@ -395,15 +469,14 @@ def test_sum_polys_matches_the_dict_sum(rng):
                     assert bits(polys[0] - polys[1]) \
                         == bits(dict_sum([polys[0], -polys[1]]))
     # no seeds, or zeros only, give the zero of the kind and size asked
-    for polys in ([], [SeedPoly.zero(BIRKHOFF, 5),
-                       _as_words(SeedPoly.zero(BIRKHOFF, 5))]):
+    for polys in ([], [SeedPoly.zero(BIRKHOFF, 5)] * 2):
         zero = sum_polys(polys, kind=BIRKHOFF, n=5)
         assert (zero.kind, zero.n, zero.is_zero()) == (BIRKHOFF, 5, True)
     with pytest.raises(CoordinateError):
         sum_polys([])
-    # mixed kinds or chain sizes raise, whatever the stores
+    # mixed kinds or chain sizes raise
     f = random_seed_poly(rng, n=5, max_sites=4, terms=6)
-    for bad in ([f, to_complex(f)], [_as_dict(f), _as_words(to_complex(f))],
+    for bad in ([f, to_complex(f)], [to_complex(f), f],
                 [f, f, SeedPoly.zero(REAL, 6)]):
         with pytest.raises(CoordinateError):
             sum_polys(bad)
@@ -458,12 +531,11 @@ def test_every_cut_keeps_what_abs_reaches(rng):
             clean = [top] + vals[1:]
             made = SeedPoly(BIRKHOFF, n, dict(zip(keys, clean)))
             assert made._terms == kept(clean)
-            parts = [SeedPoly(BIRKHOFF, n, dict(zip(keys[i::2], clean[i::2])),
-                              _skip_clean=True) for i in (0, 1)]
+            parts = [SeedPoly(BIRKHOFF, n, dict(zip(keys[i::2], clean[i::2])))
+                     for i in (0, 1)]
             assert sum_polys(parts)._terms == kept(clean)
             f = SeedPoly(BIRKHOFF, n, dict(zip(keys, vals)))
-            for g in (_as_dict(f), _as_words(f)):
-                assert g.prune(cut)._terms == kept(vals)
+            assert f.prune(cut)._terms == kept(vals)
             # each f term c xi_0 eta_1^k meets eta_0 once, with factor 1,
             # and gives c eta_0^k
             f = SeedPoly(BIRKHOFF, n, {((0, 1, 0), (1, 0, k[0][2])): c

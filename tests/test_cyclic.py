@@ -145,7 +145,7 @@ def _reframed(g, rng):
             for kk, v in cyclic_shift(SeedPoly(g.kind, g.n, {k: cc}),
                                       l)._terms.items():
                 acc[kk] = acc.get(kk, 0.0) + v
-    return SeedPoly(g.kind, g.n, acc, _skip_clean=True)
+    return SeedPoly(g.kind, g.n, acc)
 
 
 def test_seed_bracket_ignores_the_frames_of_g(rng):
@@ -291,7 +291,7 @@ def test_lane_word_seeds_change_layout_exactly(rng):
     n = 6
     for kind in ("real", "birkhoff"):
         def seed(p):
-            return SeedPoly(kind, n, dict(p._terms), _skip_clean=True)
+            return SeedPoly(kind, n, p._terms)
         for _ in range(5):
             far = SeedPoly.term([(3, 15, 15)], 0.5, n=n)
             f = seed(random_seed_poly(rng, n=n, max_sites=3, terms=6) + far)

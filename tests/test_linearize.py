@@ -18,6 +18,8 @@ from kgchain import (
 )
 from kgchain.chainpoly import REAL, decay_decompose, fit_decay, norm_pairs
 
+from oracles import seed_product
+
 
 def dense_quadratic_seedpoly(mat, n):
     """Oracle: the full polynomial (q.Mq + p.Mp)/2 from a dense matrix."""
@@ -168,5 +170,8 @@ def test_transformed_hamiltonian_matches_original(rng):
         row = SeedPoly.zero(REAL, n)
         for k in range(n):
             row = row + SeedPoly.term([(k, 1, 0)], wmat[j, k], n=n)
-        oracle = oracle + row * row * row * row * 0.25
+        quartic = row
+        for _ in range(3):
+            quartic = seed_product(quartic, row)
+        oracle = oracle + quartic * 0.25
     assert transformed.max_coeff_diff(oracle) <= 1e-12

@@ -35,8 +35,7 @@ from kgchain.normalform import (
     homological_residual,
     remainder_head,
 )
-from kgchain.chainpoly import (REAL, CoordinateError, _imbalance,
-                               decay_decompose, sum_polys)
+from kgchain.chainpoly import REAL, CoordinateError, decay_decompose, sum_polys
 
 from conftest import random_homogeneous, random_seed_poly
 from oracles import (
@@ -44,11 +43,13 @@ from oracles import (
     dict_invert,
     dict_sum,
     from_seedpoly,
+    imbalance,
     neumann_solve,
     p_birkhoff,
     p_max_diff,
     p_realize,
     p_resonant_projection,
+    seed_of,
     single_oscillator_second_order,
 )
 
@@ -186,10 +187,10 @@ def test_solver_brackets_the_d_positive_half_only(monkeypatch):
     monkeypatch.setattr(normalform, "seed_bracket", recorded)
     chi, _ = solve_homological(lnf.h1, lnf.zeta0, lnf.omega)
     assert operands
-    assert all(_imbalance(k) > 0 for g in operands for k in g._terms)
+    assert all(imbalance(k) > 0 for g in operands for k in g._terms)
     # and the returned chi is the whole real polynomial: its image has
     # both sectors
-    assert {_imbalance(k) > 0 for k in to_complex(chi)._terms} \
+    assert {imbalance(k) > 0 for k in to_complex(chi)._terms} \
         == {True, False}
 
 
@@ -222,8 +223,7 @@ def test_solver_matches_the_dict_loop_through_tied_arcs(monkeypatch):
     bracket = normalform.seed_bracket
 
     def recorded(f, g, **kwargs):
-        if g._words is not None:
-            flags.append(g._words[2])
+        flags.append(g._words[2])
         return bracket(f, g, **kwargs)
 
     monkeypatch.setattr(normalform, "seed_bracket", recorded)
@@ -259,7 +259,7 @@ def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
     assert len(plain) == count and len(built) == 1
 
     def seed(terms):
-        return SeedPoly(BIRKHOFF, n, terms, _skip_clean=True)
+        return seed_of(BIRKHOFF, n, terms)
 
     assert bits(neg) == bits(-seed(plain))
     inverted = {k: -c for k, c in dict_invert(plain, lnf.omega).items()}
@@ -274,19 +274,17 @@ def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
     assert bits(out) == bits(seed_bracket(z0b, seed(inverted)))
     assert bits(total) == bits(dict_sum([seed(dict(g._terms)), seed(plain),
                                          seed(inverted)]))
-    # a solve builds keys once, for the summed half it expands; the
-    # sums that draw psi hold it as words, so its keys are read first
+    # a solve builds no keys: the conversions take and give rows
     psi = random_homogeneous(rng, 4, n)
-    psi.terms()
     built.clear()
     solve_homological(psi, lnf.zeta0, lnf.omega)
-    assert len(built) == 1
+    assert not built
 
 
 def test_psi_builds_keys_only_for_the_solver(monkeypatch):
     # The E_s recursion passes lane words from bracket to bracket: Psi_2
-    # is made with no key built, and the solver's to_complex builds them
-    # once, when it reads Psi_2's terms.
+    # is made with no key built, and the solver's to_complex takes its
+    # rows and builds none either.
     from kgchain import chainpoly
     res = normal_form(linear_normalize(0.05, 6), 1)
     built = []
@@ -294,9 +292,27 @@ def test_psi_builds_keys_only_for_the_solver(monkeypatch):
     monkeypatch.setattr(chainpoly, "_keys",
                         lambda *args: built.append(1) or keys(*args))
     psi = normalform._psi(res._engine, res._h1, res.zetas, 2)
-    assert not built and psi._words is not None and not psi.is_zero()
+    assert not built and not psi.is_zero()
     to_complex(psi)
-    assert len(built) == 1
+    assert not built
+
+
+def test_keys_are_built_only_for_output(monkeypatch):
+    # Seeds are lane words from the linear normal form to chi and zeta:
+    # the nf-coupled solve and the roundtrip transform build no key, and
+    # writing the result out is where keys are made.
+    from kgchain import chainpoly
+    lnf, lnf6 = linear_normalize(0.05, 8), linear_normalize(0.05, 6)
+    built = []
+    keys = chainpoly._keys
+    monkeypatch.setattr(chainpoly, "_keys",
+                        lambda *args: built.append(1) or keys(*args))
+    res = normal_form(lnf, 2, prune_rel=1e-7)
+    res6 = normal_form(lnf6, 1, s_max=2)
+    lie_transform_apply(res6, res6.normal_form_seed(), degree_cap=6)
+    assert not built
+    res.to_dict()
+    assert built
 
 
 def test_solver_rejects_a_psi_that_is_not_real():
