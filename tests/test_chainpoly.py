@@ -21,8 +21,8 @@ from kgchain import (
     to_complex,
     to_real,
 )
-from kgchain.chainpoly import (BIRKHOFF, envelope_constant, mirror, sum_polys,
-                               _imbalance_sectors, _to_real_sectors)
+from kgchain.chainpoly import (BIRKHOFF, Monomial, envelope_constant, mirror,
+                               sum_polys, _imbalance_sectors, _to_real_sectors)
 from kgchain.normalform import lie_omega, project_kernel, project_range
 from kgchain.cyclic import RealizedEvaluator, cyclic_shift
 
@@ -393,8 +393,7 @@ def _reference_seeds(rng, n):
         if wide:
             f = f + SeedPoly.term([(n - 1, 16, 1)], 0.25, n=n)
         fb = to_complex(f)
-        extra = {SeedPoly.term(_random_entries(rng, n, min(n, 3), 2), 1.0,
-                               kind=BIRKHOFF, n=n)._terms.popitem()[0]: c
+        extra = {Monomial(_random_entries(rng, n, min(n, 3), 2)).exps: c
                  for c in (complex(-0.0, 0.7), complex(0.3, -0.0),
                            complex(-0.4, -0.2))}
         out += [f, fb, SeedPoly(BIRKHOFF, n, {**fb._terms, **extra})]

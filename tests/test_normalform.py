@@ -234,20 +234,26 @@ def test_solver_matches_the_dict_loop_through_tied_arcs(monkeypatch):
     assert [bits(p) for p in got] == [bits(p) for p in want]
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """A list that gets an item at each call of ``chainpoly._keys``."""
+    from kgchain import chainpoly
+    calls = []
+    keys = chainpoly._keys
+    monkeypatch.setattr(chainpoly, "_keys",
+                        lambda *args: calls.append(1) or keys(*args))
+    return calls
+
+
 @pytest.mark.parametrize("n", [8, 16])
-def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
+def test_lane_word_seeds_build_keys_only_when_read(rng, built, n):
     # A bracket's output keeps its lane words: counting, negating and
     # inverting it and bracketing with it build no keys, and each, read,
     # has the keys, order and bits of the same step on key dicts.
-    from kgchain import chainpoly
     lnf = linear_normalize(0.05, n)
     z0b = to_complex(lnf.zeta0)
     g = project_range(to_complex(random_homogeneous(rng, 6, n, max_sites=5)))
     made = seed_bracket(z0b, g)
-    built = []
-    keys = chainpoly._keys
-    monkeypatch.setattr(chainpoly, "_keys",
-                        lambda *args: built.append(1) or keys(*args))
     count = made.num_terms()
     neg = -made
     term = -invert_lie_omega(made, lnf.omega)
@@ -281,32 +287,22 @@ def test_lane_word_seeds_build_keys_only_when_read(rng, monkeypatch, n):
     assert not built
 
 
-def test_psi_builds_keys_only_for_the_solver(monkeypatch):
+def test_psi_builds_keys_only_for_the_solver(built):
     # The E_s recursion passes lane words from bracket to bracket: Psi_2
     # is made with no key built, and the solver's to_complex takes its
     # rows and builds none either.
-    from kgchain import chainpoly
     res = normal_form(linear_normalize(0.05, 6), 1)
-    built = []
-    keys = chainpoly._keys
-    monkeypatch.setattr(chainpoly, "_keys",
-                        lambda *args: built.append(1) or keys(*args))
     psi = normalform._psi(res._engine, res._h1, res.zetas, 2)
     assert not built and not psi.is_zero()
     to_complex(psi)
     assert not built
 
 
-def test_keys_are_built_only_for_output(monkeypatch):
+def test_keys_are_built_only_for_output(built):
     # Seeds are lane words from the linear normal form to chi and zeta:
     # the nf-coupled solve and the roundtrip transform build no key, and
     # writing the result out is where keys are made.
-    from kgchain import chainpoly
     lnf, lnf6 = linear_normalize(0.05, 8), linear_normalize(0.05, 6)
-    built = []
-    keys = chainpoly._keys
-    monkeypatch.setattr(chainpoly, "_keys",
-                        lambda *args: built.append(1) or keys(*args))
     res = normal_form(lnf, 2, prune_rel=1e-7)
     res6 = normal_form(lnf6, 1, s_max=2)
     lie_transform_apply(res6, res6.normal_form_seed(), degree_cap=6)
