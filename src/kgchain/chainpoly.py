@@ -50,7 +50,9 @@ ExpKey = tuple[tuple[int, int, int], ...]
 # on the rows and values (``SeedPoly._words``).  Keys are a format for
 # input and output: the constructor turns them into rows, and ``_terms``
 # builds them when it is read.  Equal rows are found by sorting (_runs),
-# and every coefficient cut is made by :func:`_kept`.
+# and numbered in the order they first appear by :func:`_first_ids`; the
+# graded term order of ``terms()`` and of the evaluators is
+# :func:`_graded`; every coefficient cut is made by :func:`_kept`.
 
 def _layout(n: int, top: int) -> tuple:
     """Site dtype, field bits and row length of the rows of n sites whose
@@ -208,13 +210,33 @@ def _sums(inv, vals, count):
     return sums
 
 
+def _first_ids(words):
+    """Where each distinct row of ``words`` first appears, in that order,
+    and for each row the number of its distinct row in that order."""
+    first, inv = _runs(words, merge=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv]
+
+
 def _first_merged(rows, vals):
     """The distinct rows of ``rows``, each in the order it first appears,
     with the sum of its values taken in the order given."""
-    first, inv = _runs(rows.view("<u8"), merge=True)
-    order = np.argsort(first)
-    sums = _sums(inv, vals, len(first))
-    return rows.take(first[order], axis=0), sums[order]
+    first, ids = _first_ids(rows.view("<u8"))
+    return rows.take(first, axis=0), _sums(ids, vals, len(first))
+
+
+def _graded(rows, n):
+    """The graded term order of ``rows``, and the (site, a, b) entries of
+    each row in it, padded with -1 to the longest: rows sort by degree,
+    then by their entries as Python compares key tuples, in which a key
+    sorts before the keys it is a prefix of."""
+    term, site = np.nonzero(rows[:, :n])
+    j = np.arange(len(term)) - np.searchsorted(term, term)
+    ents = np.full((len(rows), j.max(initial=-1) + 1, 3), -1, np.intp)
+    ents[term, j] = np.stack((site, *_fields(rows[term, site])), axis=1)
+    flat = ents.reshape(len(rows), 3 * ents.shape[1])
+    order = np.lexsort((*flat.T[::-1], _degrees(rows)))
+    return order, ents[order]
 
 
 def _windows(rows, n):
@@ -265,7 +287,7 @@ class CoordinateError(ValueError):
 class Monomial:
     """A single monomial: per-site exponent pairs, stored sparsely."""
 
-    __slots__ = ("exps", "degree")
+    __slots__ = ("exps",)
 
     def __init__(self, exps: Iterable[tuple[int, int, int]]):
         acc: dict[int, list[int]] = {}
@@ -276,18 +298,8 @@ class Monomial:
                 ent = acc.setdefault(int(s), [0, 0])
                 ent[0] += int(a)
                 ent[1] += int(b)
-        key = tuple((s, ab[0], ab[1]) for s, ab in sorted(acc.items()))
-        self.exps: ExpKey = key
-        self.degree: int = sum(a + b for _, a, b in key)
-
-    def sort_key(self):
-        return (self.degree, self.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
+        self.exps: ExpKey = tuple((s, ab[0], ab[1])
+                                  for s, ab in sorted(acc.items()))
 
     def __repr__(self):
         return f"Monomial({self.exps!r})"
@@ -349,8 +361,10 @@ class SeedPoly:
     def __init__(self, kind: str, n: int,
                  terms: dict[ExpKey, complex] | None = None):
         """The seed of ``terms``, keys as ``ExpKey`` describes them, after
-        the 1e-15 clean.  A site outside [0, n) raises ``CoordinateError``,
-        and a negative exponent, or one of 256 or more, ``ValueError``."""
+        the 1e-15 clean.  A site outside [0, n) raises ``CoordinateError``;
+        a negative exponent, one of 256 or more, and a key whose sites do
+        not strictly increase raise ``ValueError``.  An entry (s, 0, 0) is
+        accepted and dropped."""
         if kind not in (REAL, BIRKHOFF):
             raise CoordinateError(f"unknown coordinate kind {kind!r}")
         _check_chain_size(n)
@@ -364,6 +378,8 @@ class SeedPoly:
                                   f"of {n} sites")
         if (ents[:, 1:] < 0).any():
             raise ValueError("negative exponent")
+        if ((term[1:] == term[:-1]) & (ents[1:, 0] <= ents[:-1, 0])).any():
+            raise ValueError("the sites of a key must strictly increase")
         rows = _rows(term, ents, len(raw),
                      _layout(n, int(ents[:, 1:].max(initial=0))))
         vals = np.fromiter(raw.values(), complex, len(raw))
@@ -404,10 +420,9 @@ class SeedPoly:
     # -- basic queries ---------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, complex]]:
-        """Deterministic (graded-lex) list of (monomial, coefficient)."""
-        out = [(Monomial(k), v) for k, v in self._terms.items()]
-        out.sort(key=lambda mc: mc[0].sort_key())
-        return out
+        """(monomial, coefficient) in graded-lex order (:func:`_graded`)."""
+        graded = self._subset(_graded(self._words[0], self.n)[0])
+        return [(Monomial(k), v) for k, v in graded._terms.items()]
 
     def coeff(self, exps: Iterable[tuple[int, int, int]]) -> complex:
         return self._terms.get(Monomial(exps).exps, 0.0)
@@ -426,7 +441,7 @@ class SeedPoly:
         return {d: self._subset(deg == d) for d in dict.fromkeys(deg.tolist())}
 
     def _subset(self, keep) -> "SeedPoly":
-        """The terms where the mask ``keep`` is true."""
+        """The terms that ``keep``, a mask or an index array, selects."""
         rows, vals, aligned = self._words
         return SeedPoly._of_words(self.kind, self.n, rows[keep], vals[keep],
                                   aligned)
@@ -683,7 +698,7 @@ def _convert(rows, vals, kind: str, n: int) -> SeedPoly:
     unit = 1 if kind == BIRKHOFF else -1
     a, b = _fields(rows[:, :n])
     m = a + b
-    first, pat = _first_ids(m)
+    first, pat = _first_ids(m.view("<u8"))
     m = m[first]
     # C-order strides of each pattern's axes; an empty site has length 1
     within = np.cumprod((m + 1)[:, ::-1], axis=1)[:, ::-1]
@@ -693,7 +708,7 @@ def _convert(rows, vals, kind: str, n: int) -> SeedPoly:
     # each pattern's shape, its nonzero m_s left-packed
     shape = np.take_along_axis(m, np.argsort(m == 0, axis=1, kind="stable"),
                                axis=1)
-    sfirst, srank = _first_ids(shape)
+    sfirst, srank = _first_ids(shape.view("<u8"))
     pats = np.argsort(srank, kind="stable")     # patterns in tensor order
     offset = np.empty(len(m), np.intp)
     offset[pats] = np.cumsum(width[pats]) - width[pats]
@@ -724,17 +739,6 @@ def _convert(rows, vals, kind: str, n: int) -> SeedPoly:
     out = np.zeros((len(kept), cols), sdt)
     out[:, :n] = a | b << bits
     return SeedPoly._of_words(kind, n, out, dense[kept], False)
-
-
-def _first_ids(x):
-    """Where each distinct row of ``x`` first appears, in that order, and
-    for each row the number of its distinct row in that order."""
-    _, first, inv = np.unique(x, axis=0, return_index=True,
-                              return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inv.reshape(-1)]
 
 
 def to_complex(f: SeedPoly) -> SeedPoly:

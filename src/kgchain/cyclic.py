@@ -28,6 +28,7 @@ from .chainpoly import (
     _aligned,
     _check_kind,
     _fields,
+    _graded,
     _kept,
     _layout,
     _repacked,
@@ -277,18 +278,20 @@ class RealizedEvaluator:
     ``shift_sign=+1`` entry j is (tau^{-j} f)(z), the site-j component of a
     field whose site-0 component is f (see :class:`FieldEvaluator`).
 
-    Construction turns every (slot, term) into a row of N flat indices
+    Construction reads the seed's lane-word rows, in the graded term
+    order of ``terms()`` (:func:`kgchain.chainpoly._graded`), and builds
+    no key.  It turns every (slot, term) into a row of N flat indices
     into the per-site table T[a, b, s] = x_s**a * y_s**b, a, b = 0..e for
     the largest exponent e, one index per shift.  Few distinct rows occur
     (49 for the 668 slots of zeta_1 at N=16, a=0.05, prune 1e-7), so
-    ``rows`` keeps each once and ``slots`` names the row of each (slot,
-    term).  :meth:`table` builds T, (e+1)^2 N products of 2 (e+1) N
-    powers; :meth:`gather` gathers the distinct rows from it, copies them
-    out whole to every (slot, term) (width * terms row copies instead of
-    width * terms * N single gathers), multiplies along the width axis
-    and contracts with the coefficients.  Raising each gathered coordinate
-    instead costs width * terms * N powers, on libm's slow path for the
-    negative bases that about half of the coordinates are.  Each gathered
+    ``rows`` keeps each once, found by sorting, and ``slots`` names the
+    row of each (slot, term).  :meth:`table` builds T, (e+1)^2 N products
+    of 2 (e+1) N powers; :meth:`gather` gathers the distinct rows from it,
+    copies them out whole to every (slot, term) (width * terms row copies
+    instead of width * terms * N single gathers), multiplies along the
+    width axis and contracts with the coefficients.  Raising each gathered
+    coordinate instead costs width * terms * N powers, on libm's slow path
+    for the negative bases that about half of the coordinates are.  Each gathered
     factor is the same float64 product x_s**a * y_s**b, and the products
     and sums run in the same order, so the values are bit for bit those
     of that direct form.  ``top`` widens T to at least that exponent, so
@@ -298,30 +301,19 @@ class RealizedEvaluator:
     def __init__(self, f: SeedPoly, *, shift_sign: int = -1, top: int = 0):
         _check_kind(f, REAL, "RealizedEvaluator")
         self.n = n = f.n
-        terms = f.terms()
-        width = max((len(m.exps) for m, _ in terms), default=1)
-        t = len(terms)
-        self.coeff = np.zeros(t)
-        sites = np.zeros((t, width), dtype=np.int64)
-        aexp = np.zeros((t, width), dtype=np.int64)
-        bexp = np.zeros((t, width), dtype=np.int64)
-        for i, (m, c) in enumerate(terms):
-            self.coeff[i] = c.real
-            for j, (s, a, b) in enumerate(m.exps):
-                sites[i, j] = s
-                aexp[i, j] = a
-                bexp[i, j] = b
+        rows, vals, _ = f._words
+        order, ents = _graded(rows, n)
+        self.coeff = vals.take(order)
+        # slot-major, so the product runs over contiguous (terms, N) slabs;
         # padded slots point at T[0, 0, s] = 1
-        self.powers = np.arange(max(aexp.max(initial=0),
-                                    bexp.max(initial=0), top) + 1)[:, None]
+        sites, aexp, bexp = np.maximum(ents, 0).transpose(2, 1, 0)
+        self.powers = np.arange(max(_top(rows), top) + 1)[:, None]
         e1 = self.powers.shape[0]
         shifted = (sites[:, :, None] + shift_sign * np.arange(n)) % n
-        index = (aexp * e1 + bexp)[:, :, None] * n + shifted
-        # slot-major, so the product runs over contiguous (terms, N) slabs
-        self.rows, slots = np.unique(
-            index.transpose(1, 0, 2).reshape(-1, n), axis=0,
-            return_inverse=True)
-        self.slots = slots.reshape(width, t)
+        index = ((aexp * e1 + bexp)[:, :, None] * n + shifted).reshape(-1, n)
+        first, slots = _runs(index.view("<u8"))
+        self.rows = index.take(first, axis=0)
+        self.slots = slots.reshape(sites.shape)
 
     def table(self, state: np.ndarray) -> np.ndarray:
         """The per-site table T of one state."""

@@ -51,3 +51,14 @@ def random_homogeneous(rng, degree, n, max_sites=3, terms=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A list that gets an item at each call of ``chainpoly._keys``."""
+    from kgchain import chainpoly
+    calls = []
+    keys = chainpoly._keys
+    monkeypatch.setattr(chainpoly, "_keys",
+                        lambda *args: calls.append(1) or keys(*args))
+    return calls

@@ -6,9 +6,10 @@ coefficients.  Everything is written directly from the definitions, with
 different data structures and code paths than the package under test.
 :func:`seed_convert`, the term-by-term coordinate change on seed keys, is
 the reference of the package's array kernel; :func:`dict_sum`, the sum of
-seeds key by key, that of its sum on lane words; and
-:func:`neumann_solve`, the homological solver's Neumann series on key
-dicts, that of its loop on lane words.  The ``dict_*`` functions and
+seeds key by key, that of its sum on lane words; :func:`neumann_solve`,
+the homological solver's Neumann series on key dicts, that of its loop on
+lane words; and :func:`unique_first_ids`, numpy's unique over rows, that
+of the row numbering by sorting.  The ``dict_*`` functions and
 :func:`seed_product` are the package's former key-dict implementations of
 operations it now runs on lane words, kept as their bit-for-bit
 references.
@@ -471,6 +472,19 @@ def neumann_solve(psi, zeta0, omega, tol=1e-12, prune_rel=None):
         raise normalform.NeumannDivergenceError(0, "did not settle")
     total = dict_sum(seed_of(BIRKHOFF, psi.n, t) for t in terms)
     return _to_real_sectors(empty, total), zeta
+
+
+def unique_first_ids(x):
+    """Where each distinct row of ``x`` first appears, in that order, and
+    for each row the number of its distinct row in that order, by numpy's
+    unique over rows.  The reference of :func:`kgchain.chainpoly.
+    _first_ids`, which numbers the rows by sorting their lane words."""
+    _, first, inv = np.unique(x, axis=0, return_index=True,
+                              return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inv.reshape(-1)]
 
 
 def bits(poly) -> list:

@@ -31,7 +31,7 @@ from oracles import (bits, dict_convert, dict_decay_decompose, dict_lie_omega,
                      dict_mirror, dict_partial, dict_project, dict_sectors,
                      dict_seed_from_dict, dict_sum, dict_to_real_sectors,
                      from_seedpoly, imbalance, p_birkhoff, p_max_diff,
-                     p_poisson, p_real, seed_convert)
+                     p_poisson, p_real, seed_convert, unique_first_ids)
 
 
 def test_canonical_pair_bracket():
@@ -384,6 +384,26 @@ def test_constructor_checks_sites_and_exponents():
     assert seed_to_dict(seed_from_dict(good)) == good
 
 
+def test_constructor_refuses_keys_whose_sites_do_not_increase():
+    # A row has one field per site, so a repeated site would keep only its
+    # last entry (x_0 x_0 read back as x_0), and two spellings of one
+    # monomial would make two equal rows.  SeedPoly.term and seed_from_dict
+    # canonicalise their keys first.
+    for terms in ({((0, 1, 0), (0, 1, 0)): 1.0},
+                  {((1, 1, 0), (0, 1, 0)): 1.0},
+                  {((2, 1, 0), (3, 0, 1), (3, 1, 0)): 1.0},
+                  {((0, 1, 0), (1, 1, 0)): 1.0, ((1, 1, 0), (0, 1, 0)): 2.0}):
+        with pytest.raises(ValueError, match="strictly increase"):
+            SeedPoly(REAL, 5, terms)
+    # a zero-exponent entry is accepted and dropped
+    assert SeedPoly(REAL, 5, {((0, 0, 0), (1, 1, 0)): 1.0})._terms \
+        == {((1, 1, 0),): 1.0}
+    assert SeedPoly.term([(0, 1, 0), (0, 1, 0)], 1.0, n=5)._terms \
+        == {((0, 2, 0),): 1.0}
+    assert SeedPoly.term([(1, 1, 0), (0, 1, 0)], 1.0, n=5)._terms \
+        == {((0, 1, 0), (1, 1, 0)): 1.0}
+
+
 def _reference_seeds(rng, n):
     """Random real seeds and Birkhoff seeds with signed zero parts on n
     sites, in the 1-byte and the 2-byte layout."""
@@ -438,6 +458,44 @@ def test_row_versions_match_their_dict_references(rng, n):
         want = dict_seed_from_dict(d)
         assert bits(seed_from_dict(d)) \
             == [(k, c.real.hex(), c.imag.hex()) for k, c in want.items()]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_terms_follow_the_graded_order(rng, n):
+    # terms() orders the rows with numpy as Python's sort orders the keys
+    # by (degree, key), in both layouts and both kinds
+    seeds = _reference_seeds(rng, n)
+    for top in (3, 20):
+        seeds.append(SeedPoly(REAL, n, {
+            Monomial(_random_entries(rng, n, min(n, 6), top)).exps: c
+            for c in rng.uniform(-1, 1, 40)}))
+    seeds += [SeedPoly.zero(REAL, n), SeedPoly.zero(BIRKHOFF, n)]
+    assert {p._words[0].dtype.itemsize for p in seeds} == {1, 2}
+    for p in seeds:
+        want = sorted(p._terms.items(),
+                      key=lambda kc: (sum(a + b for _, a, b in kc[0]), kc[0]))
+        got = [(m.exps, c) for m, c in p.terms()]
+        assert [(k, c.real.hex(), c.imag.hex()) for k, c in got] \
+            == [(k, c.real.hex(), c.imag.hex()) for k, c in want]
+
+
+def test_first_ids_match_the_unique_numbering(rng, monkeypatch):
+    # _first_ids numbers rows by sorting their lane words, on one lane as
+    # it is, on several by their mix, and by the lanes themselves when
+    # different rows share a mix: the numbering numpy's unique over rows
+    # gives, in first-appearance order
+    from kgchain import chainpoly
+    real_mix = chainpoly._mix
+    for width in (1, 3, 8):
+        for count in (0, 1, 300):
+            x = rng.integers(0, 3, size=(count, width)).astype(np.intp)
+            x[:, -1] <<= 60         # the top bits count too
+            want = unique_first_ids(x)
+            for mix in (real_mix, lambda w: w[:, 0].copy(),
+                        lambda w: np.zeros(len(w), np.uint64)):
+                monkeypatch.setattr(chainpoly, "_mix", mix)
+                got = chainpoly._first_ids(x.view("<u8"))
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_sum_polys_matches_the_dict_sum(rng):

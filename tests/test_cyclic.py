@@ -462,7 +462,7 @@ def test_field_norm_decay_bound(rng):
 def _mixed_sign_state(rng, n):
     """Normal state with some exact zeros, so both signs and 0 occur."""
     z = rng.normal(size=2 * n)
-    z[rng.choice(2 * n, size=3, replace=False)] = 0.0
+    z[rng.choice(2 * n, size=min(3, 2 * n - 1), replace=False)] = 0.0
     return z
 
 
@@ -508,17 +508,24 @@ def _direct_shift_values(p, n, sign, state):
 
 
 def test_evaluators_bit_identical_to_direct_powers(rng):
-    # the gather table changes no bit of the realized value or the field
+    # the gather table changes no bit of the realized value or the field,
+    # whose terms the direct form reads in the order of terms(); on one
+    # site and on several, in the 2-byte layout, and for the zero seed
     from kgchain import linear_normalize
-    lnf = linear_normalize(0.05, 8)
-    seeds = [random_homogeneous(rng, deg, n=8, max_sites=4)
-             for deg in (2, 3, 4, 5)] + [lnf.h1, lnf.zeta0]
-    for f in seeds:
-        ev, fe = RealizedEvaluator(f), FieldEvaluator(f)
-        fs = field_seed(f)
-        for scale in (1e-2, 1.0, 3.0):
-            z = scale * _mixed_sign_state(rng, 8)
-            assert ev(z) == float(_direct_shift_values(f, 8, -1, z).sum())
-            assert np.array_equal(fe(z), np.concatenate(
-                [_direct_shift_values(fs.xq, 8, 1, z),
-                 _direct_shift_values(fs.xp, 8, 1, z)]))
+    for n in (1, 5, 8, 16):
+        lnf = linear_normalize(0.05, n)
+        wide = (_seed_with_top_exponent(rng, n, 17) if n > 1
+                else SeedPoly.term([(0, 17, 1)], 0.5, n=1))
+        assert wide._words[0].dtype.itemsize == 2
+        seeds = [random_homogeneous(rng, deg, n=n, max_sites=4)
+                 for deg in (2, 3, 4, 5)] + [lnf.h1, lnf.zeta0, wide,
+                                             SeedPoly.zero(n=n)]
+        for f in seeds:
+            ev, fe = RealizedEvaluator(f), FieldEvaluator(f)
+            fs = field_seed(f)
+            for scale in (1e-2, 1.0, 3.0):
+                z = scale * _mixed_sign_state(rng, n)
+                assert ev(z) == float(_direct_shift_values(f, n, -1, z).sum())
+                assert np.array_equal(fe(z), np.concatenate(
+                    [_direct_shift_values(fs.xq, n, 1, z),
+                     _direct_shift_values(fs.xp, n, 1, z)]))

@@ -195,6 +195,26 @@ def test_observables_build_evaluators_once(monkeypatch):
     assert len(built) == 2
 
 
+def test_evaluators_build_no_key(built, monkeypatch):
+    # the evaluators read a seed's rows in the graded order of terms():
+    # building them, and the observables of a trajectory, makes no key
+    # and no Monomial
+    from kgchain import chainpoly
+    res = normal_form(linear_normalize(0.05, 16), 1, prune_rel=1e-7)
+    traj = integrate_kg(short_cfg(n=16, horizon=1.0))
+    made = []
+    init = chainpoly.Monomial.__init__
+    monkeypatch.setattr(chainpoly.Monomial, "__init__",
+                        lambda self, exps: made.append(1) or init(self, exps))
+    built.clear()
+    RealizedEvaluator(res.zetas[0])
+    FieldEvaluator(res.zetas[0])
+    observables(traj, res)
+    assert not built and not made
+    res.zetas[0].terms()        # what the counts see
+    assert built and made
+
+
 def test_observables_without_j_series():
     # orders=() skips the J series (and T_1), not the linear-coordinate Z
     lnf = linear_normalize(0.05, 8)

@@ -76,10 +76,19 @@ def test_every_private_function_is_used_in_src():
 
 
 def _fields(cls: ast.ClassDef) -> list[str]:
-    """Names of the annotated fields declared in a class body."""
-    return [node.target.id for node in cls.body
-            if isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)]
+    """Names of the annotated fields and of the ``__slots__`` declared in
+    a class body."""
+    names = [node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign)
+             and isinstance(node.target, ast.Name)]
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__"
+                for t in node.targets):
+            names += [c.value for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant)
+                      and isinstance(c.value, str)]
+    return names
 
 
 def _serializes_dict(cls: ast.ClassDef) -> bool:

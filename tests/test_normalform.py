@@ -234,17 +234,6 @@ def test_solver_matches_the_dict_loop_through_tied_arcs(monkeypatch):
     assert [bits(p) for p in got] == [bits(p) for p in want]
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """A list that gets an item at each call of ``chainpoly._keys``."""
-    from kgchain import chainpoly
-    calls = []
-    keys = chainpoly._keys
-    monkeypatch.setattr(chainpoly, "_keys",
-                        lambda *args: calls.append(1) or keys(*args))
-    return calls
-
-
 @pytest.mark.parametrize("n", [8, 16])
 def test_lane_word_seeds_build_keys_only_when_read(rng, built, n):
     # A bracket's output keeps its lane words: counting, negating and
