@@ -247,15 +247,11 @@ def _windows(rows, n):
 
 
 @functools.cache
-def _pattern_arc(lanes: tuple, n: int, itemsize: int) -> tuple[int, int, bool]:
+def _pattern_arc(lanes: tuple, n: int, itemsize: int) -> tuple[int, int]:
     """The arc start and diameter of the occupancy pattern with these lane
-    words, and whether the pattern rotated to its start starts at site 0
-    again."""
+    words."""
     occ = np.array(lanes, "<u8").view(f"<u{itemsize}")[:n]
-    sites = np.flatnonzero(occ).tolist()
-    start, diameter = _arc(sites, n)
-    moved = sorted((x - start) % n for x in sites)
-    return start, diameter, _arc(moved, n)[0] == 0
+    return _arc(np.flatnonzero(occ).tolist(), n)
 
 
 def _arcs(rows, n):
@@ -269,15 +265,15 @@ def _arcs(rows, n):
 
 
 def _aligned(rows, n):
-    """Rows rotated so that each covering arc starts at site 0, and whether
-    every rotated row is its own alignment.  It need not be: when
-    largest gaps tie, the rotated row may start after another one (sites
-    {0, 4} at N = 8, and {0, 1, 5, 8} at N = 12)."""
+    """Rows rotated so that each covering arc starts at site 0.  A rotated
+    row need not be its own alignment: when largest gaps tie, its arc may
+    start after another site (sites {0, 4} at N = 8, and {0, 1, 5, 8} at
+    N = 12)."""
     found, inv = _arcs(rows, n)
-    start = np.array([st for st, _, _ in found], np.intp)[inv]
+    start = np.array([st for st, _ in found], np.intp)[inv]
     out = rows.copy()
     out[:, :n] = _windows(rows, n)[np.arange(len(rows)), start]
-    return out, all(fixed for _, _, fixed in found)
+    return out
 
 
 class CoordinateError(ValueError):
@@ -350,10 +346,10 @@ class SeedPoly:
     imaginary parts are canonicalised away (tolerance ``REAL_IMAG_TOL``
     relative to the largest coefficient).
 
-    A seed is held as lane words (``_words``): the rows of its terms, their
-    values and whether the rows are known to be aligned.  The constructor
-    builds them from keys; every operation returns a seed held as words;
-    ``_terms`` builds the keys from the words when it is read.
+    A seed is held as lane words (``_words``): the rows of its terms and
+    their values.  The constructor builds them from keys; every operation
+    returns a seed held as words; ``_terms`` builds the keys from the
+    words when it is read.
     """
 
     __slots__ = ("kind", "n", "_words")
@@ -383,24 +379,22 @@ class SeedPoly:
         rows = _rows(term, ents, len(raw),
                      _layout(n, int(ents[:, 1:].max(initial=0))))
         vals = np.fromiter(raw.values(), complex, len(raw))
-        self._words = (*_clean(kind, rows, vals), False)
+        self._words = _clean(kind, rows, vals)
 
     @classmethod
-    def _of_words(cls, kind: str, n: int, rows, vals,
-                  aligned: bool) -> "SeedPoly":
+    def _of_words(cls, kind: str, n: int, rows, vals) -> "SeedPoly":
         """A seed held as distinct lane-word rows and their values (floats
-        in the real kind), unchecked; ``aligned`` says that the rows are
-        sorted and each is its own alignment (:func:`_aligned`)."""
+        in the real kind), unchecked."""
         out = cls.__new__(cls)
         out.kind, out.n = kind, n
-        out._words = (rows, vals, aligned)
+        out._words = (rows, vals)
         return out
 
     @property
     def _terms(self) -> dict[ExpKey, complex]:
         """The terms as a dict from key to coefficient, in term order,
         built from the words on every read."""
-        rows, vals, _ = self._words
+        rows, vals = self._words
         return dict(zip(_keys(rows, self.n), vals.astype(complex).tolist()))
 
     # -- constructors --------------------------------------------------
@@ -442,9 +436,8 @@ class SeedPoly:
 
     def _subset(self, keep) -> "SeedPoly":
         """The terms that ``keep``, a mask or an index array, selects."""
-        rows, vals, aligned = self._words
-        return SeedPoly._of_words(self.kind, self.n, rows[keep], vals[keep],
-                                  aligned)
+        rows, vals = self._words
+        return SeedPoly._of_words(self.kind, self.n, rows[keep], vals[keep])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -463,23 +456,22 @@ class SeedPoly:
     def __neg__(self) -> "SeedPoly":
         """Exact: keeps the largest |c| and so the kept set, without a
         clean; real-kind values stay complex(-re, 0.0)."""
-        rows, vals, aligned = self._words
-        return SeedPoly._of_words(self.kind, self.n, rows, -vals, aligned)
+        rows, vals = self._words
+        return SeedPoly._of_words(self.kind, self.n, rows, -vals)
 
     def scaled(self, c: complex) -> "SeedPoly":
         """c times f, with the 1e-15 clean; each product has the bits of
         Python's v * c."""
         if c == 0:
             return SeedPoly.zero(self.kind, self.n)
-        rows, vals, aligned = self._words
+        rows, vals = self._words
         c = complex(c)
         out = (vals * c.real if self.kind == REAL and not c.imag
                else _product(vals, c))
         keep = _kept(out)
         if out.dtype != vals.dtype:     # real kind, complex c
             out = _real_parts(out)
-        return SeedPoly._of_words(self.kind, self.n, rows[keep], out[keep],
-                                  aligned)
+        return SeedPoly._of_words(self.kind, self.n, rows[keep], out[keep])
 
     def __mul__(self, c):
         """c times f for a scalar c (:meth:`scaled`)."""
@@ -491,18 +483,21 @@ class SeedPoly:
 
     def partial(self, site: int, block: int) -> "SeedPoly":
         """Derivative with respect to the block-0 or block-1 variable of
-        ``site``, with the 1e-15 clean."""
+        ``site``, with the 1e-15 clean; zero for a site outside [0, n).
+        A block other than 0 or 1 raises ``ValueError``."""
+        if block not in (0, 1):
+            raise ValueError(f"block must be 0 or 1, got {block!r}")
         if not 0 <= site < self.n:
             return SeedPoly.zero(self.kind, self.n)
-        rows, vals, _ = self._words
-        exps = _fields(rows[:, site])[0 if block == 0 else 1]
+        rows, vals = self._words
+        exps = _fields(rows[:, site])[block]
         hit = exps > 0
         out = rows[hit]
-        out[:, site] -= 1 << (0 if block == 0 else 4 * rows.itemsize)
+        out[:, site] -= 1 << block * 4 * rows.itemsize
         # 0.0 + c * e, as Python adds and multiplies
         vals = 0.0 + _product(vals[hit], exps[hit].astype(complex))
         return SeedPoly._of_words(self.kind, self.n,
-                                  *_clean(self.kind, out, vals), False)
+                                  *_clean(self.kind, out, vals))
 
     def max_abs_coeff(self) -> float:
         return float(_magnitudes(self._words[1]).max(initial=0.0))
@@ -591,13 +586,12 @@ def sum_polys(polys: Iterable[SeedPoly], kind: str | None = None,
     for p in polys[1:]:
         first._check_compatible(p)
     held = [p._words for p in polys]
-    layout = _layout(first.n, max(_top(rows) for rows, _, _ in held))
+    layout = _layout(first.n, max(_top(rows) for rows, _ in held))
     rows, vals = _first_merged(
-        np.concatenate([_repacked(r, first.n, layout) for r, _, _ in held]),
-        np.concatenate([v for _, v, _ in held]))
+        np.concatenate([_repacked(r, first.n, layout) for r, _ in held]),
+        np.concatenate([v for _, v in held]))
     keep = _kept(vals)
-    return SeedPoly._of_words(first.kind, first.n, rows[keep], vals[keep],
-                              False)
+    return SeedPoly._of_words(first.kind, first.n, rows[keep], vals[keep])
 
 
 # -- Poisson bracket -----------------------------------------------------
@@ -647,7 +641,7 @@ def poly_norm(f: SeedPoly, radius: float) -> float:
     """Weighted coefficient norm: sum over degrees s of R^s * sum |c|."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rows, vals, _ = f._words
+    rows, vals = f._words
     deg = _degrees(rows)
     # R^s by Python's **, once per degree: numpy's power can differ in
     # the last bit; the terms are summed in term order
@@ -738,13 +732,13 @@ def _convert(rows, vals, kind: str, n: int) -> SeedPoly:
                                          b.max(initial=0))))
     out = np.zeros((len(kept), cols), sdt)
     out[:, :n] = a | b << bits
-    return SeedPoly._of_words(kind, n, out, dense[kept], False)
+    return SeedPoly._of_words(kind, n, out, dense[kept])
 
 
 def to_complex(f: SeedPoly) -> SeedPoly:
     """Substitute x = (xi + i eta)/sqrt2, y = (i xi + eta)/sqrt2."""
     _check_kind(f, REAL, "to_complex")
-    rows, vals, _ = f._words
+    rows, vals = f._words
     return _convert(rows, vals, BIRKHOFF, f.n)
 
 
@@ -773,7 +767,7 @@ def _to_real_sectors(kernel: SeedPoly, half: SeedPoly) -> SeedPoly:
     terms, unchecked: Re of the inverse image of kernel + 2 half, in one
     expansion, the terms of kernel first."""
     n = kernel.n
-    (krows, kvals, _), (hrows, hvals, _) = kernel._words, half._words
+    (krows, kvals), (hrows, hvals) = kernel._words, half._words
     layout = _layout(n, max(_top(krows), _top(hrows)))
     rows = np.concatenate([_repacked(r, n, layout) for r in (krows, hrows)])
     # 2.0 * c, as Python multiplies a float and a complex number
@@ -795,12 +789,12 @@ def mirror(f: SeedPoly) -> SeedPoly:
     every site; the values are the Python products i^deg * conj(c).
     """
     _check_kind(f, BIRKHOFF, "mirror")
-    rows, vals, _ = f._words
+    rows, vals = f._words
     a, b = _fields(rows)
     swapped = (b | a << 4 * rows.itemsize).astype(rows.dtype)
     ipow = np.array(_IPOW, complex)[_degrees(rows) % 4]
     return SeedPoly._of_words(BIRKHOFF, f.n, swapped,
-                              _product(ipow, vals.conj()), False)
+                              _product(ipow, vals.conj()))
 
 
 def reality_defect(f: SeedPoly) -> float:
@@ -824,9 +818,9 @@ def left_align(f: SeedPoly) -> SeedPoly:
     Terms that land on one key merge into it where the first one lands,
     their values summed in term order, with no clean.
     """
-    rows, vals, _ = f._words
-    rows, vals = _first_merged(_aligned(rows, f.n)[0], vals)
-    return SeedPoly._of_words(f.kind, f.n, rows, vals, False)
+    rows, vals = f._words
+    rows, vals = _first_merged(_aligned(rows, f.n), vals)
+    return SeedPoly._of_words(f.kind, f.n, rows, vals)
 
 
 def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
@@ -840,7 +834,7 @@ def decay_decompose(f: SeedPoly) -> dict[int, SeedPoly]:
     """
     aligned = left_align(f)
     found, inv = _arcs(aligned._words[0], f.n)
-    diameter = np.array([m for _, m, _ in found], np.intp)[inv]
+    diameter = np.array([m for _, m in found], np.intp)[inv]
     return {m: aligned._subset(diameter == m)
             for m in sorted(set(diameter.tolist()))}
 

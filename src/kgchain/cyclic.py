@@ -49,10 +49,10 @@ def cyclic_shift(f: SeedPoly, l: int) -> SeedPoly:
     bijection on keys, so nothing merges.  Adding 0.0 makes a -0.0 part
     +0.0, as the sums of a merge do."""
     n = f.n
-    rows, vals, _ = f._words
+    rows, vals = f._words
     out = rows.copy()
     out[:, :n] = _windows(rows, n)[:, l % n]
-    return SeedPoly._of_words(f.kind, n, out, vals + 0.0, False)
+    return SeedPoly._of_words(f.kind, n, out, vals + 0.0)
 
 
 def realize(f: SeedPoly, n: int | None = None) -> SeedPoly:
@@ -133,9 +133,7 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     cannot change the result: g's rows are first left aligned and summed
     per orbit, by the same array alignment the output gets, which moves
     only the order of summation, so the cost follows the orbits of g, not
-    its keys.  A g this kernel made in the same layout is merged already,
-    unless some of its rows align again (ties, below), and is taken as it
-    is.  f is not merged: the words stay in f's frame, and f's frame
+    its keys.  f is not merged: the words stay in f's frame, and f's frame
     fixes the output keys.  The covering-arc rule breaks ties between
     equal largest gaps by the frame (sites {0, 4} at N = 8), so another
     frame of f would store some orbits under other keys and move per-key
@@ -155,22 +153,17 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
     """
     f._check_compatible(g)
     n = f.n
-    frows, cf, _ = f._words
-    grows, cg, aligned = g._words
+    frows, cf = f._words
+    grows, cg = g._words
     top = _top(frows) + _top(grows)
     if top >= _MAX_EXPONENT:
         raise ValueError("exponent too large for the packed bracket")
     layout = _layout(n, top)
     sdt, bits, cols = layout
 
-    # g merged per orbit, then its entries (j, s, a2, b2) and rotations; a
-    # g the kernel made in this layout is merged already, and adding 0.0
-    # clears the negative zeros that a merge's sums would not have
-    if grows.dtype == sdt and aligned:
-        gw, cg = grows.view("<u8"), cg + 0.0
-    else:
-        gw, cg = _grouped(_aligned(_repacked(grows, n, layout), n)[0]
-                          .view("<u8"), cg)
+    # g merged per orbit, then its entries (j, s, a2, b2) and rotations
+    gw, cg = _grouped(_aligned(_repacked(grows, n, layout), n).view("<u8"),
+                      cg)
     grows = gw.view(sdt)
     gj, s = np.nonzero(grows[:, :n])
     # exponents below 63 keep every contact factor within int16
@@ -221,11 +214,10 @@ def seed_bracket(f: SeedPoly, g: SeedPoly, *,
                  else (wfm[:0], cf[:0]))
 
     keep = _kept(vals, prune_rel, floor)
-    rows, aligned = _aligned(raw[keep].view(sdt), n)
-    raw, vals = _grouped(rows.view("<u8"), vals[keep])
+    raw, vals = _grouped(_aligned(raw[keep].view(sdt), n).view("<u8"),
+                         vals[keep])
     keep = _kept(vals)
-    return SeedPoly._of_words(f.kind, n, raw[keep].view(sdt), vals[keep],
-                              aligned)
+    return SeedPoly._of_words(f.kind, n, raw[keep].view(sdt), vals[keep])
 
 
 # -- Hamiltonian vector fields ---------------------------------------------
@@ -301,7 +293,7 @@ class RealizedEvaluator:
     def __init__(self, f: SeedPoly, *, shift_sign: int = -1, top: int = 0):
         _check_kind(f, REAL, "RealizedEvaluator")
         self.n = n = f.n
-        rows, vals, _ = f._words
+        rows, vals = f._words
         order, ents = _graded(rows, n)
         self.coeff = vals.take(order)
         # slot-major, so the product runs over contiguous (terms, N) slabs;

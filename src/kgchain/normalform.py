@@ -91,13 +91,13 @@ def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
     """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k;
     each value is the Python product c * (1j * omega * d)."""
     _check_kind(f, BIRKHOFF, "lie_omega")
-    rows, vals, aligned = f._words
+    rows, vals = f._words
     d = _imbalances(rows)
     keep = d != 0
     ds, at = np.unique(d[keep], return_inverse=True)
     factor = np.array([1j * omega * dv for dv in ds.tolist()], complex)
     return SeedPoly._of_words(BIRKHOFF, f.n, rows[keep],
-                              _product(vals[keep], factor[at]), aligned)
+                              _product(vals[keep], factor[at]))
 
 
 def project_kernel(f: SeedPoly) -> SeedPoly:
@@ -119,7 +119,7 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     complex division c / (1j * omega * d).
     """
     _check_kind(g, BIRKHOFF, "invert_lie_omega")
-    rows, vals, aligned = g._words
+    rows, vals = g._words
     d = _imbalances(rows)
     mag = _magnitudes(vals)
     total = _sequential_sum(mag)    # ||g||_1, as poly_norm(g, 1.0) sums it
@@ -142,7 +142,7 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
     out = np.empty(len(c), complex)
     out.real = (c.real * ratio + c.imag) / denom
     out.imag = (c.imag * ratio - c.real) / denom
-    return SeedPoly._of_words(BIRKHOFF, g.n, rows[keep], out, aligned)
+    return SeedPoly._of_words(BIRKHOFF, g.n, rows[keep], out)
 
 
 # -- homological equation ----------------------------------------------------

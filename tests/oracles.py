@@ -238,8 +238,7 @@ def seed_of(kind, n, terms: dict):
     rows = SeedPoly(kind, n, dict.fromkeys(terms, 1.0))._words[0]
     vals = np.array(list(terms.values()), complex)
     return SeedPoly._of_words(kind, n, rows,
-                              vals.real.copy() if kind == REAL else vals,
-                              False)
+                              vals.real.copy() if kind == REAL else vals)
 
 
 def seed_product(f, g):

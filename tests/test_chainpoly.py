@@ -354,6 +354,18 @@ def test_empty_polynomial_is_valid_everywhere():
     assert decay_decompose(z) == {}
 
 
+def test_partial_reads_block_0_or_1_only():
+    # d/dx_0 and d/dy_0 of x_0 y_0^2; any other block raises, and a site
+    # off the ring gives zero
+    f = SeedPoly.term([(0, 1, 2)], 1.0, n=3)
+    assert f.partial(0, 0)._terms == {((0, 0, 2),): 1.0}
+    assert f.partial(0, 1)._terms == {((0, 1, 1),): 2.0}
+    for block in (-1, 2, 7):
+        with pytest.raises(ValueError, match="block"):
+            f.partial(0, block)
+    assert f.partial(3, 1).is_zero() and f.partial(-1, 0).is_zero()
+
+
 def test_real_kind_rejects_complex_coefficients():
     with pytest.raises(CoordinateError):
         SeedPoly.term([(0, 1, 0)], 1.0 + 0.5j, n=8)
