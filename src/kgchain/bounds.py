@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chainpoly import (
-    BIRKHOFF,
     DecayProfile,
     SeedPoly,
     envelope_constant,
@@ -35,11 +34,9 @@ class SigmaWindowError(ValueError):
 
 
 def _norm_pairs_complex(f: SeedPoly) -> list[tuple[int, float]]:
-    """Per-distance norms in the complex frame, where the homological
-    estimates of the construction live."""
-    if f.kind != BIRKHOFF:
-        f = to_complex(f)
-    return norm_pairs(f)
+    """Per-distance norms of the real-kind seed ``f`` in the complex frame,
+    where the homological estimates of the construction live."""
+    return norm_pairs(to_complex(f))
 
 
 @dataclass

@@ -418,9 +418,6 @@ class SeedPoly:
         graded = self._subset(_graded(self._words[0], self.n)[0])
         return [(Monomial(k), v) for k, v in graded._terms.items()]
 
-    def coeff(self, exps: Iterable[tuple[int, int, int]]) -> complex:
-        return self._terms.get(Monomial(exps).exps, 0.0)
-
     def num_terms(self) -> int:
         return len(self._words[1])
 
@@ -472,14 +469,6 @@ class SeedPoly:
         if out.dtype != vals.dtype:     # real kind, complex c
             out = _real_parts(out)
         return SeedPoly._of_words(self.kind, self.n, rows[keep], out[keep])
-
-    def __mul__(self, c):
-        """c times f for a scalar c (:meth:`scaled`)."""
-        if not isinstance(c, (int, float, complex)):
-            return NotImplemented
-        return self.scaled(c)
-
-    __rmul__ = __mul__
 
     def partial(self, site: int, block: int) -> "SeedPoly":
         """Derivative with respect to the block-0 or block-1 variable of

@@ -67,6 +67,11 @@ class SimConfig:
             raise ValueError("dt too large: dt * max frequency must be < 0.5")
         if self.norm not in ("l2", "linf"):
             raise ValueError("norm must be 'l2' or 'linf'")
+        if self.sample_every is not None and not (
+                isinstance(self.sample_every, (int, np.integer))
+                and self.sample_every >= 1):
+            raise ValueError(f"sample_every must be None or an integer "
+                             f">= 1, got {self.sample_every!r}")
         self.steps()
 
 
@@ -81,7 +86,10 @@ class Trajectory:
     stats: dict = field(default_factory=dict)    # integrator work counts
 
 
-def initial_state(cfg: SimConfig, n: int) -> np.ndarray:
+def initial_state(cfg: SimConfig) -> np.ndarray:
+    """The initial (x, y) of ``cfg`` on its ``cfg.n`` sites, as its
+    ``initial`` names it; ``"state"`` copies ``cfg.state``."""
+    n = cfg.n
     rng = np.random.default_rng(cfg.seed)
     x = np.zeros(n)
     y = np.zeros(n)
@@ -182,7 +190,7 @@ def _integrate_strang(cfgs: list[SimConfig]) -> list[Trajectory]:
         return z
 
     return _sample_flow(
-        cfgs, np.array([initial_state(c, n) for c in cfgs]).reshape(-1, 2, n),
+        cfgs, np.array([initial_state(c) for c in cfgs]).reshape(-1, 2, n),
         advance if cfg.quartic else rot.apply,
         lambda z: kg_energy(z[:, 0], z[:, 1], cfg.a, cfg.quartic, cfg.soft))
 
@@ -241,15 +249,19 @@ def _sample_flow(cfgs: list[SimConfig], z: np.ndarray, advance,
             for b, c in enumerate(cfgs)]
 
 
+def _b_half(lnf: LinearNF, x: np.ndarray) -> np.ndarray:
+    """B x, B = A^{1/2}, along the last axis via the DFT: H_Omega + Z_0 is
+    1/2 (q.Bq + p.Bp)."""
+    return np.fft.ifft(np.sqrt(lnf.circ.spectrum) * np.fft.fft(x, axis=-1),
+                       axis=-1).real
+
+
 def _quadratic_parts(lnf: LinearNF, q: np.ndarray,
                      p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H_Omega and Z_0 at stacked normalized coordinates (..., N)."""
     h_omega = 0.5 * lnf.omega * np.sum(q * q + p * p, axis=-1)
-    # Z_0 in closed quadratic form: 1/2 (q.Bq + p.Bp) - H_Omega
-    lam_half = np.sqrt(lnf.circ.spectrum)
-    bq = np.fft.ifft(lam_half * np.fft.fft(q, axis=-1), axis=-1).real
-    bp = np.fft.ifft(lam_half * np.fft.fft(p, axis=-1), axis=-1).real
-    z0 = 0.5 * (np.sum(q * bq, axis=-1) + np.sum(p * bp, axis=-1)) - h_omega
+    z0 = 0.5 * (np.sum(q * _b_half(lnf, q), axis=-1)
+                + np.sum(p * _b_half(lnf, p), axis=-1)) - h_omega
     return h_omega, z0
 
 
@@ -382,8 +394,7 @@ def drift_experiment(base_cfg: SimConfig, ladder: list[float],
 
 # -- GdNLS flow ---------------------------------------------------------------
 
-def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
-                    state_qp: np.ndarray | None = None) -> Trajectory:
+def integrate_gdnls(model: GdnlsModel, cfg: SimConfig) -> Trajectory:
     """Flow of K = H_Omega + Z_0 + Z_1 in the normalized coordinates.
 
     Strang composition of the exact quadratic flow (H_Omega + Z_0 is the
@@ -392,7 +403,8 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     quadratic invariants, so H_Omega is conserved up to the fixed-point
     tolerance even across the nonlinear kick.  The sampling and the
     energy guard are those of :func:`integrate_kg`; ``cfg`` must describe
-    the model's chain.
+    the model's chain.  The flow starts from ``cfg``'s initial (x, y), as
+    :func:`integrate_kg` does, mapped to (q, p) = (A^{1/4} x, A^{-1/4} y).
 
     ``traj.stats`` records the work: ``steps``, ``guard_margin``,
     ``kicks`` (midpoint substeps), ``midpoint_iters`` (fixed-point
@@ -406,30 +418,26 @@ def integrate_gdnls(model: GdnlsModel, cfg: SimConfig,
     if cfg.n != lnf.n or cfg.a != lnf.a:
         raise ValueError("configuration and GdNLS model parameters differ")
     n = lnf.n
-    if state_qp is None:
-        state_qp = apply_linear(lnf, initial_state(cfg, n))
-    z = np.asarray(state_qp, dtype=float).reshape(1, 2, n)
+    z = apply_linear(lnf, initial_state(cfg)).reshape(1, 2, n)
     rot = _ModeRotation(lnf.circ.spectrum, cfg.dt,
                         momentum_matches_position=True)
     field_eval = FieldEvaluator(model.zeta1)
     z1_eval = RealizedEvaluator(model.zeta1)
     half = 0.5 * cfg.dt
-    lam_half = np.sqrt(lnf.circ.spectrum)
     stats = {"kicks": 0, "midpoint_iters": 0, "midpoint_iters_max": 0}
 
     def k_energy(z):
         zz = z.reshape(2 * n)
         q, p = zz[:n], zz[n:]
-        bq = np.fft.ifft(lam_half * np.fft.fft(q)).real
-        bp = np.fft.ifft(lam_half * np.fft.fft(p)).real
-        return 0.5 * (q @ bq + p @ bp) + z1_eval(zz)
+        return 0.5 * (q @ _b_half(lnf, q) + p @ _b_half(lnf, p)) \
+            + z1_eval(zz)
 
     def midpoint_kick(zz):
         m = zz.copy()
+        stop = 1e-15 * max(1.0, np.max(np.abs(zz)))
         for it in range(1, MIDPOINT_MAX_ITER + 1):
             nxt = zz + 0.5 * half * field_eval(m)
-            if np.max(np.abs(nxt - m)) < 1e-15 * max(1.0,
-                                                     np.max(np.abs(zz))):
+            if np.max(np.abs(nxt - m)) < stop:
                 m = nxt
                 break
             m = nxt

@@ -135,8 +135,6 @@ def _centered_weights(row: np.ndarray, n: int,
 
 def linear_normalize(a: float, n: int) -> LinearNF:
     """Build the transformed Hamiltonian seeds h_Omega, zeta_0, h_1."""
-    if a < 0:
-        raise ValueError("coupling a must be nonnegative")
     circ = build_A(a, n)
     mu = a / (1.0 + 2.0 * a)
     sigma0 = -math.log(2.0 * mu) if mu > 0 else math.inf

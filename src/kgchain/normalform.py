@@ -87,17 +87,25 @@ KERNEL_LEAK_TOL = 1e-12
 
 # -- the diagonal operator L_Omega, in the Birkhoff coordinates only --------
 
-def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
-    """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k;
-    each value is the Python product c * (1j * omega * d)."""
-    _check_kind(f, BIRKHOFF, "lie_omega")
+def _range_terms(f: SeedPoly, omega: float, name: str):
+    """f's rows and values, the mask of its range terms (d = |k| - |j|
+    != 0) and, for each range term, i Omega d as Python computes
+    1j * omega * d."""
+    _check_kind(f, BIRKHOFF, name)
     rows, vals = f._words
     d = _imbalances(rows)
     keep = d != 0
     ds, at = np.unique(d[keep], return_inverse=True)
-    factor = np.array([1j * omega * dv for dv in ds.tolist()], complex)
+    den = np.array([1j * omega * dv for dv in ds.tolist()], complex)
+    return rows, vals, keep, den[at]
+
+
+def lie_omega(f: SeedPoly, omega: float) -> SeedPoly:
+    """Diagonal action L_Omega xi^j eta^k = i Omega (|k|-|j|) xi^j eta^k;
+    each value is the Python product c * (1j * omega * d)."""
+    rows, vals, keep, den = _range_terms(f, omega, "lie_omega")
     return SeedPoly._of_words(BIRKHOFF, f.n, rows[keep],
-                              _product(vals[keep], factor[at]))
+                              _product(vals[keep], den))
 
 
 def project_kernel(f: SeedPoly) -> SeedPoly:
@@ -115,30 +123,21 @@ def invert_lie_omega(g: SeedPoly, omega: float) -> SeedPoly:
 
     A kernel component above ``KERNEL_LEAK_TOL`` (relative to ||g||_1) is
     an error; a smaller one is float noise and is dropped.  It runs on
-    g's lane words and builds no keys; each quotient has the bits of the
-    complex division c / (1j * omega * d).
+    g's lane words and builds no keys.  Each quotient has the bits of the
+    complex division c / (1j * omega * d): Smith's rule, as Python divides
+    by a denominator whose imaginary part is the larger.
     """
-    _check_kind(g, BIRKHOFF, "invert_lie_omega")
-    rows, vals = g._words
-    d = _imbalances(rows)
+    rows, vals, keep, den = _range_terms(g, omega, "invert_lie_omega")
     mag = _magnitudes(vals)
     total = _sequential_sum(mag)    # ||g||_1, as poly_norm(g, 1.0) sums it
-    kernel_mass = _sequential_sum(mag[d == 0])
+    kernel_mass = _sequential_sum(mag[~keep])
     if kernel_mass > KERNEL_LEAK_TOL * max(total, 1e-300):
         raise KernelLeakageError(
             f"input has kernel component of relative size "
             f"{kernel_mass / max(total, 1e-300):.3e}")
-    keep = d != 0
     c = vals[keep]
-    # Smith's rule, as Python divides by a denominator whose imaginary
-    # part is the larger, with its ratio and denominator for each d
-    ds, at = np.unique(d[keep], return_inverse=True)
-    ratio, denom = np.zeros(len(ds)), np.zeros(len(ds))
-    for i, dv in enumerate(ds.tolist()):
-        den = 1j * omega * dv
-        ratio[i] = den.real / den.imag
-        denom[i] = den.real * ratio[i] + den.imag
-    ratio, denom = ratio[at], denom[at]
+    ratio = den.real / den.imag
+    denom = den.real * ratio + den.imag
     out = np.empty(len(c), complex)
     out.real = (c.real * ratio + c.imag) / denom
     out.imag = (c.imag * ratio - c.real) / denom

@@ -486,6 +486,12 @@ def unique_first_ids(x):
     return first[order], rank[inv.reshape(-1)]
 
 
+def coeff(p, exps) -> complex:
+    """The coefficient of the seed ``p`` at the monomial ``exps``."""
+    from kgchain.chainpoly import Monomial
+    return p._terms.get(Monomial(exps).exps, 0.0)
+
+
 def bits(poly) -> list:
     """The items of a seed in its key order, each value as the hex of its
     parts, so that a comparison sees every bit and the sign of a zero."""

@@ -128,6 +128,19 @@ def test_verify_reports_order_advisory(lnf_small):
     assert report["all_pass"]
 
 
+def test_verify_decay_bounds_order_four():
+    # at a = 1e-4 order 4 is within r < mu_*/(2 mu): every class is graded
+    lnf = linear_normalize(1e-4, 16)
+    res = normal_form(lnf, 4, s_max=5, prune_rel=1e-13)
+    rec = constants(lnf, 4)
+    report = verify_decay_bounds(res, rec)
+    names = [c["name"] for c in report["checks"]]
+    assert names == [f"{kind}_{s}" for s in range(1, 5)
+                     for kind in ("chi", "zeta")] + ["remainder_5"]
+    assert all(c["pass"] is True for c in report["checks"])
+    assert report["all_pass"] and not report["advisories"]
+
+
 def test_void_radius_constants():
     # r mu > mu_* makes gamma negative: no radius is admissible
     lnf = linear_normalize(1e-3, 8)

@@ -47,16 +47,21 @@ def test_config_validation():
     for radius in (0.0, -0.05, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be finite"):
             SimConfig(radius=radius).validate()
+    for every in (0, -5, 2.5, "7"):
+        with pytest.raises(ValueError, match="sample_every must be None"):
+            integrate_kg(SimConfig(n=4, horizon=1.0, sample_every=every))
+    for every in (None, 1, np.int64(30)):
+        SimConfig(n=4, horizon=1.0, sample_every=every).validate()
 
 
 def test_initial_state_norms():
     cfg = short_cfg(norm="l2", radius=0.1, initial="uniform-random-phase")
-    z = initial_state(cfg, cfg.n)
+    z = initial_state(cfg)
     assert np.linalg.norm(z) == pytest.approx(0.1, rel=1e-12)
     cfg2 = short_cfg(norm="linf", radius=0.1)
-    z2 = initial_state(cfg2, cfg2.n)
+    z2 = initial_state(cfg2)
     assert np.max(np.hypot(z2[:8], z2[8:])) == pytest.approx(0.1, rel=1e-12)
-    single = initial_state(short_cfg(initial="single-site"), 8)
+    single = initial_state(short_cfg(initial="single-site"))
     assert single[0] == 0.05 and np.count_nonzero(single) == 1
 
 
@@ -143,7 +148,7 @@ def test_reversibility():
                          sample_every=10 ** 9)
     back_cfg.dt = -cfg.dt
     back = integrate_kg(back_cfg)
-    start = initial_state(cfg, cfg.n)
+    start = initial_state(cfg)
     assert np.max(np.abs(back.states[-1] - start)) <= 1e-8
 
 
@@ -311,15 +316,13 @@ def test_gdnls_rejects_another_chain():
             integrate_gdnls(model, cfg)
 
 
-def gdnls_reference(model, cfg, state_qp=None):
+def gdnls_reference(model, cfg):
     """The GdNLS flow with its own step and sampling loop, as it was before
     it shared the Strang sampling loop; the reference that loop must match
     bit for bit."""
     lnf = model.lnf
     n = lnf.n
-    if state_qp is None:
-        state_qp = apply_linear(lnf, initial_state(cfg, n))
-    z = np.asarray(state_qp, dtype=float).copy()
+    z = apply_linear(lnf, initial_state(cfg))
     steps = cfg.steps()
     sample_every = cfg.sample_every or max(1, steps // 2000)
     rot = _ModeRotation(lnf.circ.spectrum, cfg.dt,
@@ -371,18 +374,18 @@ def gdnls_reference(model, cfg, state_qp=None):
 @pytest.mark.parametrize("kw, scale", [
     (dict(dt=-0.02), None),
     (dict(sample_every=7), None),       # 200 steps: the last gap is short
-    (dict(radius=0.08), 1.1),           # state_qp given
-], ids=["backward", "sample-7", "state-qp"])
+    (dict(radius=0.08), 1.1),           # an explicit initial state
+], ids=["backward", "sample-7", "state"])
 def test_gdnls_bit_identical_to_own_loop(kw, scale):
     # the shared sampling loop gives the GdNLS flow exactly the times,
     # states, energies and kick counts of its former loop
     lnf = linear_normalize(0.05, 8)
     model = extract_gdnls(normal_form(lnf, 1))
     cfg = short_cfg(horizon=4.0, **kw)
-    state_qp = None if scale is None \
-        else scale * apply_linear(lnf, initial_state(cfg, cfg.n))
-    traj = integrate_gdnls(model, cfg, state_qp)
-    ref = gdnls_reference(model, cfg, state_qp)
+    if scale is not None:
+        cfg = replace(cfg, initial="state", state=scale * initial_state(cfg))
+    traj = integrate_gdnls(model, cfg)
+    ref = gdnls_reference(model, cfg)
     for name in ("times", "states", "energy", "energy_error"):
         assert np.array_equal(getattr(traj, name), ref[name]), name
     assert traj.stats == {**ref["stats"], "guard_margin":
@@ -397,8 +400,7 @@ def test_gdnls_vs_kg_deviation_shrinks():
     for radius in (0.08, 0.02):
         cfg = short_cfg(radius=radius, horizon=20.0, sample_every=20)
         kg = integrate_kg(cfg)
-        gd = integrate_gdnls(model, cfg,
-                             apply_linear(lnf, initial_state(cfg, cfg.n)))
+        gd = integrate_gdnls(model, cfg)
         rep = compare_models(kg, gd, lnf)
         devs.append(rep["max_deviation"] / radius)
     assert devs[1] < devs[0]

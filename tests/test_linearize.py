@@ -173,5 +173,5 @@ def test_transformed_hamiltonian_matches_original(rng):
         quartic = row
         for _ in range(3):
             quartic = seed_product(quartic, row)
-        oracle = oracle + quartic * 0.25
+        oracle = oracle + quartic.scaled(0.25)
     assert transformed.max_coeff_diff(oracle) <= 1e-12
